@@ -47,17 +47,24 @@ def _ensure_out(path_text: str) -> Path:
     return out
 
 
-def _load_feature_dataset(root: Path, decimate_k: int) -> Dataset:
+def _nonempty_manifest(root: Path) -> list[dict]:
+    rows = storage.read_manifest(root)
+    if not rows:
+        raise storage.StorageError(f"{root}: dataset has no samples")
+    return rows
+
+
+def _load_feature_dataset(root: Path, rows: list[dict], decimate_k: int) -> Dataset:
     """Load a dataset for training: raw complex roots get the default
-    preprocessing chain applied on the fly, then decimation."""
-    if storage.dataset_is_complex(root):
+    preprocessing chain applied on the fly, then each sample is decimated
+    as it streams in."""
+    samples = storage.iter_dataset(root, rows)
+    if storage.dataset_is_complex(rows):
         log.info("raw complex dataset: applying default preprocessing chain")
         stages = dsp.default_stages()
-        tensors = [models.decimate(dsp.run_pipeline(s, stages), decimate_k)
-                   for s in storage.iter_dataset(root)]
-    else:
-        tensors = [models.decimate(t, decimate_k) for t in storage.iter_dataset(root)]
-    return Dataset.from_samples(tensors, seed=storage.load_dataset_seed(root))
+        samples = (dsp.run_pipeline(s, stages) for s in samples)
+    tensors = [models.decimate(t, decimate_k) for t in samples]
+    return Dataset.from_samples(tensors, seed=storage.load_dataset_seed(rows))
 
 
 def cmd_generate(args) -> int:
@@ -114,8 +121,9 @@ def cmd_preprocess(args) -> int:
         source = iter(raw.samples)
         seed = raw.seed
     else:
-        source = storage.iter_dataset(args.dataset)
-        seed = storage.load_dataset_seed(args.dataset)
+        rows = storage.read_manifest(args.dataset)
+        source = storage.iter_dataset(args.dataset, rows)
+        seed = storage.load_dataset_seed(rows)
     writer = storage.DatasetWriter(out, seed=seed)
     count = 0
     try:
@@ -141,7 +149,8 @@ def cmd_train(args) -> int:
         raise UsageError(f"--decimate must be >= 1, got {args.decimate}")
     out = _ensure_out(args.out)
     _setup_logging(out)
-    dataset = _load_feature_dataset(Path(args.dataset), args.decimate)
+    root = Path(args.dataset)
+    dataset = _load_feature_dataset(root, _nonempty_manifest(root), args.decimate)
     first = dataset.samples[0]
     spec = models.ModelSpec(kind=kind,
                             timesteps=first.values.shape[0],
@@ -169,12 +178,11 @@ def cmd_evaluate(args) -> int:
     out = _ensure_out(args.out)
     _setup_logging(out)
     model = storage.load_model(args.model_file)
-    dataset = _load_feature_dataset(Path(args.dataset), 1)
-    data_T = dataset.samples[0].values.shape[0]
-    k = models.infer_decimation(data_T, model.spec.timesteps)
-    if k != 1:
-        dataset = Dataset.from_samples(models.decimate_all(dataset.samples, k),
-                                       seed=dataset.seed)
+    root = Path(args.dataset)
+    rows = _nonempty_manifest(root)
+    # Every stage keeps the packet count, so the manifest fixes the factor.
+    k = models.infer_decimation(int(rows[0]["n_packets"]), model.spec.timesteps)
+    dataset = _load_feature_dataset(root, rows, k)
     _, test_ds = evaluate.split(dataset, evaluate.SplitSpec(seed=args.split_seed))
     report = evaluate.evaluate_model(model, test_ds.samples)
     storage.write_metrics_csv(report, out / "metrics.csv")
@@ -194,7 +202,8 @@ def cmd_grid(args) -> int:
         raise UsageError(f"--decimate must be >= 1, got {args.decimate}")
     out = _ensure_out(args.out)
     _setup_logging(out)
-    dataset = _load_feature_dataset(Path(args.dataset), args.decimate)
+    root = Path(args.dataset)
+    dataset = _load_feature_dataset(root, _nonempty_manifest(root), args.decimate)
     workers = args.workers or evaluate.default_grid_workers(
         len(models.KINDS) * len(evaluate.GRID_LRS) * len(evaluate.GRID_EPOCHS))
     cells = evaluate.run_grid(dataset, seed=args.seed, workers=workers,

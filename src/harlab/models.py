@@ -280,7 +280,8 @@ def decimate(x: FeatureTensor, k: int) -> FeatureTensor:
         raise ModelError(f"decimation factor must be >= 1, got {k}")
     if k == 1:
         return x
-    return x.with_values(x.values[::k], f"decimate:{k}")
+    # A copy, so the full-length array can be freed.
+    return x.with_values(np.ascontiguousarray(x.values[::k]), f"decimate:{k}")
 
 
 def decimate_all(tensors, k: int) -> list[FeatureTensor]:

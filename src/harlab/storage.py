@@ -6,6 +6,7 @@ repr, so loading never loses precision.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -36,15 +37,22 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _parse_float(text: str, path: Path, line_no: int) -> float:
+@contextlib.contextmanager
+def _replace_on_success(path: Path, newline: str | None = None):
+    """Open a temp file beside `path` for writing; it replaces `path` only
+    once the block finishes, so a crash never leaves a half-written file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        return float(text)
-    except ValueError:
-        raise StorageError(f"{path}:{line_no}: malformed number {text!r}") from None
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class _RootLock:
-    """Exclusive advisory lock on a dataset root while writing."""
+    """Exclusive advisory lock on a dataset root while writing; the lock
+    file holds the writer's pid."""
 
     def __init__(self, root: Path):
         self.path = root / ".lock"
@@ -53,8 +61,15 @@ class _RootLock:
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise StorageError(f"dataset root is locked by another writer: {self.path}") from None
-        os.close(fd)
+            try:
+                owner = self.path.read_text().strip() or "unknown"
+            except OSError:
+                owner = "unknown"
+            raise StorageError(
+                f"dataset root is locked by another writer (pid {owner}): {self.path}; "
+                "if that process is gone, delete the lock file") from None
+        with os.fdopen(fd, "w") as fh:
+            fh.write(f"{os.getpid()}\n")
         return self
 
     def __exit__(self, *exc):
@@ -62,13 +77,88 @@ class _RootLock:
         return False
 
 
+# ---------------------------------------------------------------------------
+# Sample-file codec: one float64 matrix per CSV file, no header, comma
+# separated, CRLF line ends, every value as its shortest round-trip repr.
+
+def _write_rows(fh, rows: np.ndarray, prefix: str = "") -> None:
+    """Write `rows` to a file opened with newline=""; `prefix` starts every
+    line (export_flat's label column).  Rows convert to Python floats one
+    at a time: the whole matrix at once would hold ~7 MB of float objects
+    per raw sample."""
+    fh.writelines(prefix + ",".join(map(repr, row.tolist())) + "\r\n" for row in rows)
+
+
+class _Unparsed(Exception):
+    """A file np.loadtxt would misread: it skips blank lines silently and
+    only warns on an empty file."""
+
+
+def _no_blank_lines(fh):
+    line = None
+    for line in fh:
+        if line == "\n":
+            raise _Unparsed
+        yield line
+    if line is None:
+        raise _Unparsed
+
+
+def _read_rows(path: Path, n_cols: int | None = None,
+               n_rows: int | None = None) -> np.ndarray:
+    """Parse a sample file into a float64 matrix, bit-exact.  `n_cols` and
+    `n_rows` are the expected shape (None: any).  CRLF and LF both load."""
+    try:
+        with open(path) as fh:
+            mat = np.loadtxt(_no_blank_lines(fh), delimiter=",", dtype=np.float64,
+                             ndmin=2, comments=None)
+    except (ValueError, _Unparsed):
+        mat = None
+    if (mat is None or (n_cols is not None and mat.shape[1] != n_cols)
+            or (n_rows is not None and mat.shape[0] != n_rows)):
+        _raise_first_defect(path, n_cols, n_rows)
+    return mat
+
+
+def _parses(text: str) -> bool:
+    """Whether np.loadtxt reads `text` as one row of numbers."""
+    if not text.strip():
+        return False
+    try:
+        np.loadtxt([text], delimiter=",", dtype=np.float64, comments=None)
+    except ValueError:
+        return False
+    return True
+
+
+def _raise_first_defect(path: Path, n_cols: int | None, n_rows: int | None):
+    """Walk a file _read_rows rejected and raise StorageError naming the
+    first bad line: its column count (a blank line has 0 columns), a
+    malformed number, then the row count.  Numbers are judged by the same
+    np.loadtxt parser as the success path."""
+    with open(path) as fh:
+        if n_cols is None:  # flat files: the width of the first non-blank line
+            n_cols = next((line.count(",") + 1 for line in fh if line != "\n"), 0)
+            fh.seek(0)
+        line_no = 0
+        for line_no, line in enumerate(fh, start=1):
+            cells = line.rstrip("\n").split(",") if line != "\n" else []
+            if len(cells) != n_cols:
+                raise StorageError(
+                    f"{path}:{line_no}: expected {n_cols} columns, got {len(cells)}")
+            if not _parses(line):
+                bad = next((text for text in cells if not _parses(text)), line)
+                raise StorageError(f"{path}:{line_no}: malformed number {bad!r}")
+    if n_rows is not None and line_no != n_rows:
+        raise StorageError(f"{path}:{min(line_no, n_rows) + 1}: manifest says "
+                           f"{n_rows} rows, file has {line_no}")
+    raise StorageError(f"{path}: not a matrix of numbers")
+
+
 def _sample_rows(sample: Sample) -> np.ndarray:
     if isinstance(sample, CsiSample):
-        frames = sample.frames
-        rows = np.empty((frames.shape[0], frames.shape[1] * 2))
-        rows[:, 0::2] = frames.real
-        rows[:, 1::2] = frames.imag
-        return rows
+        # Interleaved real/imaginary columns: complex128's own memory layout.
+        return np.ascontiguousarray(sample.frames).view(np.float64)
     return sample.values
 
 
@@ -99,9 +189,7 @@ class DatasetWriter:
         path.parent.mkdir(parents=True, exist_ok=True)
         rows = _sample_rows(sample)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in rows:
-                writer.writerow([fmt(v) for v in row])
+            _write_rows(fh, rows)
         is_complex = isinstance(sample, CsiSample)
         lineage = sample.capture_meta.lineage if is_complex else sample.lineage
         n_features = rows.shape[1] // 2 if is_complex else rows.shape[1]
@@ -120,13 +208,13 @@ class DatasetWriter:
         self._lock.__exit__(None, None, None)
 
     def close(self) -> None:
-        manifest = self.root / MANIFEST_NAME
-        with open(manifest, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)
-            writer.writeheader()
-            for row in self._rows:
-                writer.writerow(row)
-        self._lock.__exit__(None, None, None)
+        try:
+            with _replace_on_success(self.root / MANIFEST_NAME, newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)
+                writer.writeheader()
+                writer.writerows(self._rows)
+        finally:
+            self._lock.__exit__(None, None, None)
 
 
 def save_dataset(dataset: Dataset, root: Path | str) -> None:
@@ -141,22 +229,9 @@ def save_dataset(dataset: Dataset, root: Path | str) -> None:
     writer.close()
 
 
-def _load_matrix(path: Path, expected_cols: int, expected_rows: int) -> np.ndarray:
-    rows = []
-    with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if len(row) != expected_cols:
-                raise StorageError(
-                    f"{path}:{line_no}: expected {expected_cols} columns, got {len(row)}")
-            rows.append([_parse_float(v, path, line_no) for v in row])
-    if len(rows) != expected_rows:
-        raise StorageError(
-            f"{path}: manifest says {expected_rows} rows, file has {len(rows)}")
-    return np.array(rows, dtype=np.float64)
-
-
-def _manifest_rows(root: Path) -> list[dict]:
-    manifest = root / MANIFEST_NAME
+def read_manifest(root: Path | str) -> list[dict]:
+    """The manifest rows of a dataset root, in canonical sample order."""
+    manifest = Path(root) / MANIFEST_NAME
     if not manifest.exists():
         raise StorageError(f"manifest.csv not found in {root}")
     with open(manifest, newline="") as fh:
@@ -178,36 +253,34 @@ def _row_to_sample(root: Path, row: dict) -> Sample:
     label = class_from_name(row["class_name"])
     lineage = tuple(s for s in row["lineage"].split("|") if s)
     if row["is_complex"] == "1":
-        mat = _load_matrix(path, 2 * n_sub, n_packets)
-        frames = mat[:, 0::2] + 1j * mat[:, 1::2]
+        frames = _read_rows(path, 2 * n_sub, n_packets).view(np.complex128)
         return CsiSample(frames, label, row["sample_id"], CaptureMeta(lineage=lineage))
-    mat = _load_matrix(path, n_sub, n_packets)
-    return FeatureTensor(mat, int(label), lineage)
+    return FeatureTensor(_read_rows(path, n_sub, n_packets), int(label), lineage)
 
 
-def load_dataset_seed(root: Path | str) -> int | None:
-    rows = _manifest_rows(Path(root))
+def load_dataset_seed(rows: list[dict]) -> int | None:
+    """The dataset seed recorded in manifest rows, if they agree on one."""
     seeds = {r["seed"] for r in rows if r["seed"]}
     return int(next(iter(seeds))) if len(seeds) == 1 else None
 
 
 def load_dataset(root: Path | str) -> Dataset:
     root = Path(root)
-    rows = _manifest_rows(root)
-    seeds = {r["seed"] for r in rows if r["seed"]}
-    seed = int(next(iter(seeds))) if len(seeds) == 1 else None
-    return Dataset.from_samples([_row_to_sample(root, r) for r in rows], seed=seed)
+    rows = read_manifest(root)
+    return Dataset.from_samples([_row_to_sample(root, r) for r in rows],
+                                seed=load_dataset_seed(rows))
 
 
-def iter_dataset(root: Path | str):
-    """Yield samples in canonical order without holding them all."""
+def iter_dataset(root: Path | str, rows: list[dict] | None = None):
+    """Yield samples in canonical order without holding them all; pass
+    `rows` from read_manifest to skip reading the manifest again."""
     root = Path(root)
-    for row in _manifest_rows(root):
+    for row in read_manifest(root) if rows is None else rows:
         yield _row_to_sample(root, row)
 
 
-def dataset_is_complex(root: Path | str) -> bool:
-    rows = _manifest_rows(Path(root))
+def dataset_is_complex(rows: list[dict]) -> bool:
+    """Whether manifest rows describe raw complex captures only."""
     return all(r["is_complex"] == "1" for r in rows)
 
 
@@ -231,31 +304,26 @@ def export_flat(dataset: Dataset, path: Path | str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         for t in tensors:
-            label = str(t.label_code)
-            for row in t.values:
-                writer.writerow([label] + [fmt(v) for v in row])
+            _write_rows(fh, t.values, prefix=f"{t.label_code},")
 
 
 def load_flat(path: Path | str, n_packets: int) -> list[FeatureTensor]:
     """Read a flat export back into per-sample tensors."""
     path = Path(path)
-    rows: list[list[str]] = []
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows) % n_packets:
+    mat = _read_rows(path)
+    if len(mat) % n_packets:
         raise StorageError(
-            f"{path}: row count {len(rows)} is not a multiple of n_packets={n_packets}")
+            f"{path}: row count {len(mat)} is not a multiple of n_packets={n_packets}")
     tensors = []
-    for start in range(0, len(rows), n_packets):
-        block = rows[start:start + n_packets]
-        labels = {r[0] for r in block}
-        if len(labels) != 1:
+    for start in range(0, len(mat), n_packets):
+        block = mat[start:start + n_packets]
+        code = block[0, 0]
+        if (block[:, 0] != code).any():
             raise StorageError(f"{path}: label changes inside sample block at row {start + 1}")
-        values = np.array([[_parse_float(v, path, start + i + 1)
-                            for v in row[1:]] for i, row in enumerate(block)])
-        tensors.append(FeatureTensor(values, int(block[0][0]), ("flat_import",)))
+        if not code.is_integer():
+            raise StorageError(f"{path}:{start + 1}: label {code} is not a class code")
+        tensors.append(FeatureTensor(block[:, 1:], int(code), ("flat_import",)))
     return tensors
 
 
@@ -272,7 +340,7 @@ def save_model(model: models.TrainedModel, path: Path | str) -> None:
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with _replace_on_success(path) as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
@@ -284,29 +352,34 @@ def load_model(path: Path | str) -> models.TrainedModel:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise StorageError(f"{path}: truncated or malformed model file ({exc})") from None
+    if not isinstance(doc, dict):
+        raise StorageError(f"{path}: model file holds a JSON {type(doc).__name__}, "
+                           "not an object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise StorageError(
             f"{path}: unsupported format_version {version!r} "
             f"(this build reads {MODEL_FORMAT_VERSION})")
-    spec_doc = dict(doc["spec"])
-    spec_doc["conv_filters"] = tuple(spec_doc.get("conv_filters", ()))
-    spec = models.ModelSpec(**spec_doc)
-    net = models.build(spec)
-    weights = {}
-    for name, block in doc["weights"].items():
-        shape = tuple(block["shape"])
-        data = np.array(block["data"], dtype=np.float64)
-        if data.size != int(np.prod(shape)):
-            raise StorageError(
-                f"{path}: weight block {name!r} has {data.size} values, "
-                f"shape {shape} needs {int(np.prod(shape))}")
-        weights[name] = data.reshape(shape)
     try:
+        spec_doc = dict(doc["spec"])
+        spec_doc["conv_filters"] = tuple(spec_doc.get("conv_filters", ()))
+        spec = models.ModelSpec(**spec_doc)
+        net = models.build(spec)
+        weights = {}
+        for name, block in doc["weights"].items():
+            shape = tuple(block["shape"])
+            data = np.array(block["data"], dtype=np.float64)
+            if data.size != int(np.prod(shape)):
+                raise models.ModelError(
+                    f"weight block {name!r} has {data.size} values, "
+                    f"shape {shape} needs {int(np.prod(shape))}")
+            weights[name] = data.reshape(shape)
         net.set_weights(weights)
-    except models.ModelError as exc:
-        raise StorageError(f"{path}: {exc}") from None
-    history = [models.EpochStats(**h) for h in doc.get("history", [])]
+        history = [models.EpochStats(**h) for h in doc.get("history", [])]
+    except KeyError as exc:
+        raise StorageError(f"{path}: malformed model file (missing key {exc})") from None
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise StorageError(f"{path}: malformed model file ({exc})") from None
     return models.TrainedModel(spec, net, history)
 
 

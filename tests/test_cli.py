@@ -152,6 +152,41 @@ def test_evaluate_missing_model_file_exits_1(tmp_path, tiny_dataset, capsys):
     assert code == 1
 
 
+def test_evaluate_malformed_model_file_exits_1(tmp_path, tiny_dataset, capsys):
+    model_file = tmp_path / "model.json"
+    model_file.write_text('{"format_version": 1, "weights": {}}')  # no "spec"
+    code = run_cli("evaluate", "--model-file", model_file,
+                   "--dataset", tiny_dataset, "--out", tmp_path / "x")
+    assert code == 1
+    assert "missing key 'spec'" in capsys.readouterr().err
+
+
+def test_train_on_empty_dataset_exits_1(tmp_path, capsys):
+    storage.DatasetWriter(tmp_path / "empty", seed=1).close()  # header-only manifest
+    code = run_cli("train", "--model", "lstm", "--dataset", tmp_path / "empty",
+                   "--out", tmp_path / "run")
+    assert code == 1
+    assert "dataset has no samples" in capsys.readouterr().err
+
+
+def test_loading_commands_read_the_manifest_once(tmp_path, tiny_dataset, monkeypatch):
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        if Path(file).name == storage.MANIFEST_NAME:
+            opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(storage, "open", counting_open, raising=False)
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--model", "lstm", "--dataset", tiny_dataset, "--epochs", 1,
+                   "--hidden", 4, "--decimate", 60, "--out", run_dir) == 0
+    assert len(opened) == 1
+    assert run_cli("evaluate", "--model-file", run_dir / "model.json",
+                   "--dataset", tiny_dataset, "--out", tmp_path / "eval") == 0
+    assert len(opened) == 2
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 

@@ -170,6 +170,9 @@ def test_decimate_keeps_every_kth():
     assert out.values.shape == (100, 2)
     assert np.array_equal(out.values, values[::12])
     assert out.lineage[-1] == "decimate:12"
+    # A compact copy: the full-length array is not kept alive.
+    assert out.values.flags.c_contiguous
+    assert not np.shares_memory(out.values, ft.values)
 
 
 def test_decimate_ceil_semantics():

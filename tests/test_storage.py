@@ -1,10 +1,18 @@
 import csv
+import hashlib
 import json
+import os
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from harlab import dsp, evaluate, models, storage, synth
-from harlab.core import ActivityClass, Dataset, FeatureTensor
+from harlab import cli, dsp, evaluate, models, storage, synth
+from harlab.core import ActivityClass, CaptureMeta, CsiSample, Dataset, FeatureTensor
 from harlab.rng import make_rng
 
 
@@ -118,6 +126,156 @@ def test_writer_lock_excludes_second_writer(tmp_path):
     storage.DatasetWriter(tmp_path / "d", seed=1).close()
 
 
+def test_lock_file_names_its_writer(tmp_path):
+    w = storage.DatasetWriter(tmp_path / "d", seed=1)
+    try:
+        assert (tmp_path / "d" / ".lock").read_text().strip() == str(os.getpid())
+        with pytest.raises(storage.StorageError, match=f"locked.*pid {os.getpid()}"):
+            storage.DatasetWriter(tmp_path / "d", seed=1)
+    finally:
+        w.close()
+    assert not (tmp_path / "d" / ".lock").exists()
+
+
+def test_small_files_replace_atomically(tmp_path, monkeypatch):
+    storage.save_dataset(small_feature_dataset(per_class=1), tmp_path / "d")
+    trained, _ = _tiny_trained()
+    storage.save_model(trained, tmp_path / "d" / "model.json")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir() if p.is_file()}
+    assert sorted(before) == ["manifest.csv", "model.json"]  # no lock, no temp files
+
+    def crash(*args, **kwargs):
+        raise OSError("disk full")
+
+    # A crash while rewriting leaves the old file whole and no temp file.
+    monkeypatch.setattr(json, "dump", crash)
+    with pytest.raises(OSError, match="disk full"):
+        storage.save_model(trained, tmp_path / "d" / "model.json")
+    monkeypatch.setattr(csv.DictWriter, "writeheader", crash)
+    with pytest.raises(OSError, match="disk full"):
+        storage.save_dataset(small_feature_dataset(per_class=2), tmp_path / "d")
+    after = {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir() if p.is_file()}
+    assert after == before
+
+
+# ---------------------------------------------------------------------------
+# sample-file codec against the csv-module reference
+
+def reference_write(path, rows):
+    """The csv.writer codec sample files were first written with."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def reference_read(path):
+    with open(path, newline="") as fh:
+        return np.array([[float(v) for v in row] for row in csv.reader(fh)],
+                        dtype=np.float64)
+
+
+SPECIAL_VALUES = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+                  -2.5e-320, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 1.0, -3.0, 1e16, 123456789.0, 0.1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+              elements=st.floats(width=64)))
+@example(np.array(SPECIAL_VALUES).reshape(3, 5))
+@example(np.array(SPECIAL_VALUES).reshape(15, 1))
+def test_codec_matches_csv_reference(mat):
+    with tempfile.TemporaryDirectory() as tmp:
+        ref, new = Path(tmp) / "ref.csv", Path(tmp) / "new.csv"
+        reference_write(ref, mat)
+        with open(new, "w", newline="") as fh:
+            storage._write_rows(fh, mat)
+        assert new.read_bytes() == ref.read_bytes()
+        loaded = storage._read_rows(new, *mat.shape[::-1])
+        assert loaded.shape == mat.shape
+        assert loaded.tobytes() == reference_read(ref).tobytes()
+        not_nan = ~np.isnan(mat)  # NaN payloads need not survive a decimal round trip
+        assert loaded[not_nan].tobytes() == mat[not_nan].tobytes()
+
+
+def test_complex_sample_roundtrip_keeps_signed_zero_and_inf(tmp_path):
+    parts = np.array([v for v in SPECIAL_VALUES if v == v] * 2).reshape(7, 4)
+    frames = parts.view(np.complex128)  # real/imaginary pairs, -0.0 and inf included
+    sample = CsiSample(frames, ActivityClass.SITTING, "sitting-0000",
+                       CaptureMeta(lineage=("toy",)))
+    storage.save_dataset(Dataset.from_samples([sample]), tmp_path / "d")
+    loaded = storage.load_dataset(tmp_path / "d").samples[0]
+    assert loaded.frames.tobytes() == sample.frames.tobytes()
+
+
+def test_golden_generate_tree(tmp_path):
+    root = tmp_path / "g"
+    assert cli.main(["generate", "--seed", "42", "--out", str(root),
+                     "--samples-per-class", "1"]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file() and path.name != "harlab.log":
+            digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes() + b"\0")
+    # Recorded from the csv.writer codec before the fast codec replaced it.
+    assert digest.hexdigest() == \
+        "f997b336e0f5d24439adea46257bd38e0e909b61e69f8059c9f49ea446ee5ca7"
+
+
+def _corrupt(lines, how):
+    """Break a 10-line, 64-column sample file; return it and the bad line."""
+    if how == "blank line":
+        return lines[:4] + [""] + lines[4:9], 5, "expected 64 columns, got 0"
+    if how == "comment line":
+        return lines[:2] + ["# a comment"] + lines[3:], 3, "expected 64 columns, got 1"
+    if how == "quoted cell":
+        cells = lines[6].split(",")
+        cells[1] = f'"{cells[1]}"'
+        return lines[:6] + [",".join(cells)] + lines[7:], 7, "malformed number"
+    if how == "underscore digits":  # float() reads "1_0", the sample format does not
+        cells = lines[5].split(",")
+        cells[2] = "1_0"
+        return lines[:5] + [",".join(cells)] + lines[6:], 6, "malformed number '1_0'"
+    if how == "trailing comma":
+        return lines[:3] + [lines[3] + ","] + lines[4:], 4, "expected 64 columns, got 65"
+    if how == "short row":
+        return lines[:8] + [lines[8].rsplit(",", 1)[0]] + lines[9:], 9, \
+            "expected 64 columns, got 63"
+    if how == "extra row":
+        return lines + [lines[0]], 11, "manifest says 10 rows, file has 11"
+    if how == "missing row":
+        return lines[:9], 10, "manifest says 10 rows, file has 9"
+    raise AssertionError(how)
+
+
+@pytest.mark.parametrize("how", ["blank line", "comment line", "quoted cell",
+                                 "underscore digits", "trailing comma", "short row",
+                                 "extra row", "missing row"])
+def test_malformed_sample_file_names_file_and_line(tmp_path, how):
+    storage.save_dataset(small_feature_dataset(per_class=1), tmp_path / "d")
+    victim = tmp_path / "d" / "samples" / "empty" / "empty-0000.csv"
+    lines, line_no, message = _corrupt(victim.read_text().splitlines(), how)
+    victim.write_text("\r\n".join(lines) + "\r\n", newline="")
+    with pytest.raises(storage.StorageError, match=rf"empty-0000.csv:{line_no}: {message}"):
+        storage.load_dataset(tmp_path / "d")
+
+
+def test_lf_only_sample_files_load(tmp_path):
+    ds = small_feature_dataset(per_class=1)
+    storage.save_dataset(ds, tmp_path / "d")
+    for path in (tmp_path / "d" / "samples").rglob("*.csv"):
+        path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+    assert list(storage.load_dataset(tmp_path / "d").samples) == list(ds.samples)
+
+
+def test_empty_sample_file_reports_row_count(tmp_path):
+    storage.save_dataset(small_feature_dataset(per_class=1), tmp_path / "d")
+    (tmp_path / "d" / "samples" / "empty" / "empty-0000.csv").write_text("")
+    with pytest.raises(storage.StorageError, match="manifest says 10 rows, file has 0"):
+        storage.load_dataset(tmp_path / "d")
+
+
 # ---------------------------------------------------------------------------
 # flat export
 
@@ -140,6 +298,28 @@ def test_flat_reimport_labels_identical(tmp_path):
     assert [t.label_code for t in tensors] == [s.label_code for s in ds.samples]
     for a, b in zip(tensors, ds.samples):
         assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_flat_export_matches_csv_reference(tmp_path):
+    ds = small_feature_dataset(per_class=1, T=4)
+    flat, ref = tmp_path / "flat.csv", tmp_path / "ref.csv"
+    storage.export_flat(ds, flat)
+    expected = b""
+    for t in ds.samples:
+        reference_write(ref, t.values)
+        expected += b"".join(f"{t.label_code},".encode() + line + b"\r\n"
+                             for line in ref.read_bytes().split(b"\r\n")[:-1])
+    assert flat.read_bytes() == expected
+
+
+def test_flat_reimport_rejects_blank_line(tmp_path):
+    ds = small_feature_dataset(per_class=1, T=4)
+    path = tmp_path / "flat.csv"
+    storage.export_flat(ds, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n")
+    with pytest.raises(storage.StorageError, match=r"flat.csv:4: expected 65 columns, got 0"):
+        storage.load_flat(path, n_packets=4)
 
 
 def test_flat_export_rejects_complex_samples(tmp_path):
@@ -207,6 +387,39 @@ def test_model_truncated_file(tmp_path):
     storage.save_model(trained, path)
     path.write_text(path.read_text()[:100])
     with pytest.raises(storage.StorageError, match="malformed"):
+        storage.load_model(path)
+
+
+def _malformed_model_doc(doc, how):
+    if how == "top-level list":
+        return [doc]
+    if how == "missing spec":
+        del doc["spec"]
+    elif how == "unknown spec key":
+        doc["spec"]["bogus"] = 1
+    elif how == "weight block without shape":
+        del doc["weights"][next(iter(doc["weights"]))]["shape"]
+    elif how == "weights not an object":
+        doc["weights"] = [1, 2]
+    elif how == "non-numeric weights":
+        doc["weights"][next(iter(doc["weights"]))]["data"][0] = "x"
+    elif how == "bad history entry":
+        doc["history"][0]["bogus"] = 0.0
+    return doc
+
+
+MALFORMED_MODELS = ["top-level list", "missing spec", "unknown spec key",
+                    "weight block without shape", "weights not an object",
+                    "non-numeric weights", "bad history entry"]
+
+
+@pytest.mark.parametrize("how", MALFORMED_MODELS)
+def test_malformed_model_json_raises_storage_error(tmp_path, how):
+    trained, _ = _tiny_trained()
+    path = tmp_path / "model.json"
+    storage.save_model(trained, path)
+    path.write_text(json.dumps(_malformed_model_doc(json.loads(path.read_text()), how)))
+    with pytest.raises(storage.StorageError, match="model.json"):
         storage.load_model(path)
 
 
