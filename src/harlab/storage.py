@@ -40,14 +40,22 @@ def fmt(x: float) -> str:
 @contextlib.contextmanager
 def _replace_on_success(path: Path, newline: str | None = None):
     """Open a temp file beside `path` for writing; it replaces `path` only
-    once the block finishes, so a crash never leaves a half-written file."""
+    once the block finishes and its data is on disk, so neither a process
+    crash nor a power loss leaves a half-written file."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline=newline) as fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)  # make the rename itself durable
+    finally:
+        os.close(dir_fd)
 
 
 class _RootLock:
@@ -89,19 +97,17 @@ def _write_rows(fh, rows: np.ndarray, prefix: str = "") -> None:
     fh.writelines(prefix + ",".join(map(repr, row.tolist())) + "\r\n" for row in rows)
 
 
-class _Unparsed(Exception):
-    """A file np.loadtxt would misread: it skips blank lines silently and
-    only warns on an empty file."""
-
-
 def _no_blank_lines(fh):
+    """Feed np.loadtxt the lines of `fh`, raising ValueError on a blank line
+    or an empty file: loadtxt would skip the one silently and only warn on
+    the other."""
     line = None
     for line in fh:
         if line == "\n":
-            raise _Unparsed
+            raise ValueError("blank line")
         yield line
     if line is None:
-        raise _Unparsed
+        raise ValueError("empty file")
 
 
 def _read_rows(path: Path, n_cols: int | None = None,
@@ -112,7 +118,7 @@ def _read_rows(path: Path, n_cols: int | None = None,
         with open(path) as fh:
             mat = np.loadtxt(_no_blank_lines(fh), delimiter=",", dtype=np.float64,
                              ndmin=2, comments=None)
-    except (ValueError, _Unparsed):
+    except ValueError:
         mat = None
     if (mat is None or (n_cols is not None and mat.shape[1] != n_cols)
             or (n_rows is not None and mat.shape[0] != n_rows)):
@@ -271,11 +277,11 @@ def load_dataset(root: Path | str) -> Dataset:
                                 seed=load_dataset_seed(rows))
 
 
-def iter_dataset(root: Path | str, rows: list[dict] | None = None):
-    """Yield samples in canonical order without holding them all; pass
-    `rows` from read_manifest to skip reading the manifest again."""
+def iter_dataset(root: Path | str, rows: list[dict]):
+    """Yield the samples of `rows` (from read_manifest) in order without
+    holding them all."""
     root = Path(root)
-    for row in read_manifest(root) if rows is None else rows:
+    for row in rows:
         yield _row_to_sample(root, row)
 
 
