@@ -72,16 +72,11 @@ def cmd_generate(args) -> int:
                                 snr_db=args.snr_db)
     out = _ensure_out(args.out)
     _setup_logging(out)
-    writer = storage.DatasetWriter(out, seed=cfg.seed)
     counts = {c: 0 for c in ActivityClass}
-    try:
+    with storage.DatasetWriter(out, seed=cfg.seed) as writer:
         for sample in synth.iter_samples(cfg):
             writer.add(sample)
             counts[sample.label] += 1
-    except BaseException:
-        writer.abort()
-        raise
-    writer.close()
     storage.save_experiment_config(out / "config", storage.ExperimentConfig(generator=cfg))
     for cls, n in counts.items():
         print(f"{cls.class_name}: {n}")
@@ -91,49 +86,27 @@ def cmd_generate(args) -> int:
 
 def cmd_preprocess(args) -> int:
     stages = dsp.parse_stages(args.stages)
-    fitted = [s for s in stages
-              if isinstance(s, (dsp.PcaStage, dsp.SelectKBestStage))]
-    if fitted:
-        # Fitting walks the plain prefix once, so fitted stages must
-        # form the tail of the chain.
-        n_plain = len(stages) - len(fitted)
-        if any(isinstance(s, (dsp.PcaStage, dsp.SelectKBestStage))
-               for s in stages[:n_plain]):
-            raise UsageError("pca/select_k_best stages must come after all "
-                             "other stages in --stages")
     out = _ensure_out(args.out)
     _setup_logging(out)
+    fitted = [s for s in stages if s.needs_fit]
     if fitted:
         # Fit on the training portion only, then transform everything.
         log.info("fitting %d stage(s) on the training split (seed %d)",
                  len(fitted), args.fit_split_seed)
         raw = storage.load_dataset(args.dataset)
         train_ds, _ = evaluate.split(raw, evaluate.SplitSpec(seed=args.fit_split_seed))
-        plain = [s for s in stages if not isinstance(s, (dsp.PcaStage, dsp.SelectKBestStage))]
-        prefit = [dsp.run_pipeline(s, plain) for s in train_ds.samples]
-        for stage in stages:
-            if isinstance(stage, dsp.PcaStage):
-                stage.fit(prefit)
-                prefit = [stage.apply(t) for t in prefit]
-            elif isinstance(stage, dsp.SelectKBestStage):
-                stage.fit(prefit)
-                prefit = [stage.apply(t) for t in prefit]
+        dsp.fit_stages(stages, train_ds.samples)
         source = iter(raw.samples)
         seed = raw.seed
     else:
         rows = storage.read_manifest(args.dataset)
         source = storage.iter_dataset(args.dataset, rows)
         seed = storage.load_dataset_seed(rows)
-    writer = storage.DatasetWriter(out, seed=seed)
     count = 0
-    try:
+    with storage.DatasetWriter(out, seed=seed) as writer:
         for sample in source:
             writer.add(dsp.run_pipeline(sample, stages))
             count += 1
-    except BaseException:
-        writer.abort()
-        raise
-    writer.close()
     storage.save_experiment_config(out / "config", storage.ExperimentConfig(stages=stages))
     print(f"preprocessed {count} samples -> {out}")
     return EXIT_OK

@@ -62,10 +62,6 @@ class CaptureMeta:
     sample_rate_hz: float = 400.0
     lineage: tuple[str, ...] = ()
 
-    def with_stage(self, name: str) -> "CaptureMeta":
-        return CaptureMeta(self.carrier_hz, self.tx_gain_db, self.rx_gain_db,
-                           self.sample_rate_hz, self.lineage + (name,))
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)

@@ -210,9 +210,11 @@ def select_k_best(scores: np.ndarray, k: int) -> FeatureSelection:
 # Pipeline stages
 
 class Stage:
-    """A named transform of FeatureTensor -> FeatureTensor."""
+    """A named transform of FeatureTensor -> FeatureTensor; a stage with
+    needs_fit learns it from training tensors in fit() (see fit_stages)."""
 
     name: str
+    needs_fit = False
 
     def apply(self, x: FeatureTensor) -> FeatureTensor:
         raise NotImplementedError
@@ -246,6 +248,8 @@ class ButterworthStage(Stage):
 class PcaStage(Stage):
     """Feature-axis PCA projection; fit on training rows only."""
 
+    needs_fit = True
+
     def __init__(self, n_components: int):
         self.n_components = n_components
         self.name = f"pca(n_components={n_components})"
@@ -265,15 +269,16 @@ class PcaStage(Stage):
 class SelectKBestStage(Stage):
     """Keep the k feature columns with the best ANOVA-F scores."""
 
+    needs_fit = True
+
     def __init__(self, k: int):
         self.k = k
         self.name = f"select_k_best(k={self.k})"
         self.selection: FeatureSelection | None = None
 
-    def fit(self, tensors, labels=None) -> "SelectKBestStage":
+    def fit(self, tensors) -> "SelectKBestStage":
         rows = np.vstack([t.values for t in tensors])
-        if labels is None:
-            labels = [t.label_code for t in tensors]
+        labels = [t.label_code for t in tensors]
         row_labels = np.repeat(np.asarray(labels), [t.values.shape[0] for t in tensors])
         self.selection = select_k_best(anova_f_scores(rows, row_labels), self.k)
         return self
@@ -289,21 +294,40 @@ def default_stages() -> list[Stage]:
     return [AmplitudeStage(), ImputeMeanStage(), ButterworthStage(1, 0.05)]
 
 
+def _checked_chain(stages) -> list[Stage]:
+    """The stage list; amplitude must come first and only there."""
+    stages = list(stages)
+    if not stages or not isinstance(stages[0], AmplitudeStage):
+        raise DspError("pipeline must start with the amplitude stage")
+    if any(isinstance(s, AmplitudeStage) for s in stages[1:]):
+        raise DspError("amplitude stage may only appear first")
+    return stages
+
+
 def run_pipeline(sample: CsiSample, stages) -> FeatureTensor:
     """Apply an ordered stage list to one raw sample.
 
     The first stage must be the amplitude stage (it consumes the complex
     frames); amplitude may not appear again later.
     """
-    stages = list(stages)
-    if not stages or not isinstance(stages[0], AmplitudeStage):
-        raise DspError("pipeline must start with the amplitude stage")
-    if any(isinstance(s, AmplitudeStage) for s in stages[1:]):
-        raise DspError("amplitude stage may only appear first")
+    stages = _checked_chain(stages)
     x = stages[0].apply_to_sample(sample)
     for stage in stages[1:]:
         x = stage.apply(x)
     return x
+
+
+def fit_stages(stages, samples) -> None:
+    """Fit each needs_fit stage, in chain order, on the raw samples as
+    transformed by every stage before it.  Pass the training split only,
+    so nothing leaks from held-out data."""
+    stages = _checked_chain(stages)
+    tensors = map(stages[0].apply_to_sample, samples)
+    for stage in stages[1:]:
+        if stage.needs_fit:
+            tensors = list(tensors)
+            stage.fit(tensors)
+        tensors = map(stage.apply, tensors)
 
 
 def parse_stages(text: str) -> list[Stage]:

@@ -179,7 +179,7 @@ def _run_grid_cell(cell_key: tuple[str, int, float]) -> GridCell:
 
 def run_grid(dataset: Dataset, kinds=models.KINDS, lrs=GRID_LRS,
              epochs_grid=GRID_EPOCHS, seed: int = 42, workers: int = 1,
-             timesteps: int | None = None, hidden_size: int = 50) -> list[GridCell]:
+             hidden_size: int = 50) -> list[GridCell]:
     """Train every (kind, lr, epochs) cell on one shared stratified split.
 
     Cells are independent and seeded, so results do not depend on the
@@ -188,9 +188,8 @@ def run_grid(dataset: Dataset, kinds=models.KINDS, lrs=GRID_LRS,
     train_ds, test_ds = split(dataset, SplitSpec(seed=seed))
     train_xy = models.stack_features(train_ds.samples)
     test_xy = models.stack_features(test_ds.samples)
-    if timesteps is None:
-        timesteps = train_xy[0].shape[1]
-    base = dict(kind="lstm", timesteps=timesteps, n_features=train_xy[0].shape[2],
+    _, timesteps, n_features = train_xy[0].shape
+    base = dict(kind="lstm", timesteps=timesteps, n_features=n_features,
                 hidden_size=hidden_size, seed=seed)
     cells = [(kind, ep, lr) for kind in kinds for ep in epochs_grid for lr in lrs]
     workers = max(1, min(workers, len(cells)))

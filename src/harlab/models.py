@@ -85,52 +85,22 @@ class Network:
         self.spec = spec
         self._layers = layers
 
-    def layer(self, name: str):
-        for lname, layer in self._layers:
-            if lname == name:
-                return layer
-        raise KeyError(name)
-
-    def forward(self, x: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None) -> np.ndarray:
-        out = x
-        for lname, layer in self._layers:
-            if lname == "select_last":
-                self._last_T = out.shape[1]
-                out = out[:, -1]
-            elif isinstance(layer, nn.Dropout):
-                out = layer.forward(out, train=train, rng=rng)
-            else:
-                out = layer.forward(out)
-        return out
+    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
+        for _, layer in self._layers:
+            x = layer.forward(x, train, rng)
+        return x
 
     def backward(self, dprobs: np.ndarray) -> None:
-        grad = dprobs
-        for lname, layer in reversed(self._layers):
-            if lname == "select_last":
-                full = np.zeros((grad.shape[0], self._last_T, grad.shape[1]))
-                full[:, -1] = grad
-                grad = full
-            else:
-                grad = layer.backward(grad)
+        for _, layer in reversed(self._layers):
+            dprobs = layer.backward(dprobs)
 
     def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for lname, layer in self._layers:
-            if lname == "select_last":
-                continue
-            for pname, arr in layer.params().items():
-                out[f"{lname}.{pname}"] = arr
-        return out
+        return {f"{lname}.{pname}": arr for lname, layer in self._layers
+                for pname, arr in layer.params().items()}
 
     def grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for lname, layer in self._layers:
-            if lname == "select_last":
-                continue
-            for pname, arr in layer.grads().items():
-                out[f"{lname}.{pname}"] = arr
-        return out
+        return {f"{lname}.{pname}": arr for lname, layer in self._layers
+                for pname, arr in layer.grads().items()}
 
     def zero_grads(self) -> None:
         for g in self.grads().values():
@@ -160,7 +130,7 @@ def build(spec: ModelSpec) -> Network:
     layers: list[tuple[str, object]] = []
     if spec.kind == "lstm":
         layers.append(("lstm", nn.Lstm.init(rng, d, spec.hidden_size)))
-        layers.append(("select_last", None))
+        layers.append(("select_last", nn.SelectLast()))
         layers.append(("dropout", nn.Dropout(spec.dropout)))
         layers.append(("dense", nn.Dense.init(rng, spec.hidden_size, C, "softmax")))
         return Network(spec, layers)

@@ -1,5 +1,12 @@
 """Minimal from-scratch neural toolkit: dense, LSTM, 1-D conv, pooling,
-dropout, cross-entropy, and Adam, with hand-written backward passes.
+dropout, last-step selection, cross-entropy, and Adam, with hand-written
+backward passes.
+
+Every layer has one protocol.  forward(x, train=False, rng=None) returns
+the output for the batch x; only Dropout reads train and rng.
+backward(dy) returns the gradient w.r.t. the last forward input and adds
+the parameter gradients into grads().  params() and grads() map names to
+arrays with the same keys and shapes ({} for parameter-free layers).
 
 Layers operate on batched float64 arrays.  Sequence layers take
 [batch, time, features]; dense takes [batch, features].  Each layer
@@ -35,21 +42,16 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
         return z
     if activation == "tanh":
         return np.tanh(z)
-    if activation == "relu":
-        return np.maximum(z, 0.0)
     if activation == "softmax":
         return softmax(z)
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def _activation_backward(dy: np.ndarray, y: np.ndarray, z: np.ndarray,
-                         activation: str) -> np.ndarray:
+def _activation_backward(dy: np.ndarray, y: np.ndarray, activation: str) -> np.ndarray:
     if activation == "none":
         return dy
     if activation == "tanh":
         return dy * (1.0 - y * y)
-    if activation == "relu":
-        return dy * (z > 0.0)
     if activation == "softmax":
         return y * (dy - (dy * y).sum(axis=-1, keepdims=True))
     raise ValueError(f"unknown activation {activation!r}")
@@ -77,17 +79,16 @@ class Dense:
     def init(cls, rng, d: int, u: int, activation: str = "none") -> "Dense":
         return cls(glorot_uniform(rng, (d, u), d, u), np.zeros(u), activation)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.w.shape[0]:
             raise ShapeError(f"dense expected [n, {self.w.shape[0]}], got {x.shape}")
         self._x = x
-        self._z = x @ self.w + self.b
-        self._y = _activate(self._z, self.activation)
+        self._y = _activate(x @ self.w + self.b, self.activation)
         return self._y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        dz = _activation_backward(dy, self._y, self._z, self.activation)
+        dz = _activation_backward(dy, self._y, self.activation)
         self.dw += self._x.T @ dz
         self.db += dz.sum(axis=0)
         return dz @ self.w.T
@@ -128,7 +129,7 @@ class Lstm:
         b[h:2 * h] = 1.0  # forget-gate bias starts open
         return cls(W, U, b)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         h = self.hidden_size
         if x.ndim != 3 or x.shape[2] != self.W.shape[1]:
@@ -219,7 +220,7 @@ class Conv1d:
         kernels = glorot_uniform(rng, (c_out, k, c_in), k * c_in, c_out)
         return cls(kernels, np.zeros(c_out), activation)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         c_out, k, c_in = self.kernels.shape
         if x.ndim != 3 or x.shape[2] != c_in:
@@ -228,13 +229,13 @@ class Conv1d:
             raise ShapeError(f"sequence length {x.shape[1]} shorter than kernel {k}")
         # windows: [batch, T-k+1, c_in, k]
         self._windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)
-        self._z = np.einsum("btck,okc->bto", self._windows, self.kernels) + self.bias
-        self._y = _activate(self._z, self.activation)
+        z = np.einsum("btck,okc->bto", self._windows, self.kernels) + self.bias
+        self._y = _activate(z, self.activation)
         self._x_shape = x.shape
         return self._y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        dz = _activation_backward(dy, self._y, self._z, self.activation)
+        dz = _activation_backward(dy, self._y, self.activation)
         _, k, _ = self.kernels.shape
         self.dkernels += np.einsum("btck,bto->okc", self._windows, dz)
         self.dbias += dz.sum(axis=(0, 1))
@@ -251,13 +252,23 @@ class Conv1d:
         return {"kernels": self.dkernels, "bias": self.dbias}
 
 
-class MaxPool1d:
+class ParamFree:
+    """Base of the layers without parameters: params() and grads() are {}."""
+
+    def params(self):
+        return {}
+
+    def grads(self):
+        return {}
+
+
+class MaxPool1d(ParamFree):
     """Non-overlapping max pooling along time; trailing remainder dropped."""
 
     def __init__(self, pool: int = 3):
         self.pool = pool
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         batch, T, c = x.shape
         if T < self.pool:
@@ -276,14 +287,8 @@ class MaxPool1d:
         dx[:, :t_out * self.pool] = dxr.reshape(batch, t_out * self.pool, c)
         return dx
 
-    def params(self):
-        return {}
 
-    def grads(self):
-        return {}
-
-
-class Dropout:
+class Dropout(ParamFree):
     """Inverted dropout: zero with probability p at train time, scale
     survivors by 1/(1-p); identity in eval mode."""
 
@@ -292,8 +297,7 @@ class Dropout:
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
 
-    def forward(self, x: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         if not train or self.p == 0.0:
             self._mask = None
             return x
@@ -307,26 +311,29 @@ class Dropout:
             return dy
         return dy * self._mask
 
-    def params(self):
-        return {}
 
-    def grads(self):
-        return {}
+class Flatten(ParamFree):
+    """[batch, ...] -> [batch, features]."""
 
-
-class Flatten:
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy.reshape(self._shape)
 
-    def params(self):
-        return {}
 
-    def grads(self):
-        return {}
+class SelectLast(ParamFree):
+    """[batch, T, h] -> [batch, h]: the hidden state of the last step."""
+
+    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
+        self._shape = x.shape
+        return x[:, -1]
+
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        dx = np.zeros(self._shape)
+        dx[:, -1] = dy
+        return dx
 
 
 # ---------------------------------------------------------------------------
@@ -418,29 +425,3 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
         v *= b2
         v += (1.0 - b2) * (g * g)
         p -= lr * (m / correm) / (np.sqrt(v / correv) + state.eps)
-
-
-# ---------------------------------------------------------------------------
-# Single-sample functional surface (thin wrappers over the layers)
-
-def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                  activation: str = "none") -> np.ndarray:
-    return Dense(w, b, activation).forward(x)
-
-
-def lstm_forward(x: np.ndarray, W: np.ndarray, U: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hidden sequence [T, h] for a single input sequence [T, d]."""
-    return Lstm(W, U, b).forward(np.asarray(x)[None])[0]
-
-
-def conv1d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    return Conv1d(kernels, bias).forward(np.asarray(x)[None])[0]
-
-
-def maxpool1d(x: np.ndarray, pool: int = 3) -> np.ndarray:
-    return MaxPool1d(pool).forward(np.asarray(x)[None])[0]
-
-
-def dropout(x: np.ndarray, p: float, train: bool,
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    return Dropout(p).forward(np.asarray(x), train=train, rng=rng)

@@ -169,7 +169,11 @@ def _sample_rows(sample: Sample) -> np.ndarray:
 
 
 class DatasetWriter:
-    """Streaming dataset writer: add samples one at a time, then close."""
+    """Streaming dataset writer: add samples one at a time, then close.
+
+    As a context manager it closes on a clean exit and aborts, writing no
+    manifest, when the block raises.
+    """
 
     def __init__(self, root: Path | str, seed: int | None = None):
         self.root = Path(root)
@@ -213,6 +217,15 @@ class DatasetWriter:
     def abort(self) -> None:
         self._lock.__exit__(None, None, None)
 
+    def __enter__(self) -> "DatasetWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.abort()
+
     def close(self) -> None:
         try:
             with _replace_on_success(self.root / MANIFEST_NAME, newline="") as fh:
@@ -225,14 +238,9 @@ class DatasetWriter:
 
 def save_dataset(dataset: Dataset, root: Path | str) -> None:
     """Write manifest.csv plus one CSV per sample under samples/<class>/."""
-    writer = DatasetWriter(root, seed=dataset.seed)
-    try:
+    with DatasetWriter(root, seed=dataset.seed) as writer:
         for sample in dataset.samples:
             writer.add(sample)
-    except BaseException:
-        writer.abort()
-        raise
-    writer.close()
 
 
 def read_manifest(root: Path | str) -> list[dict]:

@@ -212,10 +212,7 @@ def generate_sample(cfg: GeneratorConfig, cls: ActivityClass, index: int) -> Csi
 
 def generate_dataset(cfg: GeneratorConfig) -> Dataset:
     """All classes, samples_per_class each, class-major index-minor order."""
-    samples = [generate_sample(cfg, cls, i)
-               for cls in ActivityClass
-               for i in range(cfg.samples_per_class)]
-    return Dataset.from_samples(samples, seed=cfg.seed)
+    return Dataset.from_samples(iter_samples(cfg), seed=cfg.seed)
 
 
 def iter_samples(cfg: GeneratorConfig):

@@ -140,6 +140,15 @@ def test_preprocess_with_pca_stage(tmp_path, tiny_dataset):
     assert ds.samples[0].values.shape == (1200, 10)
 
 
+def test_preprocess_with_mid_chain_pca_stage(tmp_path, tiny_dataset):
+    pre = tmp_path / "pre-mid-pca"
+    stages = "amplitude;impute_mean;pca:n_components=10;butterworth:order=1,cutoff=0.05"
+    assert run_cli("preprocess", "--dataset", tiny_dataset, "--out", pre,
+                   "--stages", stages) == 0
+    ds = storage.load_dataset(pre)
+    assert ds.samples[0].values.shape == (1200, 10)
+
+
 def test_preprocess_rejects_unknown_stage(tmp_path, tiny_dataset, capsys):
     code = run_cli("preprocess", "--dataset", tiny_dataset,
                    "--out", tmp_path / "x", "--stages", "amplitude;stft")

@@ -379,6 +379,25 @@ def test_pipeline_with_pca_reduces_features():
     assert out.values.shape == (30, 10)
 
 
+def test_fit_stages_fits_mid_chain_stages_on_the_training_split_only():
+    rng = make_rng(19, "fit-stages")
+    train = [CsiSample(_raw_sample(rng).frames * (1 + i % 2), ActivityClass(i % 2),
+                       f"train-{i}") for i in range(4)]
+    held_out = [CsiSample(_raw_sample(rng).frames * 10, ActivityClass.LEANING, "held-out")]
+    stages = dsp.parse_stages(
+        "amplitude;impute_mean;pca:n_components=6;butterworth;select_k_best:k=2")
+    dsp.fit_stages(stages, train)
+    pca = dsp.PcaStage(6).fit([dsp.run_pipeline(s, stages[:2]) for s in train])
+    assert np.array_equal(stages[2].model.mean, pca.model.mean)
+    assert np.array_equal(stages[2].model.components, pca.model.components)
+    every = dsp.PcaStage(6).fit([dsp.run_pipeline(s, stages[:2]) for s in train + held_out])
+    assert not np.array_equal(stages[2].model.mean, every.model.mean)
+    selected = dsp.SelectKBestStage(2).fit([dsp.run_pipeline(s, stages[:4]) for s in train])
+    assert np.array_equal(stages[4].selection.scores, selected.selection.scores)
+    assert stages[4].selection.selected == selected.selection.selected
+    assert dsp.run_pipeline(held_out[0], stages).values.shape == (30, 2)
+
+
 def test_pipeline_amplitude_only_equals_amplitude():
     rng = make_rng(15, "pipe-amp")
     sample = _raw_sample(rng)

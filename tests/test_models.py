@@ -86,6 +86,15 @@ def test_same_spec_same_seed_identical_init():
     assert weight_checksum(models.build(other)) != weight_checksum(models.build(spec))
 
 
+def test_built_layer_names():
+    # bench/tracer.py keys the nn per-layer metrics on these names.
+    expected = {"lstm": ["lstm", "select_last", "dropout", "dense"],
+                "cnn": ["conv1", "conv2", "pool", "flatten", "dense"],
+                "lstm_cnn": ["lstm", "conv1", "conv2", "pool", "flatten", "dense"]}
+    for kind, names in expected.items():
+        assert [name for name, _ in models.build(toy_spec(kind))._layers] == names
+
+
 def test_build_rejects_too_short_sequences():
     with pytest.raises(models.ModelError):
         models.build(toy_spec("cnn", timesteps=6))  # 6 -> 4 -> 2 < pool

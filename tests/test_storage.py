@@ -137,6 +137,19 @@ def test_lock_file_names_its_writer(tmp_path):
     assert not (tmp_path / "d" / ".lock").exists()
 
 
+def test_writer_block_that_raises_leaves_no_lock_and_no_manifest(tmp_path):
+    sample = small_feature_dataset(per_class=1).samples[0]
+    with pytest.raises(RuntimeError, match="boom"):
+        with storage.DatasetWriter(tmp_path / "d", seed=1) as writer:
+            writer.add(sample)
+            raise RuntimeError("boom")
+    assert not (tmp_path / "d" / ".lock").exists()
+    assert not (tmp_path / "d" / "manifest.csv").exists()
+    with storage.DatasetWriter(tmp_path / "d", seed=1) as writer:
+        writer.add(sample)
+    assert len(storage.read_manifest(tmp_path / "d")) == 1
+
+
 def test_small_files_replace_atomically(tmp_path, monkeypatch):
     storage.save_dataset(small_feature_dataset(per_class=1), tmp_path / "d")
     trained, _ = _tiny_trained()
