@@ -232,8 +232,10 @@ def train(net: Network, train_set, val_set) -> TrainedModel:
     (x, y) pairs).  Inputs are standardised per feature with the mean and
     standard deviation of the training split only; the returned model
     keeps both vectors and applies them in predict_probs.  History records
-    one row per epoch.  A training batch whose probabilities are not
-    finite raises ModelError naming the epoch and the batch.
+    one row per epoch.  A non-finite input value raises ModelError naming
+    its split, sample, step and feature, before anything is fitted; a
+    training batch whose probabilities are not finite raises ModelError
+    naming the epoch and the batch.
     """
     spec = net.spec
 
@@ -250,6 +252,11 @@ def train(net: Network, train_set, val_set) -> TrainedModel:
             raise ModelError(f"empty {name} split")
         if x.shape[1:] != spec.input_shape:
             raise ModelError(f"{name} data shape {x.shape[1:]} != spec {spec.input_shape}")
+        bad = np.argwhere(~np.isfinite(x))
+        if bad.size:
+            sample, step, feature = bad[0]
+            raise ModelError(f"{name} split: non-finite value {x[sample, step, feature]} "
+                             f"at sample {sample}, step {step}, feature {feature}")
     shuffle_rng = make_rng(spec.seed, "shuffle")
     dropout_rng = make_rng(spec.seed, "dropout")
     state = nn.AdamState(lr0=spec.lr0)

@@ -11,7 +11,9 @@ arrays with the same keys and shapes ({} for parameter-free layers).
 Layers operate on batched float64 arrays.  Sequence layers take
 [batch, time, features]; dense takes [batch, features].  Each layer
 caches what its backward pass needs on forward, so forward/backward
-pairs must not interleave across calls on one layer instance.
+pairs must not interleave across calls on one layer instance.  Lstm and
+Conv1d drop those caches in backward, so one backward at most follows
+each forward.
 """
 from __future__ import annotations
 
@@ -134,62 +136,60 @@ class Lstm:
         h = self.hidden_size
         if x.ndim != 3 or x.shape[2] != self.W.shape[1]:
             raise ShapeError(f"lstm expected [batch, T, {self.W.shape[1]}], got {x.shape}")
-        batch, T, _ = x.shape
-        self._x = x
-        self._gates = np.empty((T, batch, 4 * h))
-        self._c = np.empty((T, batch, h))
-        self._tanh_c = np.empty((T, batch, h))
+        batch, T, d = x.shape
+        # The input projection of every step is one GEMM; its result is the
+        # gate cache, [batch, T, 4h], which the loop turns into gate values.
+        gates = (x.reshape(batch * T, d) @ self.W.T).reshape(batch, T, 4 * h)
+        gates += self.b
+        cs = np.zeros((batch, T + 1, h))  # cs[:, t] is the cell state before step t
+        tanh_c = np.empty((batch, T, h))
         hs = np.empty((batch, T, h))
         h_prev = np.zeros((batch, h))
-        c_prev = np.zeros((batch, h))
+        U_T = np.ascontiguousarray(self.U.T)  # OpenBLAS runs a contiguous operand faster
         for t in range(T):
-            pre = x[:, t] @ self.W.T + h_prev @ self.U.T + self.b
-            i = sigmoid(pre[:, :h])
-            f = sigmoid(pre[:, h:2 * h])
-            g = np.tanh(pre[:, 2 * h:3 * h])
-            o = sigmoid(pre[:, 3 * h:])
-            c = f * c_prev + i * g
-            tc = np.tanh(c)
-            h_prev = o * tc
-            self._gates[t] = np.concatenate([i, f, g, o], axis=1)
-            self._c[t] = c
-            self._tanh_c[t] = tc
-            hs[:, t] = h_prev
-            c_prev = c
-        self._hs = hs
+            pre = gates[:, t]
+            pre += h_prev @ U_T
+            pre[:, :2 * h] = sigmoid(pre[:, :2 * h])
+            pre[:, 2 * h:3 * h] = np.tanh(pre[:, 2 * h:3 * h])
+            pre[:, 3 * h:] = sigmoid(pre[:, 3 * h:])
+            i, f, g, o = pre[:, :h], pre[:, h:2 * h], pre[:, 2 * h:3 * h], pre[:, 3 * h:]
+            cs[:, t + 1] = c = f * cs[:, t] + i * g
+            tanh_c[:, t] = tc = np.tanh(c)
+            hs[:, t] = h_prev = o * tc
+        self._x, self._gates, self._cs, self._tanh_c, self._hs = x, gates, cs, tanh_c, hs
         return hs
 
     def backward(self, dhs: np.ndarray) -> np.ndarray:
-        x, hs = self._x, self._hs
-        batch, T, _ = x.shape
+        x, gates, cs, tanh_c, hs = self._x, self._gates, self._cs, self._tanh_c, self._hs
+        del self._x, self._gates, self._cs, self._tanh_c, self._hs
+        batch, T, d = x.shape
         h = self.hidden_size
-        dx = np.empty_like(x)
         dh_next = np.zeros((batch, h))
         dc_next = np.zeros((batch, h))
         for t in range(T - 1, -1, -1):
-            gates = self._gates[t]
-            i, f = gates[:, :h], gates[:, h:2 * h]
-            g, o = gates[:, 2 * h:3 * h], gates[:, 3 * h:]
-            tc = self._tanh_c[t]
-            c_prev = self._c[t - 1] if t > 0 else np.zeros((batch, h))
-            h_prev = hs[:, t - 1] if t > 0 else np.zeros((batch, h))
+            dpre = gates[:, t]
+            i, f, g, o = dpre[:, :h], dpre[:, h:2 * h], dpre[:, 2 * h:3 * h], dpre[:, 3 * h:]
+            tc = tanh_c[:, t]
             dh = dhs[:, t] + dh_next
             do = dh * tc
             dc = dc_next + dh * o * (1.0 - tc * tc)
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            dpre = np.concatenate([di * i * (1.0 - i),
-                                   df * f * (1.0 - f),
-                                   dg * (1.0 - g * g),
-                                   do * o * (1.0 - o)], axis=1)
-            self.dW += dpre.T @ x[:, t]
-            self.dU += dpre.T @ h_prev
-            self.db += dpre.sum(axis=0)
-            dx[:, t] = dpre @ self.W
-            dh_next = dpre @ self.U
+            di, df, dg = dc * g, dc * cs[:, t], dc * i
             dc_next = dc * f
-        return dx
+            # Step t's gate values are dead from here on: its dpre takes their place.
+            dpre[:, :h] = di * i * (1.0 - i)
+            dpre[:, h:2 * h] = df * f * (1.0 - f)
+            dpre[:, 2 * h:3 * h] = dg * (1.0 - g * g)
+            dpre[:, 3 * h:] = do * o * (1.0 - o)
+            dh_next = dpre @ self.U
+        dpre = gates.reshape(batch * T, 4 * h)
+        h_prev = tanh_c  # dead after the loop: it takes h_{t-1} for dU
+        h_prev[:, 0] = 0.0
+        h_prev[:, 1:] = hs[:, :-1]
+        # (a.T @ dpre).T, not dpre.T @ a: OpenBLAS runs this operand order faster.
+        self.dW += (x.reshape(batch * T, d).T @ dpre).T
+        self.dU += (h_prev.reshape(batch * T, h).T @ dpre).T
+        self.db += dpre.sum(axis=0)
+        return (dpre @ self.W).reshape(x.shape)
 
     def params(self):
         return {"W": self.W, "U": self.U, "b": self.b}
@@ -225,25 +225,40 @@ class Conv1d:
         c_out, k, c_in = self.kernels.shape
         if x.ndim != 3 or x.shape[2] != c_in:
             raise ShapeError(f"conv expected [batch, T, {c_in}], got {x.shape}")
-        if x.shape[1] < k:
-            raise ShapeError(f"sequence length {x.shape[1]} shorter than kernel {k}")
-        # windows: [batch, T-k+1, c_in, k]
-        self._windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)
-        z = np.einsum("btck,okc->bto", self._windows, self.kernels) + self.bias
-        self._y = _activate(z, self.activation)
-        self._x_shape = x.shape
+        batch, T, _ = x.shape
+        if T < k:
+            raise ShapeError(f"sequence length {T} shorter than kernel {k}")
+        # One GEMM per tap on the flattened input, added in at a shift of j
+        # rows.  Rows past t_out mix in the next sample's steps and are dropped.
+        n = batch * T
+        xf = x.reshape(n, c_in)
+        z = xf @ self.kernels[:, 0].T
+        for j in range(1, k):
+            z[:n - j] += xf[j:] @ self.kernels[:, j].T
+        z = z.reshape(batch, T, c_out)[:, :T - k + 1]
+        z += self.bias
+        self._xf, self._y = xf, _activate(z, self.activation)
         return self._y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        dz = _activation_backward(dy, self._y, self.activation)
-        _, k, _ = self.kernels.shape
-        self.dkernels += np.einsum("btck,bto->okc", self._windows, dz)
-        self.dbias += dz.sum(axis=(0, 1))
-        dx = np.zeros(self._x_shape)
-        t_out = dz.shape[1]
+        xf, y = self._xf, self._y
+        del self._xf, self._y
+        dz = _activation_backward(dy, y, self.activation)
+        c_out, k, c_in = self.kernels.shape
+        batch, t_out, _ = dz.shape
+        T, n = t_out + k - 1, xf.shape[0]
+        # dz padded with zeros past t_out and flattened like the input, so
+        # each tap is one GEMM on row-shifted views; the zero rows cancel
+        # the cross-sample terms.
+        dzf = np.zeros((batch, T, c_out))
+        dzf[:, :t_out] = dz
+        dzf = dzf.reshape(n, c_out)
+        dxf = np.zeros_like(xf)
         for j in range(k):
-            dx[:, j:j + t_out] += dz @ self.kernels[:, j, :]
-        return dx
+            self.dkernels[:, j] += dzf[:n - j].T @ xf[j:]
+            dxf[j:] += dzf[:n - j] @ self.kernels[:, j]
+        self.dbias += dz.sum(axis=(0, 1))
+        return dxf.reshape(batch, T, c_in)
 
     def params(self):
         return {"kernels": self.kernels, "bias": self.bias}

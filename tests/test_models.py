@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -122,10 +123,11 @@ def test_zero_learning_rate_freezes_weights():
     assert weight_checksum(net) == before
 
 
-def test_training_determinism_checksum():
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_training_determinism_checksum(kind):
     rng = make_rng(3, "train-det")
     tensors = toy_tensors(rng, n=21)
-    spec = toy_spec("cnn", epochs=2)
+    spec = toy_spec(kind, epochs=2)
     first = models.train(models.build(spec), tensors, tensors[:7])
     second = models.train(models.build(spec), tensors, tensors[:7])
     assert weight_checksum(first.network) == weight_checksum(second.network)
@@ -151,8 +153,31 @@ def test_train_names_epoch_and_batch_of_non_finite_loss():
     values = tensors[3].values.copy()
     values[4, 2] = np.inf
     tensors[3] = FeatureTensor(values, tensors[3].label_code, ("amplitude", "toy"))
-    with pytest.raises(models.ModelError, match=r"epoch 1, batch 1: .*non-finite"):
+    with pytest.raises(models.ModelError,
+                       match=r"^train split: non-finite value inf at sample 3, step 4, feature 2$"):
         models.train(models.build(toy_spec()), tensors, tensors[:7])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, then inf - inf
+def test_train_names_epoch_and_batch_of_diverging_loss():
+    # finite inputs, but a step of ~1e308 per update overflows the weights
+    tensors = toy_tensors(make_rng(7, "train-inf"), n=14)
+    with pytest.raises(models.ModelError, match=r"epoch 1, batch 2: .*non-finite"):
+        models.train(models.build(toy_spec(lr0=1e308)), tensors, tensors[:7])
+
+
+@pytest.mark.parametrize("split, bad", [("train", np.nan), ("validation", -np.inf)])
+def test_train_names_split_sample_step_feature_of_non_finite_input(split, bad):
+    rng = make_rng(9, "train-non-finite", split)
+    x, y = models.stack_features(toy_tensors(rng, n=14))
+    x_val, y_val = x[:7].copy(), y[:7]
+    (x if split == "train" else x_val)[5, 11, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning before the error
+        with pytest.raises(models.ModelError,
+                           match=rf"^{split} split: non-finite value {bad} "
+                                 r"at sample 5, step 11, feature 0$"):
+            models.train(models.build(toy_spec()), (x, y), (x_val, y_val))
 
 
 def test_input_standardisation_is_fitted_on_the_training_split_only():

@@ -222,6 +222,159 @@ def test_every_layer_follows_the_protocol(name):
 
 
 # ---------------------------------------------------------------------------
+# GEMM kernels against the loop kernels they replaced
+#
+# reference_lstm and reference_conv1d are the per-step LSTM and the einsum
+# Conv1d that nn.Lstm and nn.Conv1d used before their arithmetic became a
+# few large matrix products.  Reassociated sums may differ in the last
+# bits, so agreement is judged relative to the largest entry: <= 1e-12.
+
+ORACLE_RTOL = 1e-12
+
+
+def reference_lstm(W, U, b, x, dhs):
+    """Per-step LSTM forward and backward: (hs, dx, dW, dU, db)."""
+    h = U.shape[1]
+    batch, T, _ = x.shape
+    gates_c = np.empty((T, batch, 4 * h))
+    cells = np.empty((T, batch, h))
+    tanh_cs = np.empty((T, batch, h))
+    hs = np.empty((batch, T, h))
+    h_prev = np.zeros((batch, h))
+    c_prev = np.zeros((batch, h))
+    for t in range(T):
+        pre = x[:, t] @ W.T + h_prev @ U.T + b
+        i = nn.sigmoid(pre[:, :h])
+        f = nn.sigmoid(pre[:, h:2 * h])
+        g = np.tanh(pre[:, 2 * h:3 * h])
+        o = nn.sigmoid(pre[:, 3 * h:])
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h_prev = o * tc
+        gates_c[t] = np.concatenate([i, f, g, o], axis=1)
+        cells[t] = c
+        tanh_cs[t] = tc
+        hs[:, t] = h_prev
+        c_prev = c
+    dW, dU, db = np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)
+    dx = np.empty_like(x)
+    dh_next = np.zeros((batch, h))
+    dc_next = np.zeros((batch, h))
+    for t in range(T - 1, -1, -1):
+        gates = gates_c[t]
+        i, f = gates[:, :h], gates[:, h:2 * h]
+        g, o = gates[:, 2 * h:3 * h], gates[:, 3 * h:]
+        tc = tanh_cs[t]
+        c_prev = cells[t - 1] if t > 0 else np.zeros((batch, h))
+        h_prev = hs[:, t - 1] if t > 0 else np.zeros((batch, h))
+        dh = dhs[:, t] + dh_next
+        do = dh * tc
+        dc = dc_next + dh * o * (1.0 - tc * tc)
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dpre = np.concatenate([di * i * (1.0 - i),
+                               df * f * (1.0 - f),
+                               dg * (1.0 - g * g),
+                               do * o * (1.0 - o)], axis=1)
+        dW += dpre.T @ x[:, t]
+        dU += dpre.T @ h_prev
+        db += dpre.sum(axis=0)
+        dx[:, t] = dpre @ W
+        dh_next = dpre @ U
+        dc_next = dc * f
+    return hs, dx, dW, dU, db
+
+
+def reference_conv1d(kernels, bias, activation, x, dy):
+    """einsum Conv1d over a sliding-window view: (y, dx, dkernels, dbias)."""
+    k = kernels.shape[1]
+    windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)
+    z = np.einsum("btck,okc->bto", windows, kernels) + bias
+    y = np.tanh(z) if activation == "tanh" else z
+    dz = dy * (1.0 - y * y) if activation == "tanh" else dy
+    dkernels = np.einsum("btck,bto->okc", windows, dz)
+    dbias = dz.sum(axis=(0, 1))
+    dx = np.zeros(x.shape)
+    t_out = dz.shape[1]
+    for j in range(k):
+        dx[:, j:j + t_out] += dz @ kernels[:, j, :]
+    return y, dx, dkernels, dbias
+
+
+def assert_matches_oracle(got, want, names):
+    for name, a, b in zip(names, got, want, strict=True):
+        assert a.shape == b.shape, name
+        scale = np.max(np.abs(b))
+        err = np.max(np.abs(a - b)) / scale if scale else np.max(np.abs(a))
+        assert err <= ORACLE_RTOL, f"{name}: relative error {err:.3g}"
+
+
+def forward_backward(layer, x, dy):
+    y = layer.forward(x)
+    dx = layer.backward(dy)
+    return (y, dx, *layer.grads().values())
+
+
+LSTM_ORACLE_CASES = {  # (batch, T, d, h)
+    "paper": (32, 100, 64, 50),
+    "one_step": (4, 1, 6, 5),
+    "batch_1": (1, 9, 6, 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LSTM_ORACLE_CASES))
+def test_lstm_matches_per_step_oracle(case):
+    batch, T, d, h = LSTM_ORACLE_CASES[case]
+    rng = make_rng(14, "lstm-oracle", case)
+    layer = nn.Lstm.init(rng, d, h)
+    layer.b += rng.standard_normal(4 * h) * 0.5  # every gate bias away from its init
+    x = rng.standard_normal((batch, T, d))
+    dhs = rng.standard_normal((batch, T, h))
+    want = reference_lstm(layer.W.copy(), layer.U.copy(), layer.b.copy(), x, dhs)
+    got = forward_backward(layer, x, dhs)
+    assert_matches_oracle(got, want, ("hs", "dx", "dW", "dU", "db"))
+
+
+CONV_ORACLE_CASES = {  # (batch, T, c_in, c_out, k)
+    "paper": (32, 98, 50, 50, 3),
+    "k_1": (4, 10, 3, 5, 1),
+    "k_equals_T": (4, 7, 3, 5, 7),
+    "batch_1": (1, 12, 3, 5, 3),
+}
+
+
+@pytest.mark.parametrize("activation", ["none", "tanh"])
+@pytest.mark.parametrize("case", sorted(CONV_ORACLE_CASES))
+def test_conv_matches_einsum_oracle(case, activation):
+    batch, T, c_in, c_out, k = CONV_ORACLE_CASES[case]
+    rng = make_rng(15, "conv-oracle", case, activation)
+    layer = nn.Conv1d.init(rng, c_in, c_out, k, activation)
+    layer.bias += rng.standard_normal(c_out)
+    x = rng.standard_normal((batch, T, c_in))
+    dy = rng.standard_normal((batch, T - k + 1, c_out))
+    want = reference_conv1d(layer.kernels.copy(), layer.bias.copy(), activation, x, dy)
+    got = forward_backward(layer, x, dy)
+    assert_matches_oracle(got, want, ("y", "dx", "dkernels", "dbias"))
+
+
+@pytest.mark.parametrize("case", sorted(CONV_ORACLE_CASES))
+def test_conv_forward_matches_scipy_correlate(case):
+    signal = pytest.importorskip("scipy.signal")
+    batch, T, c_in, c_out, k = CONV_ORACLE_CASES[case]
+    rng = make_rng(16, "conv-scipy", case)
+    layer = nn.Conv1d.init(rng, c_in, c_out, k)
+    layer.bias += rng.standard_normal(c_out)
+    x = rng.standard_normal((batch, T, c_in))
+    # A 2-D valid correlation of x[b] [T, c_in] with kernels[o] [k, c_in]
+    # sums over both axes, which is the convolution's output column o.
+    want = np.array([[signal.correlate(x[b], layer.kernels[o], mode="valid",
+                                       method="direct")[:, 0] + layer.bias[o]
+                      for o in range(c_out)] for b in range(batch)]).transpose(0, 2, 1)
+    assert_matches_oracle([layer.forward(x)], [want], ["y"])
+
+
+# ---------------------------------------------------------------------------
 # cross-entropy
 
 def test_cross_entropy_perfect_prediction():
