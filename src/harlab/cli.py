@@ -12,6 +12,8 @@ import csv
 import logging
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from pathlib import Path
 
 from . import dsp, evaluate, gradcheck, models, reporting, storage, synth
@@ -54,17 +56,39 @@ def _nonempty_manifest(root: Path) -> list[dict]:
     return rows
 
 
+def _load_feature(root: Path, stages, decimate_k: int, row: dict):
+    """Per-sample job: read one sample, run `stages` on it unless None,
+    decimate it."""
+    sample = storage.read_sample(root, row)
+    if stages is not None:
+        sample = dsp.run_pipeline(sample, stages)
+    return models.decimate(sample, decimate_k)
+
+
 def _load_feature_dataset(root: Path, rows: list[dict], decimate_k: int) -> Dataset:
     """Load a dataset for training: raw complex roots get the default
-    preprocessing chain applied on the fly, then each sample is decimated
-    as it streams in."""
-    samples = storage.iter_dataset(root, rows)
+    preprocessing chain applied on the fly, then each sample is decimated;
+    the samples load in parallel."""
+    stages = None
     if storage.dataset_is_complex(rows):
         log.info("raw complex dataset: applying default preprocessing chain")
         stages = dsp.default_stages()
-        samples = (dsp.run_pipeline(s, stages) for s in samples)
-    tensors = [models.decimate(t, decimate_k) for t in samples]
+    tensors = evaluate.ordered_map(partial(_load_feature, root, stages, decimate_k), rows)
     return Dataset.from_samples(tensors, seed=storage.load_dataset_seed(rows))
+
+
+def _generate_one(cfg: synth.GeneratorConfig, out: Path, key) -> dict:
+    """Per-sample job: synthesise and write one sample, return its manifest row."""
+    sample = synth.generate_sample(cfg, *key)
+    return storage.write_sample(out, sample, sample.sample_id)
+
+
+def _preprocess_one(root: Path, out: Path, stages, job) -> dict:
+    """Per-sample job: read, transform and write one sample, return its
+    manifest row."""
+    row, sample_id = job
+    tensor = dsp.run_pipeline(storage.read_sample(root, row), stages)
+    return storage.write_sample(out, tensor, sample_id)
 
 
 def cmd_generate(args) -> int:
@@ -72,15 +96,14 @@ def cmd_generate(args) -> int:
                                 snr_db=args.snr_db)
     out = _ensure_out(args.out)
     _setup_logging(out)
-    counts = {c: 0 for c in ActivityClass}
+    keys = [(cls, i) for cls in ActivityClass for i in range(cfg.samples_per_class)]
     with storage.DatasetWriter(out, seed=cfg.seed) as writer:
-        for sample in synth.iter_samples(cfg):
-            writer.add(sample)
-            counts[sample.label] += 1
+        for row in evaluate.ordered_map(partial(_generate_one, cfg, out), keys):
+            writer.record(row)
     storage.save_experiment_config(out / "config", storage.ExperimentConfig(generator=cfg))
-    for cls, n in counts.items():
-        print(f"{cls.class_name}: {n}")
-    print(f"total: {sum(counts.values())} samples in {out}")
+    for cls in ActivityClass:
+        print(f"{cls.class_name}: {cfg.samples_per_class}")
+    print(f"total: {len(keys)} samples in {out}")
     return EXIT_OK
 
 
@@ -88,27 +111,24 @@ def cmd_preprocess(args) -> int:
     stages = dsp.parse_stages(args.stages)
     out = _ensure_out(args.out)
     _setup_logging(out)
+    root = Path(args.dataset)
+    rows = storage.read_manifest(root)
+    seed = storage.load_dataset_seed(rows)
     fitted = [s for s in stages if s.needs_fit]
     if fitted:
         # Fit on the training portion only, then transform everything.
         log.info("fitting %d stage(s) on the training split (seed %d)",
                  len(fitted), args.fit_split_seed)
-        raw = storage.load_dataset(args.dataset)
+        raw = Dataset.from_samples(
+            evaluate.ordered_map(partial(storage.read_sample, root), rows), seed=seed)
         train_ds, _ = evaluate.split(raw, evaluate.SplitSpec(seed=args.fit_split_seed))
         dsp.fit_stages(stages, train_ds.samples)
-        source = iter(raw.samples)
-        seed = raw.seed
-    else:
-        rows = storage.read_manifest(args.dataset)
-        source = storage.iter_dataset(args.dataset, rows)
-        seed = storage.load_dataset_seed(rows)
-    count = 0
     with storage.DatasetWriter(out, seed=seed) as writer:
-        for sample in source:
-            writer.add(dsp.run_pipeline(sample, stages))
-            count += 1
+        jobs = [(row, writer.next_id(row["class_name"])) for row in rows]
+        for row in evaluate.ordered_map(partial(_preprocess_one, root, out, stages), jobs):
+            writer.record(row)
     storage.save_experiment_config(out / "config", storage.ExperimentConfig(stages=stages))
-    print(f"preprocessed {count} samples -> {out}")
+    print(f"preprocessed {len(rows)} samples -> {out}")
     return EXIT_OK
 
 
@@ -177,9 +197,7 @@ def cmd_grid(args) -> int:
     _setup_logging(out)
     root = Path(args.dataset)
     dataset = _load_feature_dataset(root, _nonempty_manifest(root), args.decimate)
-    workers = args.workers or evaluate.default_grid_workers(
-        len(models.KINDS) * len(evaluate.GRID_LRS) * len(evaluate.GRID_EPOCHS))
-    cells = evaluate.run_grid(dataset, seed=args.seed, workers=workers,
+    cells = evaluate.run_grid(dataset, seed=args.seed, workers=args.workers or None,
                               hidden_size=args.hidden)
     storage.write_grid_csv(cells, out / "grid.csv")
     failed = [c for c in cells if c.failed]
@@ -286,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decimate", type=int, default=12, help="decimation factor (default 12)")
     p.add_argument("--hidden", type=int, default=50, help="LSTM hidden size (default 50)")
     p.add_argument("--workers", type=int, default=0,
-                   help="parallel cells (default: logical cores, capped at grid size)")
+                   help="parallel cells (default: cores in the affinity set, capped at grid size)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_grid)
 
@@ -314,6 +332,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (storage.StorageError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

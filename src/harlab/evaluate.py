@@ -1,8 +1,10 @@
-"""Train/test splitting, classification metrics, and the lr-by-epochs
-hyperparameter grid experiment.
+"""Train/test splitting, classification metrics, the lr-by-epochs
+hyperparameter grid experiment, and the ordered process-pool map that
+runs grid cells and per-sample jobs.
 """
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -136,6 +138,30 @@ def evaluate_model(model: models.TrainedModel, tensors) -> MetricsReport:
 
 
 # ---------------------------------------------------------------------------
+# Ordered process-pool map
+
+def ordered_map(fn, items, workers: int | None = None) -> list:
+    """`[fn(x) for x in items]` in forked worker processes (forked: they
+    inherit the loaded modules), results in input order.  `workers`
+    defaults to the cores in this process's affinity set, which `taskset`
+    narrows, and is capped at the item count; one worker runs the jobs in
+    this process.  The first job that raises cancels the pending ones and
+    its exception is raised here; a worker that dies raises
+    BrokenProcessPool."""
+    items = list(items)
+    if workers is None:
+        workers = len(os.sched_getaffinity(0))
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+# ---------------------------------------------------------------------------
 # Hyperparameter grid
 
 @dataclass(frozen=True)
@@ -152,13 +178,8 @@ class GridCell:
         return self.error is not None
 
 
+# Grid inputs, set by run_grid before the pool forks so workers inherit them.
 _GRID_DATA: dict = {}
-
-
-def _grid_worker_init(train_xy, test_xy, base_spec_fields):
-    _GRID_DATA["train"] = train_xy
-    _GRID_DATA["test"] = test_xy
-    _GRID_DATA["base"] = base_spec_fields
 
 
 def _run_grid_cell(cell_key: tuple[str, int, float]) -> GridCell:
@@ -178,28 +199,22 @@ def _run_grid_cell(cell_key: tuple[str, int, float]) -> GridCell:
 
 
 def run_grid(dataset: Dataset, kinds=models.KINDS, lrs=GRID_LRS,
-             epochs_grid=GRID_EPOCHS, seed: int = 42, workers: int = 1,
+             epochs_grid=GRID_EPOCHS, seed: int = 42, workers: int | None = 1,
              hidden_size: int = 50) -> list[GridCell]:
     """Train every (kind, lr, epochs) cell on one shared stratified split.
 
     Cells are independent and seeded, so results do not depend on the
-    worker count; failed cells are marked and the run continues.
+    worker count (None: one per core, see ordered_map); failed cells are
+    marked and the run continues.
     """
     train_ds, test_ds = split(dataset, SplitSpec(seed=seed))
     train_xy = models.stack_features(train_ds.samples)
-    test_xy = models.stack_features(test_ds.samples)
     _, timesteps, n_features = train_xy[0].shape
-    base = dict(kind="lstm", timesteps=timesteps, n_features=n_features,
-                hidden_size=hidden_size, seed=seed)
+    _GRID_DATA.update(train=train_xy, test=models.stack_features(test_ds.samples),
+                      base=dict(kind="lstm", timesteps=timesteps, n_features=n_features,
+                                hidden_size=hidden_size, seed=seed))
     cells = [(kind, ep, lr) for kind in kinds for ep in epochs_grid for lr in lrs]
-    workers = max(1, min(workers, len(cells)))
-    if workers == 1:
-        _grid_worker_init(train_xy, test_xy, base)
-        return [_run_grid_cell(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_grid_worker_init,
-                             initargs=(train_xy, test_xy, base)) as pool:
-        return list(pool.map(_run_grid_cell, cells))
-
-
-def default_grid_workers(n_cells: int) -> int:
-    return max(1, min(os.cpu_count() or 1, n_cells))
+    try:
+        return ordered_map(_run_grid_cell, cells, workers)
+    finally:
+        _GRID_DATA.clear()

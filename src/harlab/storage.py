@@ -38,19 +38,23 @@ def fmt(x: float) -> str:
 
 
 @contextlib.contextmanager
-def _replace_on_success(path: Path, newline: str | None = None):
+def _replace_on_success(path: Path, newline: str | None = None, durable: bool = True):
     """Open a temp file beside `path` for writing; it replaces `path` only
-    once the block finishes and its data is on disk, so neither a process
-    crash nor a power loss leaves a half-written file."""
+    once the block finishes, so a process crash never leaves a half-written
+    file.  `durable` also syncs the data and the rename to disk first, so
+    that a power loss does not either."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline=newline) as fh:
             yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
+            if durable:
+                fh.flush()
+                os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    if not durable:
+        return
     dir_fd = os.open(path.parent, os.O_RDONLY)
     try:
         os.fsync(dir_fd)  # make the rename itself durable
@@ -141,8 +145,9 @@ def _raise_first_defect(path: Path, n_cols: int | None, n_rows: int | None):
     """Walk a file _read_rows rejected and raise StorageError naming the
     first bad line: its column count (a blank line has 0 columns), a
     malformed number, then the row count.  Numbers are judged by the same
-    np.loadtxt parser as the success path."""
-    with open(path) as fh:
+    np.loadtxt parser as the success path.  A byte that is not UTF-8 reads
+    as U+FFFD, so it too is a malformed number."""
+    with open(path, errors="replace") as fh:
         if n_cols is None:  # flat files: the width of the first non-blank line
             n_cols = next((line.count(",") + 1 for line in fh if line != "\n"), 0)
             fh.seek(0)
@@ -168,8 +173,33 @@ def _sample_rows(sample: Sample) -> np.ndarray:
     return sample.values
 
 
+def write_sample(root: Path, sample: Sample, sample_id: str) -> dict:
+    """Write one sample file under `root` and return its manifest row (all
+    but the dataset seed, which DatasetWriter.record fills in).  The file
+    gets its name only once it is whole; it is not synced to disk."""
+    label = sample_label(sample)
+    rel = Path("samples") / label.class_name / f"{sample_id}.csv"
+    path = root / rel
+    path.parent.mkdir(parents=True, exist_ok=True)
+    rows = _sample_rows(sample)
+    with _replace_on_success(path, newline="", durable=False) as fh:
+        _write_rows(fh, rows)
+    is_complex = isinstance(sample, CsiSample)
+    lineage = sample.capture_meta.lineage if is_complex else sample.lineage
+    return {
+        "sample_id": sample_id,
+        "class_name": label.class_name,
+        "relative_path": rel.as_posix(),
+        "n_packets": str(rows.shape[0]),
+        "n_subcarriers": str(rows.shape[1] // 2 if is_complex else rows.shape[1]),
+        "is_complex": "1" if is_complex else "0",
+        "lineage": "|".join(lineage),
+    }
+
+
 class DatasetWriter:
-    """Streaming dataset writer: add samples one at a time, then close.
+    """Streaming dataset writer: add samples one at a time (or `record`
+    the rows of samples that write_sample wrote elsewhere), then close.
 
     As a context manager it closes on a clean exit and aborts, writing no
     manifest, when the block raises.
@@ -184,35 +214,21 @@ class DatasetWriter:
         self._rows: list[dict] = []
         self._counters: dict[str, int] = {}
 
+    def next_id(self, class_name: str) -> str:
+        """The id of the next sample of a class that carries none of its own
+        (a FeatureTensor): assigned by arrival order."""
+        n = self._counters.get(class_name, 0)
+        self._counters[class_name] = n + 1
+        return f"{class_name}-{n:04d}"
+
+    def record(self, row: dict) -> None:
+        self._rows.append({**row, "seed": "" if self.seed is None else str(self.seed)})
+
     def add(self, sample: Sample, sample_id: str | None = None) -> None:
-        label = sample_label(sample)
         if sample_id is None:
-            if isinstance(sample, CsiSample):
-                sample_id = sample.sample_id
-            else:
-                # FeatureTensor carries no id; assign by arrival order.
-                n = self._counters.get(label.class_name, 0)
-                self._counters[label.class_name] = n + 1
-                sample_id = f"{label.class_name}-{n:04d}"
-        rel = Path("samples") / label.class_name / f"{sample_id}.csv"
-        path = self.root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        rows = _sample_rows(sample)
-        with open(path, "w", newline="") as fh:
-            _write_rows(fh, rows)
-        is_complex = isinstance(sample, CsiSample)
-        lineage = sample.capture_meta.lineage if is_complex else sample.lineage
-        n_features = rows.shape[1] // 2 if is_complex else rows.shape[1]
-        self._rows.append({
-            "sample_id": sample_id,
-            "class_name": label.class_name,
-            "relative_path": rel.as_posix(),
-            "seed": "" if self.seed is None else str(self.seed),
-            "n_packets": str(rows.shape[0]),
-            "n_subcarriers": str(n_features),
-            "is_complex": "1" if is_complex else "0",
-            "lineage": "|".join(lineage),
-        })
+            sample_id = (sample.sample_id if isinstance(sample, CsiSample)
+                         else self.next_id(sample_label(sample).class_name))
+        self.record(write_sample(self.root, sample, sample_id))
 
     def abort(self) -> None:
         self._lock.__exit__(None, None, None)
@@ -258,7 +274,8 @@ def read_manifest(root: Path | str) -> list[dict]:
     return rows
 
 
-def _row_to_sample(root: Path, row: dict) -> Sample:
+def read_sample(root: Path, row: dict) -> Sample:
+    """The sample a manifest row of the dataset at `root` describes."""
     path = root / row["relative_path"]
     if not path.exists():
         raise StorageError(f"missing sample file: {path}")
@@ -281,7 +298,7 @@ def load_dataset_seed(rows: list[dict]) -> int | None:
 def load_dataset(root: Path | str) -> Dataset:
     root = Path(root)
     rows = read_manifest(root)
-    return Dataset.from_samples([_row_to_sample(root, r) for r in rows],
+    return Dataset.from_samples([read_sample(root, r) for r in rows],
                                 seed=load_dataset_seed(rows))
 
 
@@ -290,7 +307,7 @@ def iter_dataset(root: Path | str, rows: list[dict]):
     holding them all."""
     root = Path(root)
     for row in rows:
-        yield _row_to_sample(root, row)
+        yield read_sample(root, row)
 
 
 def dataset_is_complex(rows: list[dict]) -> bool:

@@ -1,10 +1,13 @@
 import csv
 import json
+import os
+import shutil
 from pathlib import Path
 
 import pytest
 
-from harlab import cli, nn, storage
+from harlab import cli, dsp, evaluate, nn, storage, synth
+from harlab.core import Dataset
 
 
 def run_cli(*argv):
@@ -194,6 +197,143 @@ def test_loading_commands_read_the_manifest_once(tmp_path, tiny_dataset, monkeyp
     assert run_cli("evaluate", "--model-file", run_dir / "model.json",
                    "--dataset", tiny_dataset, "--out", tmp_path / "eval") == 0
     assert len(opened) == 2
+
+
+# ---------------------------------------------------------------------------
+# per-sample work in the worker pool
+
+def use_cores(monkeypatch, n):
+    """Make the sample pool see an affinity set of `n` cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def worker_pid(_):
+    return os.getpid()
+
+
+def test_pool_size_follows_the_affinity_set(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    use_cores(monkeypatch, 1)
+    assert evaluate.ordered_map(worker_pid, range(4)) == [os.getpid()] * 4
+    use_cores(monkeypatch, 3)
+    assert evaluate.ordered_map(worker_pid, range(1)) == [os.getpid()]  # capped at 1 item
+    assert os.getpid() not in evaluate.ordered_map(worker_pid, range(4))
+    assert evaluate.ordered_map(worker_pid, []) == []
+
+
+def test_generate_tree_is_save_dataset_on_any_core_count(tmp_path, monkeypatch):
+    cfg = synth.GeneratorConfig(seed=7, samples_per_class=2)
+    storage.save_dataset(synth.generate_dataset(cfg), tmp_path / "ref")
+    write_sample = storage.write_sample
+    pids = tmp_path / "pids"
+    pids.mkdir()
+
+    def noting_pid(*args):
+        (pids / str(os.getpid())).touch()
+        return write_sample(*args)
+
+    monkeypatch.setattr(storage, "write_sample", noting_pid)
+    trees = {}
+    for cores in (2, 1):
+        use_cores(monkeypatch, cores)
+        out = tmp_path / f"cores{cores}"
+        assert run_cli("generate", "--seed", 7, "--samples-per-class", 2, "--out", out) == 0
+        trees[cores] = tree_bytes(out)
+        writers = {int(p.name) for p in pids.iterdir()}
+        assert (os.getpid() in writers) == (cores == 1)
+        assert len(writers) == cores
+        shutil.rmtree(pids)
+        pids.mkdir()
+    assert trees[1] == trees[2]
+    assert {k: v for k, v in trees[2].items() if k != "config"} == tree_bytes(tmp_path / "ref")
+
+
+@pytest.mark.parametrize("stages", [
+    "amplitude;impute_mean;butterworth:order=1,cutoff=0.05",
+    "amplitude;impute_mean;pca:n_components=10;butterworth:order=1,cutoff=0.05"])
+def test_preprocess_tree_is_in_process_pipeline_on_any_core_count(
+        tmp_path, tiny_dataset, monkeypatch, stages):
+    raw = storage.load_dataset(tiny_dataset)
+    chain = dsp.parse_stages(stages)
+    train_ds, _ = evaluate.split(raw, evaluate.SplitSpec(seed=42))
+    dsp.fit_stages(chain, train_ds.samples)
+    storage.save_dataset(Dataset.from_samples(
+        [dsp.run_pipeline(s, chain) for s in raw.samples], seed=raw.seed), tmp_path / "ref")
+    trees = {}
+    for cores in (2, 1):
+        use_cores(monkeypatch, cores)
+        out = tmp_path / f"cores{cores}"
+        assert run_cli("preprocess", "--dataset", tiny_dataset, "--out", out,
+                       "--stages", stages) == 0
+        trees[cores] = tree_bytes(out)
+    assert trees[1] == trees[2]
+    assert {k: v for k, v in trees[2].items() if k != "config"} == tree_bytes(tmp_path / "ref")
+
+
+@pytest.mark.parametrize("cores", [2, 1])
+def test_crashed_sample_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys, cores):
+    use_cores(monkeypatch, cores)
+    old = tmp_path / "old"
+    assert run_cli("generate", "--seed", 3, "--samples-per-class", 2, "--out", old) == 0
+    before = tree_bytes(old)
+
+    def write_half(fh, rows, prefix=""):
+        fh.write(",".join(map(repr, rows[0].tolist())) + "\r\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(storage, "_write_rows", write_half)
+    for root in (tmp_path / "new", old):
+        assert run_cli("generate", "--seed", 3, "--samples-per-class", 2, "--out", root) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert not [p for p in root.rglob(".*") if p.is_file()]  # no temp file, no .lock
+    assert not (tmp_path / "new" / "manifest.csv").exists()
+    assert not list((tmp_path / "new").rglob("*.csv"))
+    assert tree_bytes(old) == before  # a crashed rewrite leaves the old root whole
+
+
+def test_corrupt_sample_fails_every_loading_command_with_exit_1(
+        tmp_path, tiny_dataset, monkeypatch, capsys):
+    use_cores(monkeypatch, 2)
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--model", "lstm", "--dataset", data, "--epochs", 1,
+                   "--hidden", 4, "--decimate", 60, "--out", run_dir) == 0
+    victim = data / "samples" / "sitting" / "sitting-0001.csv"
+    lines = victim.read_text().splitlines()
+    lines[4] = "abc," + lines[4].split(",", 1)[1]
+    victim.write_text("\r\n".join(lines) + "\r\n", newline="")
+    capsys.readouterr()
+    commands = [
+        ["train", "--model", "lstm", "--dataset", data, "--epochs", 1, "--hidden", 4,
+         "--decimate", 60, "--out", tmp_path / "run2"],
+        ["evaluate", "--model-file", run_dir / "model.json", "--dataset", data,
+         "--out", tmp_path / "eval"],
+        ["preprocess", "--dataset", data, "--out", tmp_path / "pre"]]
+    for argv in commands:
+        assert run_cli(*argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert f"I/O error: {victim}:5: malformed number 'abc'" in err, argv[0]
+    assert not (tmp_path / "pre" / "manifest.csv").exists()
+    assert not (tmp_path / "pre" / ".lock").exists()
+
+
+def test_worker_that_dies_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
+    use_cores(monkeypatch, 2)
+    parent, generate_sample = os.getpid(), synth.generate_sample
+
+    def die_in_worker(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return generate_sample(*args)
+
+    monkeypatch.setattr(synth, "generate_sample", die_in_worker)
+    out = tmp_path / "d"
+    assert run_cli("generate", "--samples-per-class", 2, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process died:") and err.count("\n") == 1
+    assert not (out / "manifest.csv").exists()
+    assert not (out / ".lock").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -274,6 +275,16 @@ def test_malformed_sample_file_names_file_and_line(tmp_path, how):
         storage.load_dataset(tmp_path / "d")
 
 
+def test_non_utf8_byte_in_sample_file_names_file_and_line(tmp_path):
+    storage.save_dataset(small_feature_dataset(per_class=1), tmp_path / "d")
+    victim = tmp_path / "d" / "samples" / "empty" / "empty-0000.csv"
+    lines = victim.read_bytes().split(b"\r\n")
+    lines[2] = b"\x80" + lines[2]
+    victim.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(storage.StorageError, match="empty-0000.csv:3: malformed number"):
+        storage.load_dataset(tmp_path / "d")
+
+
 def test_lf_only_sample_files_load(tmp_path):
     ds = small_feature_dataset(per_class=1)
     storage.save_dataset(ds, tmp_path / "d")
@@ -287,6 +298,38 @@ def test_empty_sample_file_reports_row_count(tmp_path):
     (tmp_path / "d" / "samples" / "empty" / "empty-0000.csv").write_text("")
     with pytest.raises(storage.StorageError, match="manifest says 10 rows, file has 0"):
         storage.load_dataset(tmp_path / "d")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    """A 14-sample dataset of 8x5 tensors and a model file that fits it."""
+    base = tmp_path_factory.mktemp("fuzz")
+    trained, tensors = _tiny_trained()
+    storage.save_dataset(Dataset.from_samples(tensors, seed=1), base / "d")
+    storage.save_model(trained, base / "model.json")
+    return base
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_sample_file_fails_only_with_storage_error(fuzz_dataset, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "d"
+        shutil.copytree(fuzz_dataset / "d", root)
+        victim = root / "samples" / "sitting" / "sitting-0001.csv"
+        original = victim.read_bytes()
+        start = data.draw(st.integers(0, len(original)), label="start")
+        end = data.draw(st.integers(start, min(start + 12, len(original))), label="end")
+        victim.write_bytes(original[:start] + data.draw(st.binary(max_size=6), label="insert")
+                           + original[end:])
+        try:
+            storage.load_dataset(root)
+            rejected = False
+        except storage.StorageError:
+            rejected = True
+        code = cli.main(["evaluate", "--model-file", str(fuzz_dataset / "model.json"),
+                         "--dataset", str(root), "--out", str(Path(tmp) / "eval")])
+        assert code == (1 if rejected else 0)
 
 
 # ---------------------------------------------------------------------------
