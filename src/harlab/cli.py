@@ -13,7 +13,6 @@ import logging
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from functools import partial
 from pathlib import Path
 
 from . import dsp, evaluate, gradcheck, models, reporting, storage, synth
@@ -49,46 +48,23 @@ def _ensure_out(path_text: str) -> Path:
     return out
 
 
-def _nonempty_manifest(root: Path) -> list[dict]:
-    rows = storage.read_manifest(root)
+def _feature_dataset(root: Path, rows: list[dict], decimate_k: int) -> Dataset:
+    """The samples of manifest `rows` as model inputs, read on the sample
+    pool: raw complex roots get the default preprocessing chain applied on
+    the fly, then each sample is decimated."""
     if not rows:
         raise storage.StorageError(f"{root}: dataset has no samples")
-    return rows
-
-
-def _load_feature(root: Path, stages, decimate_k: int, row: dict):
-    """Per-sample job: read one sample, run `stages` on it unless None,
-    decimate it."""
-    sample = storage.read_sample(root, row)
-    if stages is not None:
-        sample = dsp.run_pipeline(sample, stages)
-    return models.decimate(sample, decimate_k)
-
-
-def _load_feature_dataset(root: Path, rows: list[dict], decimate_k: int) -> Dataset:
-    """Load a dataset for training: raw complex roots get the default
-    preprocessing chain applied on the fly, then each sample is decimated;
-    the samples load in parallel."""
     stages = None
-    if storage.dataset_is_complex(rows):
+    if all(r["is_complex"] == "1" for r in rows):
         log.info("raw complex dataset: applying default preprocessing chain")
         stages = dsp.default_stages()
-    tensors = evaluate.ordered_map(partial(_load_feature, root, stages, decimate_k), rows)
-    return Dataset.from_samples(tensors, seed=storage.load_dataset_seed(rows))
 
+    def prepare(sample):
+        if stages is not None:
+            sample = dsp.run_pipeline(sample, stages)
+        return models.decimate(sample, decimate_k)
 
-def _generate_one(cfg: synth.GeneratorConfig, out: Path, key) -> dict:
-    """Per-sample job: synthesise and write one sample, return its manifest row."""
-    sample = synth.generate_sample(cfg, *key)
-    return storage.write_sample(out, sample, sample.sample_id)
-
-
-def _preprocess_one(root: Path, out: Path, stages, job) -> dict:
-    """Per-sample job: read, transform and write one sample, return its
-    manifest row."""
-    row, sample_id = job
-    tensor = dsp.run_pipeline(storage.read_sample(root, row), stages)
-    return storage.write_sample(out, tensor, sample_id)
+    return storage.read_dataset(root, rows, prepare)
 
 
 def cmd_generate(args) -> int:
@@ -97,9 +73,12 @@ def cmd_generate(args) -> int:
     out = _ensure_out(args.out)
     _setup_logging(out)
     keys = [(cls, i) for cls in ActivityClass for i in range(cfg.samples_per_class)]
-    with storage.DatasetWriter(out, seed=cfg.seed) as writer:
-        for row in evaluate.ordered_map(partial(_generate_one, cfg, out), keys):
-            writer.record(row)
+
+    def make(key):
+        sample = synth.generate_sample(cfg, *key)
+        return sample, sample.sample_id
+
+    storage.write_dataset(out, keys, make, cfg.seed)
     storage.save_experiment_config(out / "config", storage.ExperimentConfig(generator=cfg))
     for cls in ActivityClass:
         print(f"{cls.class_name}: {cfg.samples_per_class}")
@@ -113,20 +92,22 @@ def cmd_preprocess(args) -> int:
     _setup_logging(out)
     root = Path(args.dataset)
     rows = storage.read_manifest(root)
-    seed = storage.load_dataset_seed(rows)
     fitted = [s for s in stages if s.needs_fit]
+    raw = None
     if fitted:
-        # Fit on the training portion only, then transform everything.
+        # Fit on the training portion only, then transform the samples read for it.
         log.info("fitting %d stage(s) on the training split (seed %d)",
                  len(fitted), args.fit_split_seed)
-        raw = Dataset.from_samples(
-            evaluate.ordered_map(partial(storage.read_sample, root), rows), seed=seed)
+        raw = storage.read_dataset(root, rows)
         train_ds, _ = evaluate.split(raw, evaluate.SplitSpec(seed=args.fit_split_seed))
         dsp.fit_stages(stages, train_ds.samples)
-    with storage.DatasetWriter(out, seed=seed) as writer:
-        jobs = [(row, writer.next_id(row["class_name"])) for row in rows]
-        for row in evaluate.ordered_map(partial(_preprocess_one, root, out, stages), jobs):
-            writer.record(row)
+    ids = storage.arrival_ids(r["class_name"] for r in rows)
+
+    def make(i):
+        sample = storage.read_sample(root, rows[i]) if raw is None else raw.samples[i]
+        return dsp.run_pipeline(sample, stages), ids[i]
+
+    storage.write_dataset(out, range(len(rows)), make, storage.load_dataset_seed(rows))
     storage.save_experiment_config(out / "config", storage.ExperimentConfig(stages=stages))
     print(f"preprocessed {len(rows)} samples -> {out}")
     return EXIT_OK
@@ -143,7 +124,7 @@ def cmd_train(args) -> int:
     out = _ensure_out(args.out)
     _setup_logging(out)
     root = Path(args.dataset)
-    dataset = _load_feature_dataset(root, _nonempty_manifest(root), args.decimate)
+    dataset = _feature_dataset(root, storage.read_manifest(root), args.decimate)
     first = dataset.samples[0]
     spec = models.ModelSpec(kind=kind,
                             timesteps=first.values.shape[0],
@@ -172,10 +153,10 @@ def cmd_evaluate(args) -> int:
     _setup_logging(out)
     model = storage.load_model(args.model_file)
     root = Path(args.dataset)
-    rows = _nonempty_manifest(root)
+    rows = storage.read_manifest(root)
     # Every stage keeps the packet count, so the manifest fixes the factor.
-    k = models.infer_decimation(int(rows[0]["n_packets"]), model.spec.timesteps)
-    dataset = _load_feature_dataset(root, rows, k)
+    k = models.infer_decimation(int(rows[0]["n_packets"]), model.spec.timesteps) if rows else 1
+    dataset = _feature_dataset(root, rows, k)
     _, test_ds = evaluate.split(dataset, evaluate.SplitSpec(seed=args.split_seed))
     report = evaluate.evaluate_model(model, test_ds.samples)
     storage.write_metrics_csv(report, out / "metrics.csv")
@@ -196,7 +177,7 @@ def cmd_grid(args) -> int:
     out = _ensure_out(args.out)
     _setup_logging(out)
     root = Path(args.dataset)
-    dataset = _load_feature_dataset(root, _nonempty_manifest(root), args.decimate)
+    dataset = _feature_dataset(root, storage.read_manifest(root), args.decimate)
     cells = evaluate.run_grid(dataset, seed=args.seed, workers=args.workers or None,
                               hidden_size=args.hidden)
     storage.write_grid_csv(cells, out / "grid.csv")

@@ -126,10 +126,6 @@ class FeatureTensor:
         object.__setattr__(self, "lineage", tuple(self.lineage))
 
     @property
-    def n_timesteps(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_features(self) -> int:
         return self.values.shape[1]
 

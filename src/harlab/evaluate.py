@@ -140,25 +140,37 @@ def evaluate_model(model: models.TrainedModel, tensors) -> MetricsReport:
 # ---------------------------------------------------------------------------
 # Ordered process-pool map
 
+# The function ordered_map's workers run, set before they fork so that they
+# inherit it: a job may then close over large or unpicklable data.
+_JOB = None
+
+
+def _run_job(item):
+    return _JOB(item)
+
+
 def ordered_map(fn, items, workers: int | None = None) -> list:
     """`[fn(x) for x in items]` in forked worker processes (forked: they
-    inherit the loaded modules), results in input order.  `workers`
-    defaults to the cores in this process's affinity set, which `taskset`
-    narrows, and is capped at the item count; one worker runs the jobs in
-    this process.  The first job that raises cancels the pending ones and
-    its exception is raised here; a worker that dies raises
-    BrokenProcessPool."""
+    inherit the loaded modules and `fn` itself, so only the items and
+    results are pickled), results in input order.  `workers` defaults to
+    the cores in this process's affinity set, which `taskset` narrows, and
+    is capped at the item count; one worker runs the jobs in this process.
+    The first job that raises cancels the pending ones and its exception
+    is raised here; a worker that dies raises BrokenProcessPool."""
+    global _JOB
     items = list(items)
     if workers is None:
         workers = len(os.sched_getaffinity(0))
     workers = min(workers, len(items))
     if workers <= 1:
         return [fn(x) for x in items]
+    _JOB = fn
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        return list(pool.map(fn, items))
+        return list(pool.map(_run_job, items))
     finally:
         pool.shutdown(cancel_futures=True)
+        _JOB = None
 
 
 # ---------------------------------------------------------------------------
@@ -178,26 +190,6 @@ class GridCell:
         return self.error is not None
 
 
-# Grid inputs, set by run_grid before the pool forks so workers inherit them.
-_GRID_DATA: dict = {}
-
-
-def _run_grid_cell(cell_key: tuple[str, int, float]) -> GridCell:
-    kind, epochs, lr = cell_key
-    try:
-        base = dict(_GRID_DATA["base"])
-        base.update(kind=kind, epochs=epochs, lr0=lr)
-        spec = models.ModelSpec(**base)
-        net = models.build(spec)
-        trained = models.train(net, _GRID_DATA["train"], _GRID_DATA["test"])
-        x_test, y_test = _GRID_DATA["test"]
-        probs = trained.predict_probs(x_test)
-        loss = nn.cross_entropy(probs, y_test)  # raises on non-finite probabilities
-        return GridCell(kind, epochs, lr, nn.accuracy(probs, y_test), loss)
-    except Exception as exc:  # keep the grid running; the cell is marked
-        return GridCell(kind, epochs, lr, None, None, error=f"{type(exc).__name__}: {exc}")
-
-
 def run_grid(dataset: Dataset, kinds=models.KINDS, lrs=GRID_LRS,
              epochs_grid=GRID_EPOCHS, seed: int = 42, workers: int | None = 1,
              hidden_size: int = 50) -> list[GridCell]:
@@ -209,12 +201,22 @@ def run_grid(dataset: Dataset, kinds=models.KINDS, lrs=GRID_LRS,
     """
     train_ds, test_ds = split(dataset, SplitSpec(seed=seed))
     train_xy = models.stack_features(train_ds.samples)
+    x_test, y_test = test_xy = models.stack_features(test_ds.samples)
     _, timesteps, n_features = train_xy[0].shape
-    _GRID_DATA.update(train=train_xy, test=models.stack_features(test_ds.samples),
-                      base=dict(kind="lstm", timesteps=timesteps, n_features=n_features,
-                                hidden_size=hidden_size, seed=seed))
+
+    def run_cell(cell_key: tuple[str, int, float]) -> GridCell:
+        kind, epochs, lr = cell_key
+        try:
+            spec = models.ModelSpec(kind=kind, timesteps=timesteps, n_features=n_features,
+                                    hidden_size=hidden_size, lr0=lr, epochs=epochs,
+                                    seed=seed)
+            trained = models.train(models.build(spec), train_xy, test_xy)
+            probs = trained.predict_probs(x_test)
+            loss = nn.cross_entropy(probs, y_test)  # raises on non-finite probabilities
+            return GridCell(kind, epochs, lr, nn.accuracy(probs, y_test), loss)
+        except Exception as exc:  # keep the grid running; the cell is marked
+            return GridCell(kind, epochs, lr, None, None,
+                            error=f"{type(exc).__name__}: {exc}")
+
     cells = [(kind, ep, lr) for kind in kinds for ep in epochs_grid for lr in lrs]
-    try:
-        return ordered_map(_run_grid_cell, cells, workers)
-    finally:
-        _GRID_DATA.clear()
+    return ordered_map(run_cell, cells, workers)

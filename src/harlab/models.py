@@ -234,8 +234,8 @@ def train(net: Network, train_set, val_set) -> TrainedModel:
     keeps both vectors and applies them in predict_probs.  History records
     one row per epoch.  A non-finite input value raises ModelError naming
     its split, sample, step and feature, before anything is fitted; a
-    training batch whose probabilities are not finite raises ModelError
-    naming the epoch and the batch.
+    training batch or validation pass whose probabilities are not finite
+    raises ModelError naming the epoch and the batch or "validation".
     """
     spec = net.spec
 
@@ -284,10 +284,14 @@ def train(net: Network, train_set, val_set) -> TrainedModel:
             net.backward(nn.cross_entropy_grad(probs, yb))
             nn.adam_step(net.params(), net.grads(), state)
         val_probs = model.predict_probs(x_val)
+        try:
+            val_loss = nn.cross_entropy(val_probs, y_val)
+        except ValueError as exc:
+            raise ModelError(f"training failed at epoch {epoch}, validation: {exc}") from None
         model.history.append(EpochStats(
             train_loss=loss_sum / n,
             train_acc=hit_sum / n,
-            val_loss=nn.cross_entropy(val_probs, y_val),
+            val_loss=val_loss,
             val_acc=nn.accuracy(val_probs, y_val),
         ))
     return model

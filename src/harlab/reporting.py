@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ActivityClass
-from .evaluate import GridCell, MetricsReport
+from .evaluate import GridCell
 
 _CELL = 64
 _MARGIN = 150
@@ -52,16 +52,6 @@ def confusion_svg(normalized: np.ndarray) -> str:
                      f'transform="rotate(-45 {x} {y})">{pred_name}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def metrics_markdown(report: MetricsReport) -> str:
-    return "\n".join([
-        "| accuracy | macro precision | macro recall | macro F1 | mean loss |",
-        "|---|---|---|---|---|",
-        f"| {report.accuracy:.4f} | {report.macro_precision:.4f} "
-        f"| {report.macro_recall:.4f} | {report.macro_f1:.4f} "
-        f"| {report.mean_loss:.4f} |",
-    ]) + "\n"
 
 
 def grid_markdown(cells: list[GridCell]) -> str:

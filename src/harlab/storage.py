@@ -6,9 +6,11 @@ repr, so loading never loses precision.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import dataclasses
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ import numpy as np
 from . import dsp, models
 from .core import (ActivityClass, CaptureMeta, CsiSample, Dataset, FeatureTensor,
                    Sample, class_from_name, sample_label)
-from .evaluate import GridCell, MetricsReport, SplitSpec
+from .evaluate import GridCell, MetricsReport, SplitSpec, ordered_map
 from .synth import GeneratorConfig
 
 MANIFEST_NAME = "manifest.csv"
@@ -60,33 +62,6 @@ def _replace_on_success(path: Path, newline: str | None = None, durable: bool = 
         os.fsync(dir_fd)  # make the rename itself durable
     finally:
         os.close(dir_fd)
-
-
-class _RootLock:
-    """Exclusive advisory lock on a dataset root while writing; the lock
-    file holds the writer's pid."""
-
-    def __init__(self, root: Path):
-        self.path = root / ".lock"
-
-    def __enter__(self):
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            try:
-                owner = self.path.read_text().strip() or "unknown"
-            except OSError:
-                owner = "unknown"
-            raise StorageError(
-                f"dataset root is locked by another writer (pid {owner}): {self.path}; "
-                "if that process is gone, delete the lock file") from None
-        with os.fdopen(fd, "w") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return self
-
-    def __exit__(self, *exc):
-        self.path.unlink(missing_ok=True)
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +173,9 @@ def write_sample(root: Path, sample: Sample, sample_id: str) -> dict:
 
 
 class DatasetWriter:
-    """Streaming dataset writer: add samples one at a time (or `record`
-    the rows of samples that write_sample wrote elsewhere), then close.
+    """Holds a dataset root's `.lock`, which names the writer's pid, while
+    its sample files are written, then writes manifest.csv from the rows
+    `record`ed, in that order.
 
     As a context manager it closes on a clean exit and aborts, writing no
     manifest, when the block raises.
@@ -209,29 +185,23 @@ class DatasetWriter:
         self.root = Path(root)
         self.seed = seed
         self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = _RootLock(self.root)
-        self._lock.__enter__()
+        self._lock = self.root / ".lock"
+        try:
+            fd = os.open(self._lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            try:
+                owner = self._lock.read_text().strip() or "unknown"
+            except OSError:
+                owner = "unknown"
+            raise StorageError(
+                f"dataset root is locked by another writer (pid {owner}): {self._lock}; "
+                "if that process is gone, delete the lock file") from None
+        with os.fdopen(fd, "w") as fh:
+            fh.write(f"{os.getpid()}\n")
         self._rows: list[dict] = []
-        self._counters: dict[str, int] = {}
-
-    def next_id(self, class_name: str) -> str:
-        """The id of the next sample of a class that carries none of its own
-        (a FeatureTensor): assigned by arrival order."""
-        n = self._counters.get(class_name, 0)
-        self._counters[class_name] = n + 1
-        return f"{class_name}-{n:04d}"
 
     def record(self, row: dict) -> None:
         self._rows.append({**row, "seed": "" if self.seed is None else str(self.seed)})
-
-    def add(self, sample: Sample, sample_id: str | None = None) -> None:
-        if sample_id is None:
-            sample_id = (sample.sample_id if isinstance(sample, CsiSample)
-                         else self.next_id(sample_label(sample).class_name))
-        self.record(write_sample(self.root, sample, sample_id))
-
-    def abort(self) -> None:
-        self._lock.__exit__(None, None, None)
 
     def __enter__(self) -> "DatasetWriter":
         return self
@@ -240,7 +210,7 @@ class DatasetWriter:
         if exc_type is None:
             self.close()
         else:
-            self.abort()
+            self._lock.unlink(missing_ok=True)
 
     def close(self) -> None:
         try:
@@ -249,18 +219,41 @@ class DatasetWriter:
                 writer.writeheader()
                 writer.writerows(self._rows)
         finally:
-            self._lock.__exit__(None, None, None)
+            self._lock.unlink(missing_ok=True)
+
+
+def arrival_ids(class_names) -> list[str]:
+    """Ids for samples that carry none of their own (FeatureTensors):
+    `<class>-NNNN`, numbered within each class in arrival order."""
+    counters = collections.defaultdict(itertools.count)
+    return [f"{name}-{next(counters[name]):04d}" for name in class_names]
+
+
+def write_dataset(root: Path | str, items, make, seed: int | None = None) -> None:
+    """Write a dataset root, one sample per job on the sample pool
+    (evaluate.ordered_map): `make(item)` returns a (sample, sample_id) and
+    the job writes that sample's file in its worker.  This process holds
+    the root's lock, records the manifest rows in item order and writes
+    manifest.csv only after every sample file is whole."""
+    root = Path(root)
+    with DatasetWriter(root, seed) as writer:
+        for row in ordered_map(lambda item: write_sample(root, *make(item)), items):
+            writer.record(row)
 
 
 def save_dataset(dataset: Dataset, root: Path | str) -> None:
     """Write manifest.csv plus one CSV per sample under samples/<class>/."""
-    with DatasetWriter(root, seed=dataset.seed) as writer:
-        for sample in dataset.samples:
-            writer.add(sample)
+    samples = dataset.samples
+    new_ids = iter(arrival_ids(sample_label(s).class_name for s in samples
+                               if not isinstance(s, CsiSample)))
+    ids = [s.sample_id if isinstance(s, CsiSample) else next(new_ids) for s in samples]
+    write_dataset(root, range(len(samples)), lambda i: (samples[i], ids[i]), dataset.seed)
 
 
 def read_manifest(root: Path | str) -> list[dict]:
-    """The manifest rows of a dataset root, in canonical sample order."""
+    """The manifest rows of a dataset root, in canonical sample order.  A
+    row with an unknown class or a non-integer sample shape raises
+    StorageError naming its line."""
     manifest = Path(root) / MANIFEST_NAME
     if not manifest.exists():
         raise StorageError(f"manifest.csv not found in {root}")
@@ -268,7 +261,16 @@ def read_manifest(root: Path | str) -> list[dict]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or set(MANIFEST_FIELDS) - set(reader.fieldnames):
             raise StorageError(f"{manifest}: missing manifest columns")
-        rows = list(reader)
+        rows = []
+        for row in reader:
+            try:
+                class_from_name(row["class_name"])
+                for field in ("n_packets", "n_subcarriers"):
+                    if not str(row[field]).isdecimal():
+                        raise ValueError(f"{field} {row[field]!r} is not an integer")
+            except ValueError as exc:
+                raise StorageError(f"{manifest}:{reader.line_num}: {exc}") from None
+            rows.append(row)
     # Canonical order regardless of manifest row order.
     rows.sort(key=lambda r: (int(class_from_name(r["class_name"])), r["sample_id"]))
     return rows
@@ -295,24 +297,21 @@ def load_dataset_seed(rows: list[dict]) -> int | None:
     return int(next(iter(seeds))) if len(seeds) == 1 else None
 
 
+def read_dataset(root: Path | str, rows: list[dict], transform=None) -> Dataset:
+    """The dataset of manifest `rows` (from read_manifest), read one sample
+    per job on the sample pool (evaluate.ordered_map); `transform`, if
+    given, runs on each sample in the job's worker."""
+    root = Path(root)
+
+    def job(row):
+        sample = read_sample(root, row)
+        return sample if transform is None else transform(sample)
+
+    return Dataset.from_samples(ordered_map(job, rows), seed=load_dataset_seed(rows))
+
+
 def load_dataset(root: Path | str) -> Dataset:
-    root = Path(root)
-    rows = read_manifest(root)
-    return Dataset.from_samples([read_sample(root, r) for r in rows],
-                                seed=load_dataset_seed(rows))
-
-
-def iter_dataset(root: Path | str, rows: list[dict]):
-    """Yield the samples of `rows` (from read_manifest) in order without
-    holding them all."""
-    root = Path(root)
-    for row in rows:
-        yield read_sample(root, row)
-
-
-def dataset_is_complex(rows: list[dict]) -> bool:
-    """Whether manifest rows describe raw complex captures only."""
-    return all(r["is_complex"] == "1" for r in rows)
+    return read_dataset(root, read_manifest(root))
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +404,8 @@ def load_model(path: Path | str) -> models.TrainedModel:
                 raise models.ModelError(
                     f"weight block {name!r} has {data.size} values, "
                     f"shape {shape} needs {int(np.prod(shape))}")
+            if not np.isfinite(data).all():
+                raise models.ModelError(f"weight block {name!r} holds non-finite values")
             weights[name] = data.reshape(shape)
         net.set_weights(weights)
         history = [models.EpochStats(**h) for h in doc.get("history", [])]

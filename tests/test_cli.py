@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shutil
+import threading
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,47 @@ def test_loading_commands_read_the_manifest_once(tmp_path, tiny_dataset, monkeyp
     assert len(opened) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("class_name", "Sitting"), ("n_packets", "1200.0"), ("n_subcarriers", "")])
+def test_malformed_manifest_row_exits_1_naming_its_line(
+        tmp_path, tiny_dataset, capsys, field, value):
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--model", "lstm", "--dataset", tiny_dataset, "--epochs", 1,
+                   "--hidden", 4, "--decimate", 60, "--out", run_dir) == 0
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    manifest = data / storage.MANIFEST_NAME
+    with open(manifest, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    line_no = 2 + next(i for i, r in enumerate(rows) if r["class_name"] == "sitting")
+    rows[line_no - 2][field] = value
+    with open(manifest, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=storage.MANIFEST_FIELDS)
+        writer.writeheader()
+        writer.writerows(rows)
+    capsys.readouterr()
+    for argv in (["train", "--model", "lstm", "--dataset", data, "--epochs", 1,
+                  "--hidden", 4, "--decimate", 60, "--out", tmp_path / "run2"],
+                 ["evaluate", "--model-file", run_dir / "model.json", "--dataset", data,
+                  "--out", tmp_path / "eval"]):
+        assert run_cli(*argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"I/O error: {manifest}:{line_no}: ") and repr(value) in err
+        assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_whose_validation_loss_diverges_exits_2(tmp_path, tiny_dataset, capsys):
+    code = run_cli("train", "--model", "lstm", "--dataset", tiny_dataset, "--lr", "1e308",
+                   "--batch-size", 64, "--epochs", 2, "--hidden", 4, "--decimate", 60,
+                   "--out", tmp_path / "run")
+    assert code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: training failed at epoch 1, validation: ")
+    assert "non-finite" in last
+    assert not (tmp_path / "run" / "model.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # per-sample work in the worker pool
 
@@ -219,6 +261,33 @@ def test_pool_size_follows_the_affinity_set(monkeypatch):
     assert evaluate.ordered_map(worker_pid, range(1)) == [os.getpid()]  # capped at 1 item
     assert os.getpid() not in evaluate.ordered_map(worker_pid, range(4))
     assert evaluate.ordered_map(worker_pid, []) == []
+
+
+def test_ordered_map_runs_closures_over_unpicklable_data(monkeypatch):
+    use_cores(monkeypatch, 2)
+    lock = threading.Lock()  # cannot be pickled
+
+    def job(x):
+        with lock:
+            return x * x, os.getpid()
+
+    results = evaluate.ordered_map(job, range(6))
+    assert [r for r, _ in results] == [x * x for x in range(6)]
+    assert os.getpid() not in {pid for _, pid in results}
+
+
+def test_fitted_preprocess_reads_each_raw_sample_once(tmp_path, tiny_dataset, monkeypatch):
+    use_cores(monkeypatch, 1)  # jobs run in this process, where the calls are counted
+    read_rows, calls = storage._read_rows, []
+
+    def counting_read_rows(*args, **kwargs):
+        calls.append(args[0])
+        return read_rows(*args, **kwargs)
+
+    monkeypatch.setattr(storage, "_read_rows", counting_read_rows)
+    assert run_cli("preprocess", "--dataset", tiny_dataset, "--out", tmp_path / "pre",
+                   "--stages", "amplitude;impute_mean;pca:n_components=10") == 0
+    assert len(calls) == len(set(calls)) == len(storage.read_manifest(tiny_dataset)) == 21
 
 
 def test_generate_tree_is_save_dataset_on_any_core_count(tmp_path, monkeypatch):

@@ -166,6 +166,16 @@ def test_train_names_epoch_and_batch_of_diverging_loss():
         models.train(models.build(toy_spec(lr0=1e308)), tensors, tensors[:7])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_names_epoch_of_diverging_validation_loss():
+    # one batch per epoch: its update overflows the weights, and the
+    # epoch-end validation pass is the first forward to see them
+    tensors = toy_tensors(make_rng(7, "train-inf"), n=14)
+    with pytest.raises(models.ModelError,
+                       match=r"^training failed at epoch 1, validation: .*non-finite"):
+        models.train(models.build(toy_spec(lr0=1e308, batch_size=64)), tensors, tensors[:7])
+
+
 @pytest.mark.parametrize("split, bad", [("train", np.nan), ("validation", -np.inf)])
 def test_train_names_split_sample_step_feature_of_non_finite_input(split, bad):
     rng = make_rng(9, "train-non-finite", split)

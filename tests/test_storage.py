@@ -142,12 +142,12 @@ def test_writer_block_that_raises_leaves_no_lock_and_no_manifest(tmp_path):
     sample = small_feature_dataset(per_class=1).samples[0]
     with pytest.raises(RuntimeError, match="boom"):
         with storage.DatasetWriter(tmp_path / "d", seed=1) as writer:
-            writer.add(sample)
+            writer.record(storage.write_sample(writer.root, sample, "empty-0000"))
             raise RuntimeError("boom")
     assert not (tmp_path / "d" / ".lock").exists()
     assert not (tmp_path / "d" / "manifest.csv").exists()
     with storage.DatasetWriter(tmp_path / "d", seed=1) as writer:
-        writer.add(sample)
+        writer.record(storage.write_sample(writer.root, sample, "empty-0000"))
     assert len(storage.read_manifest(tmp_path / "d")) == 1
 
 
@@ -470,13 +470,15 @@ def _malformed_model_doc(doc, how):
         doc["input"]["mean"].append(0.0)
     elif how == "zero input scale":
         doc["input"]["scale"][0] = 0.0
+    elif how == "non-finite weight":
+        doc["weights"]["dense.b"]["data"][0] = float("nan")
     return doc
 
 
 MALFORMED_MODELS = ["top-level list", "missing spec", "unknown spec key",
                     "weight block without shape", "weights not an object",
                     "non-numeric weights", "bad history entry", "missing input block",
-                    "input length != n_features", "zero input scale"]
+                    "input length != n_features", "zero input scale", "non-finite weight"]
 
 
 @pytest.mark.parametrize("how", MALFORMED_MODELS)
