@@ -210,8 +210,9 @@ def select_k_best(scores: np.ndarray, k: int) -> FeatureSelection:
 # Pipeline stages
 
 class Stage:
-    """A named transform of FeatureTensor -> FeatureTensor; a stage with
-    needs_fit learns it from training tensors in fit() (see fit_stages)."""
+    """A named transform of FeatureTensor -> FeatureTensor (the amplitude
+    stage alone takes the raw CsiSample); a stage with needs_fit learns it
+    from training tensors in fit() (see fit_stages)."""
 
     name: str
     needs_fit = False
@@ -223,7 +224,7 @@ class Stage:
 class AmplitudeStage(Stage):
     name = "amplitude"
 
-    def apply_to_sample(self, sample: CsiSample) -> FeatureTensor:
+    def apply(self, sample: CsiSample) -> FeatureTensor:
         return amplitude(sample)
 
 
@@ -310,9 +311,8 @@ def run_pipeline(sample: CsiSample, stages) -> FeatureTensor:
     The first stage must be the amplitude stage (it consumes the complex
     frames); amplitude may not appear again later.
     """
-    stages = _checked_chain(stages)
-    x = stages[0].apply_to_sample(sample)
-    for stage in stages[1:]:
+    x = sample
+    for stage in _checked_chain(stages):
         x = stage.apply(x)
     return x
 
@@ -321,9 +321,8 @@ def fit_stages(stages, samples) -> None:
     """Fit each needs_fit stage, in chain order, on the raw samples as
     transformed by every stage before it.  Pass the training split only,
     so nothing leaks from held-out data."""
-    stages = _checked_chain(stages)
-    tensors = map(stages[0].apply_to_sample, samples)
-    for stage in stages[1:]:
+    tensors = samples
+    for stage in _checked_chain(stages):
         if stage.needs_fit:
             tensors = list(tensors)
             stage.fit(tensors)

@@ -1,10 +1,15 @@
 """The three classifier architectures and their training loop.
 
 Kinds:
-  lstm      LSTM -> last hidden state -> dropout -> dense softmax
-  cnn       conv1d -> conv1d -> maxpool -> flatten -> dense softmax
+  lstm      LSTM -> last hidden state -> dropout -> dense
+  cnn       conv1d -> conv1d -> maxpool -> flatten -> dense
   lstm_cnn  LSTM (full sequence) -> conv1d -> conv1d -> maxpool -> flatten
-            -> dense softmax
+            -> dense
+
+Every kind ends in a dense head without activation.  Network.forward
+applies softmax to the head's logits, and Network.backward takes the
+gradient w.r.t. those logits, nn.cross_entropy_grad, so the softmax and
+the cross-entropy are differentiated as one step.
 
 Training is deterministic given (spec, seed, data order): weight init,
 batch shuffling, and dropout masks all come from streams derived from
@@ -79,7 +84,8 @@ class EpochStats:
 
 
 class Network:
-    """An ordered stack of named layers ending in a softmax dense head."""
+    """An ordered stack of named layers whose last output is the logits;
+    forward returns their softmax, backward takes d(loss)/d(logits)."""
 
     def __init__(self, spec: ModelSpec, layers: list[tuple[str, object]]):
         self.spec = spec
@@ -88,11 +94,11 @@ class Network:
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         for _, layer in self._layers:
             x = layer.forward(x, train, rng)
-        return x
+        return nn.softmax(x)
 
-    def backward(self, dprobs: np.ndarray) -> None:
+    def backward(self, dlogits: np.ndarray) -> None:
         for _, layer in reversed(self._layers):
-            dprobs = layer.backward(dprobs)
+            dlogits = layer.backward(dlogits)
 
     def params(self) -> dict[str, np.ndarray]:
         return {f"{lname}.{pname}": arr for lname, layer in self._layers
@@ -132,7 +138,7 @@ def build(spec: ModelSpec) -> Network:
         layers.append(("lstm", nn.Lstm.init(rng, d, spec.hidden_size)))
         layers.append(("select_last", nn.SelectLast()))
         layers.append(("dropout", nn.Dropout(spec.dropout)))
-        layers.append(("dense", nn.Dense.init(rng, spec.hidden_size, C, "softmax")))
+        layers.append(("dense", nn.Dense.init(rng, spec.hidden_size, C)))
         return Network(spec, layers)
 
     if spec.kind == "cnn":
@@ -150,7 +156,7 @@ def build(spec: ModelSpec) -> Network:
     layers.append(("pool", nn.MaxPool1d(pool)))
     t = t // pool
     layers.append(("flatten", nn.Flatten()))
-    layers.append(("dense", nn.Dense.init(rng, t * f2, C, "softmax")))
+    layers.append(("dense", nn.Dense.init(rng, t * f2, C)))
     return Network(spec, layers)
 
 

@@ -1,6 +1,6 @@
 """Minimal from-scratch neural toolkit: dense, LSTM, 1-D conv, pooling,
-dropout, last-step selection, cross-entropy, and Adam, with hand-written
-backward passes.
+dropout, last-step selection, softmax cross-entropy, and Adam, with
+hand-written backward passes.
 
 Every layer has one protocol.  forward(x, train=False, rng=None) returns
 the output for the batch x; only Dropout reads train and rng.
@@ -14,6 +14,9 @@ caches what its backward pass needs on forward, so forward/backward
 pairs must not interleave across calls on one layer instance.  Lstm and
 Conv1d drop those caches in backward, so one backward at most follows
 each forward.
+
+No layer applies softmax: a classifier's head emits logits, and
+cross_entropy_grad() is the loss gradient w.r.t. them.
 """
 from __future__ import annotations
 
@@ -44,8 +47,6 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
         return z
     if activation == "tanh":
         return np.tanh(z)
-    if activation == "softmax":
-        return softmax(z)
     raise ValueError(f"unknown activation {activation!r}")
 
 
@@ -54,8 +55,6 @@ def _activation_backward(dy: np.ndarray, y: np.ndarray, activation: str) -> np.n
         return dy
     if activation == "tanh":
         return dy * (1.0 - y * y)
-    if activation == "softmax":
-        return y * (dy - (dy * y).sum(axis=-1, keepdims=True))
     raise ValueError(f"unknown activation {activation!r}")
 
 
@@ -66,7 +65,7 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
 
 
 class Dense:
-    """y = act(x @ w + b), w: [d, u], b: [u]."""
+    """y = act(x @ w + b), w: [d, u], b: [u]; act is "none" or "tanh"."""
 
     def __init__(self, w: np.ndarray, b: np.ndarray, activation: str = "none"):
         self.w = np.asarray(w, dtype=np.float64)
@@ -376,16 +375,13 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d(mean CE)/d(probs); zero where the clamp is active."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    n = probs.shape[0]
-    picked = probs[np.arange(n), labels]
-    dprobs = np.zeros_like(probs)
-    live = (picked > PROB_FLOOR) & (picked < 1.0)
-    rows = np.arange(n)[live]
-    dprobs[rows, labels[live]] = -1.0 / (n * picked[live])
-    return dprobs
+    """d(mean CE)/d(logits) of a softmax head, given its probabilities:
+    (probs - onehot(labels)) / n.  The loss's clamp does not enter it."""
+    grad = np.array(probs, dtype=np.float64)
+    n = grad.shape[0]
+    grad[np.arange(n), labels] -= 1.0
+    grad /= n
+    return grad
 
 
 def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:

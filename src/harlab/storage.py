@@ -252,8 +252,8 @@ def save_dataset(dataset: Dataset, root: Path | str) -> None:
 
 def read_manifest(root: Path | str) -> list[dict]:
     """The manifest rows of a dataset root, in canonical sample order.  A
-    row with an unknown class or a non-integer sample shape raises
-    StorageError naming its line."""
+    row with fewer or more cells than the header, an unknown class or a
+    non-integer sample shape raises StorageError naming its line."""
     manifest = Path(root) / MANIFEST_NAME
     if not manifest.exists():
         raise StorageError(f"manifest.csv not found in {root}")
@@ -264,6 +264,9 @@ def read_manifest(root: Path | str) -> list[dict]:
         rows = []
         for row in reader:
             try:
+                if None in row or None in row.values():
+                    raise ValueError(f"{'more' if None in row else 'fewer'} cells "
+                                     f"than the header's {len(reader.fieldnames)}")
                 class_from_name(row["class_name"])
                 for field in ("n_packets", "n_subcarriers"):
                     if not str(row[field]).isdecimal():

@@ -201,9 +201,11 @@ def test_loading_commands_read_the_manifest_once(tmp_path, tiny_dataset, monkeyp
 
 
 @pytest.mark.parametrize("field, value", [
-    ("class_name", "Sitting"), ("n_packets", "1200.0"), ("n_subcarriers", "")])
+    ("class_name", "Sitting"), ("n_packets", "1200.0"), ("n_subcarriers", ""),
+    ("cells", "fewer"), ("cells", "more")])
 def test_malformed_manifest_row_exits_1_naming_its_line(
         tmp_path, tiny_dataset, capsys, field, value):
+    # field "cells" drops the row's last cell or appends one more
     run_dir = tmp_path / "run"
     assert run_cli("train", "--model", "lstm", "--dataset", tiny_dataset, "--epochs", 1,
                    "--hidden", 4, "--decimate", 60, "--out", run_dir) == 0
@@ -211,13 +213,16 @@ def test_malformed_manifest_row_exits_1_naming_its_line(
     shutil.copytree(tiny_dataset, data)
     manifest = data / storage.MANIFEST_NAME
     with open(manifest, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    line_no = 2 + next(i for i, r in enumerate(rows) if r["class_name"] == "sitting")
-    rows[line_no - 2][field] = value
+        rows = list(csv.reader(fh))
+    column = rows[0].index
+    line_no = 1 + next(i for i, r in enumerate(rows) if r[column("class_name")] == "sitting")
+    cells = rows[line_no - 1]
+    if field == "cells":
+        rows[line_no - 1] = cells[:-1] if value == "fewer" else cells + ["x"]
+    else:
+        cells[column(field)] = value
     with open(manifest, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=storage.MANIFEST_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+        csv.writer(fh).writerows(rows)
     capsys.readouterr()
     for argv in (["train", "--model", "lstm", "--dataset", data, "--epochs", 1,
                   "--hidden", 4, "--decimate", 60, "--out", tmp_path / "run2"],
@@ -225,7 +230,8 @@ def test_malformed_manifest_row_exits_1_naming_its_line(
                   "--out", tmp_path / "eval"]):
         assert run_cli(*argv) == 1, argv[0]
         err = capsys.readouterr().err
-        assert err.startswith(f"I/O error: {manifest}:{line_no}: ") and repr(value) in err
+        assert err.startswith(f"I/O error: {manifest}:{line_no}: ")
+        assert (f"{value} cells" if field == "cells" else repr(value)) in err
         assert err.count("\n") == 1
 
 
@@ -426,3 +432,17 @@ def test_gradcheck_detects_broken_backward(monkeypatch, capsys):
     monkeypatch.setattr(nn.Dense, "backward", wrong_backward)
     assert run_cli("gradcheck") != 0
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_detects_unscaled_cross_entropy_grad(monkeypatch, capsys):
+    original = nn.cross_entropy_grad
+
+    def unscaled(probs, labels):
+        return original(probs, labels) * len(labels)  # drops the 1/n
+
+    monkeypatch.setattr(nn, "cross_entropy_grad", unscaled)
+    assert run_cli("gradcheck") == 1
+    failed = {line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.endswith("FAIL")}
+    assert failed == {"conv1d+maxpool+dense+softmax+ce", "architecture[lstm]",
+                      "architecture[cnn]", "architecture[lstm_cnn]"}

@@ -18,7 +18,7 @@ def one_sample(layer, x):
 def test_dense_softmax_of_zeros_is_uniform():
     x = np.zeros((4, 5))
     w = np.zeros((5, 3))
-    out = nn.Dense(w, np.zeros(3), "softmax").forward(x)
+    out = nn.softmax(nn.Dense(w, np.zeros(3)).forward(x))
     np.testing.assert_allclose(out, 1.0 / 3.0, atol=1e-15)
 
 
@@ -406,6 +406,52 @@ def test_cross_entropy_rejects_non_finite_rows(bad):
     probs = np.array([[1.0, 0.0, 0.0], [bad, bad, bad]])
     with pytest.raises(ValueError, match="non-finite"):
         nn.cross_entropy(probs, np.array([0, 1]))
+
+
+def test_cross_entropy_clamps_a_zero_true_class_probability():
+    loss = nn.cross_entropy(np.array([[0.0, 1.0]]), np.array([0]))
+    assert loss == pytest.approx(-math.log(1e-12), rel=1e-15)
+
+
+# reference_cross_entropy_grad and reference_softmax_backward are the
+# two-stage head that preceded the fused gradient: d(mean CE)/d(probs),
+# zero where the loss's clamp is active, then a "softmax" Dense's Jacobian.
+
+def reference_cross_entropy_grad(probs, labels):
+    n = probs.shape[0]
+    picked = probs[np.arange(n), labels]
+    dprobs = np.zeros_like(probs)
+    live = (picked > nn.PROB_FLOOR) & (picked < 1.0)
+    rows = np.arange(n)[live]
+    dprobs[rows, labels[live]] = -1.0 / (n * picked[live])
+    return dprobs
+
+
+def reference_softmax_backward(dprobs, probs):
+    return probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+
+
+def test_fused_head_gradient_matches_two_stage_oracle():
+    rng = make_rng(17, "head-oracle")
+    layer = nn.Dense.init(rng, 50, 7)
+    layer.b += rng.standard_normal(7)
+    x = rng.standard_normal((32, 50))
+    labels = rng.integers(0, 7, 32)
+    probs = nn.softmax(layer.forward(x))
+    dx = layer.backward(nn.cross_entropy_grad(probs, labels))
+    dz = reference_softmax_backward(reference_cross_entropy_grad(probs, labels), probs)
+    assert_matches_oracle((dx, layer.dw, layer.db), (dz @ layer.w.T, x.T @ dz, dz.sum(axis=0)),
+                          ("dx", "dw", "db"))
+
+
+def test_fused_gradient_ignores_the_clamp_below_prob_floor():
+    p = nn.PROB_FLOOR / 10
+    probs = np.array([[p, 1.0 - p], [0.25, 0.75]])
+    labels = np.array([0, 1])
+    grad = nn.cross_entropy_grad(probs, labels)
+    assert grad[0, 0] == -(1.0 - p) / 2
+    assert grad[0, 1] == (1.0 - p) / 2
+    assert not reference_cross_entropy_grad(probs, labels)[0].any()
 
 
 # ---------------------------------------------------------------------------
