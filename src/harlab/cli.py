@@ -16,7 +16,7 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import dsp, evaluate, gradcheck, models, reporting, storage, synth
-from .core import ActivityClass, Dataset
+from .core import ActivityClass, Dataset, class_from_name
 
 log = logging.getLogger("harlab")
 
@@ -48,10 +48,12 @@ def _ensure_out(path_text: str) -> Path:
     return out
 
 
-def _feature_dataset(root: Path, rows: list[dict], decimate_k: int) -> Dataset:
-    """The samples of manifest `rows` as model inputs, read on the sample
-    pool: raw complex roots get the default preprocessing chain applied on
-    the fly, then each sample is decimated."""
+def _feature_dataset(root: Path, rows: list[dict], decimate_k: int,
+                     positions=None) -> Dataset:
+    """The samples of manifest `rows` (only those at `positions`, if given)
+    as model inputs, read on the sample pool: raw complex roots, judged on
+    all `rows`, get the default preprocessing chain applied on the fly,
+    then each sample is decimated."""
     if not rows:
         raise storage.StorageError(f"{root}: dataset has no samples")
     stages = None
@@ -64,6 +66,8 @@ def _feature_dataset(root: Path, rows: list[dict], decimate_k: int) -> Dataset:
             sample = dsp.run_pipeline(sample, stages)
         return models.decimate(sample, decimate_k)
 
+    if positions is not None:
+        rows = [rows[i] for i in positions]
     return storage.read_dataset(root, rows, prepare)
 
 
@@ -154,10 +158,13 @@ def cmd_evaluate(args) -> int:
     model = storage.load_model(args.model_file)
     root = Path(args.dataset)
     rows = storage.read_manifest(root)
+    if not rows:
+        raise storage.StorageError(f"{root}: dataset has no samples")
     # Every stage keeps the packet count, so the manifest fixes the factor.
-    k = models.infer_decimation(int(rows[0]["n_packets"]), model.spec.timesteps) if rows else 1
-    dataset = _feature_dataset(root, rows, k)
-    _, test_ds = evaluate.split(dataset, evaluate.SplitSpec(seed=args.split_seed))
+    k = models.infer_decimation(int(rows[0]["n_packets"]), model.spec.timesteps)
+    _, test_idx = evaluate.split_indices([class_from_name(r["class_name"]) for r in rows],
+                                         evaluate.SplitSpec(seed=args.split_seed))
+    test_ds = _feature_dataset(root, rows, k, test_idx)
     report = evaluate.evaluate_model(model, test_ds.samples)
     storage.write_metrics_csv(report, out / "metrics.csv")
     storage.write_confusion_csv(report.confusion, out / "confusion.csv", normalized=False)

@@ -39,15 +39,16 @@ def _train_count(fraction: float, n: int) -> int:
     return min(max(int(round(fraction * n)), 1), n - 1)
 
 
-def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Seeded, disjoint, exhaustive split; stratified per class by default."""
+def split_indices(labels, spec: SplitSpec) -> tuple[list[int], list[int]]:
+    """Sorted train and test positions of a seeded, disjoint, exhaustive
+    split of `labels` (a sequence of ActivityClass, one per sample);
+    stratified per class by default."""
     rng = make_rng(spec.seed, "split")
-    samples = dataset.samples
+    train_idx: list[int] = []
+    test_idx: list[int] = []
     if spec.stratified:
-        train_idx: list[int] = []
-        test_idx: list[int] = []
         for cls in ActivityClass:
-            members = [i for i, s in enumerate(samples) if sample_label(s) is cls]
+            members = [i for i, label in enumerate(labels) if label == cls]
             if not members:
                 raise EvalError(f"class {cls.class_name} has no samples")
             if len(members) < 2:
@@ -59,17 +60,20 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
             train_idx.extend(members[i] for i in perm[:n_train])
             test_idx.extend(members[i] for i in perm[n_train:])
     else:
-        if len(samples) < 2:
+        if len(labels) < 2:
             raise EvalError("need at least 2 samples to split")
-        perm = rng.permutation(len(samples))
-        n_train = _train_count(spec.train_fraction, len(samples))
-        train_idx = list(perm[:n_train])
-        test_idx = list(perm[n_train:])
-    train_idx.sort()
-    test_idx.sort()
-    train = Dataset.from_samples([samples[i] for i in train_idx], seed=dataset.seed)
-    test = Dataset.from_samples([samples[i] for i in test_idx], seed=dataset.seed)
-    return train, test
+        perm = rng.permutation(len(labels)).tolist()
+        n_train = _train_count(spec.train_fraction, len(labels))
+        train_idx, test_idx = perm[:n_train], perm[n_train:]
+    return sorted(train_idx), sorted(test_idx)
+
+
+def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
+    """The train and test datasets of split_indices on `dataset`'s labels."""
+    samples = dataset.samples
+    train_idx, test_idx = split_indices([sample_label(s) for s in samples], spec)
+    return (Dataset.from_samples([samples[i] for i in train_idx], seed=dataset.seed),
+            Dataset.from_samples([samples[i] for i in test_idx], seed=dataset.seed))
 
 
 @dataclass(frozen=True)
@@ -131,10 +135,7 @@ def evaluate_model(model: models.TrainedModel, tensors) -> MetricsReport:
     """Predict a sample list and compute its metrics report."""
     x, y = models.stack_features(tensors)
     probs = model.predict_probs(x)
-    preds = probs.argmax(axis=1)
-    n = x.shape[0]
-    picked = np.clip(probs[np.arange(n), y], nn.PROB_FLOOR, 1.0)
-    return compute_metrics(y, preds, -np.log(picked))
+    return compute_metrics(y, probs.argmax(axis=1), nn.sample_losses(probs, y))
 
 
 # ---------------------------------------------------------------------------

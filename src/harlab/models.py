@@ -61,12 +61,13 @@ class ModelSpec:
         object.__setattr__(self, "conv_filters", tuple(self.conv_filters))
         if self.n_classes != N_CLASSES:
             raise ModelError(f"n_classes must be {N_CLASSES}, got {self.n_classes}")
-        if self.timesteps < 1 or self.n_features < 1:
-            raise ModelError("timesteps and n_features must be >= 1")
-        if self.kind != "lstm" and len(self.conv_filters) != 2:
-            raise ModelError(f"kind {self.kind!r} needs two conv filter counts")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ModelError("epochs and batch_size must be >= 1")
+        for name in ("timesteps", "n_features", "hidden_size", "kernel_size", "pool_size",
+                     "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.kind != "lstm" and (len(self.conv_filters) != 2 or min(self.conv_filters) < 1):
+            raise ModelError(f"kind {self.kind!r} needs two conv filter counts >= 1, "
+                             f"got {self.conv_filters}")
         if not 0.0 <= self.dropout < 1.0:
             raise ModelError("dropout must be in [0, 1)")
 

@@ -370,8 +370,13 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("probs hold non-finite values")
     if np.max(np.abs(probs.sum(axis=1) - 1.0)) > 1e-6:
         raise ValueError("rows of probs must sum to 1 within 1e-6")
-    picked = np.clip(probs[np.arange(n), labels], PROB_FLOOR, 1.0)
-    return float(-np.mean(np.log(picked)))
+    return float(np.mean(sample_losses(probs, labels)))
+
+
+def sample_losses(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row -log of the true class's probability, clamped to [PROB_FLOOR, 1]."""
+    picked = np.clip(probs[np.arange(len(labels)), labels], PROB_FLOOR, 1.0)
+    return -np.log(picked)
 
 
 def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -375,8 +375,7 @@ def save_model(model: models.TrainedModel, path: Path | str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with _replace_on_success(path) as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_model(path: Path | str) -> models.TrainedModel:
@@ -384,7 +383,7 @@ def load_model(path: Path | str) -> models.TrainedModel:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise StorageError(f"{path}: truncated or malformed model file ({exc})") from None
     if not isinstance(doc, dict):
         raise StorageError(f"{path}: model file holds a JSON {type(doc).__name__}, "
@@ -419,7 +418,7 @@ def load_model(path: Path | str) -> models.TrainedModel:
         return models.TrainedModel(spec, net, mean, scale, history)
     except KeyError as exc:
         raise StorageError(f"{path}: malformed model file (missing key {exc})") from None
-    except (TypeError, AttributeError, ValueError) as exc:
+    except (TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise StorageError(f"{path}: malformed model file ({exc})") from None
 
 

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from harlab import cli, dsp, evaluate, nn, storage, synth
-from harlab.core import Dataset
+from harlab import cli, dsp, evaluate, models, nn, storage, synth
+from harlab.core import Dataset, class_from_name
 
 
 def run_cli(*argv):
@@ -29,6 +29,35 @@ def tiny_dataset(tmp_path_factory):
     code = run_cli("generate", "--seed", 42, "--out", root, "--samples-per-class", 3)
     assert code == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def tiny_pre(tiny_dataset, tmp_path_factory):
+    root = tmp_path_factory.mktemp("data") / "pre"
+    assert run_cli("preprocess", "--dataset", tiny_dataset, "--out", root) == 0
+    return root
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tiny_dataset, tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("model")
+    assert run_cli("train", "--model", "lstm", "--dataset", tiny_dataset, "--epochs", 1,
+                   "--hidden", 4, "--decimate", 60, "--out", run_dir) == 0
+    return run_dir / "model.json"
+
+
+def scored_rows(root, split_seed=42):
+    """The manifest rows of the test split `evaluate --split-seed` scores."""
+    rows = storage.read_manifest(root)
+    _, test_idx = evaluate.split_indices([class_from_name(r["class_name"]) for r in rows],
+                                         evaluate.SplitSpec(seed=split_seed))
+    return [rows[i] for i in test_idx]
+
+
+def corrupt_line_5(path: Path) -> None:
+    lines = path.read_text().splitlines()
+    lines[4] = "abc," + lines[4].split(",", 1)[1]
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +209,75 @@ def test_train_on_empty_dataset_exits_1(tmp_path, capsys):
                    "--out", tmp_path / "run")
     assert code == 1
     assert "dataset has no samples" in capsys.readouterr().err
+
+
+def test_evaluate_on_empty_dataset_exits_1(tmp_path, tiny_model, capsys):
+    storage.DatasetWriter(tmp_path / "empty", seed=1).close()  # header-only manifest
+    code = run_cli("evaluate", "--model-file", tiny_model, "--dataset", tmp_path / "empty",
+                   "--out", tmp_path / "eval")
+    assert code == 1
+    assert "dataset has no samples" in capsys.readouterr().err
+
+
+def test_train_with_zero_hidden_size_exits_2(tmp_path, tiny_dataset, capsys):
+    code = run_cli("train", "--model", "lstm", "--dataset", tiny_dataset, "--hidden", 0,
+                   "--out", tmp_path / "run")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: hidden_size must be >= 1, got 0\n"
+    assert not (tmp_path / "run").exists()  # validated before any write
+
+
+def test_evaluate_model_file_with_zero_hidden_size_exits_1(
+        tmp_path, tiny_dataset, tiny_model, capsys):
+    doc = json.loads(tiny_model.read_text())
+    doc["spec"]["hidden_size"] = 0
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(doc))
+    code = run_cli("evaluate", "--model-file", model_file, "--dataset", tiny_dataset,
+                   "--out", tmp_path / "eval")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"I/O error: {model_file}: malformed model file (hidden_size must")
+    assert err.count("\n") == 1
+
+
+def test_evaluate_parses_only_the_test_split(tmp_path, tiny_dataset, tiny_model, monkeypatch):
+    use_cores(monkeypatch, 1)  # jobs run in this process, where the calls are counted
+    read_rows, calls = storage._read_rows, []
+
+    def counting_read_rows(*args, **kwargs):
+        calls.append(args[0])
+        return read_rows(*args, **kwargs)
+
+    monkeypatch.setattr(storage, "_read_rows", counting_read_rows)
+    assert run_cli("evaluate", "--model-file", tiny_model, "--dataset", tiny_dataset,
+                   "--out", tmp_path / "eval") == 0
+    assert calls == [tiny_dataset / r["relative_path"] for r in scored_rows(tiny_dataset)]
+    assert (len(calls), len(storage.read_manifest(tiny_dataset))) == (7, 21)
+
+
+@pytest.mark.parametrize("half", ["raw", "pre"])
+def test_evaluate_outputs_equal_the_library_oracle(
+        tmp_path, tiny_dataset, tiny_pre, tiny_model, half):
+    root = tiny_dataset if half == "raw" else tiny_pre
+    out = tmp_path / "eval"
+    assert run_cli("evaluate", "--model-file", tiny_model, "--dataset", root,
+                   "--split-seed", 5, "--out", out) == 0
+    # The oracle reads, preprocesses and decimates every sample, then splits.
+    samples = storage.load_dataset(root).samples
+    if half == "raw":
+        samples = [dsp.run_pipeline(s, dsp.default_stages()) for s in samples]
+    features = Dataset.from_samples(models.decimate_all(samples, 60))
+    _, test_ds = evaluate.split(features, evaluate.SplitSpec(seed=5))
+    report = evaluate.evaluate_model(storage.load_model(tiny_model), test_ds.samples)
+    oracle = tmp_path / "oracle"
+    oracle.mkdir()
+    storage.write_metrics_csv(report, oracle / "metrics.csv")
+    storage.write_confusion_csv(report.confusion, oracle / "confusion.csv", normalized=False)
+    storage.write_confusion_csv(report.confusion_normalized,
+                                oracle / "confusion_normalized.csv", normalized=True)
+    assert tree_bytes(out) == tree_bytes(oracle)
 
 
 def test_loading_commands_read_the_manifest_once(tmp_path, tiny_dataset, monkeypatch):
@@ -374,23 +472,39 @@ def test_corrupt_sample_fails_every_loading_command_with_exit_1(
     run_dir = tmp_path / "run"
     assert run_cli("train", "--model", "lstm", "--dataset", data, "--epochs", 1,
                    "--hidden", 4, "--decimate", 60, "--out", run_dir) == 0
-    victim = data / "samples" / "sitting" / "sitting-0001.csv"
-    lines = victim.read_text().splitlines()
-    lines[4] = "abc," + lines[4].split(",", 1)[1]
-    victim.write_text("\r\n".join(lines) + "\r\n", newline="")
-    capsys.readouterr()
+    training = data / "samples" / "sitting" / "sitting-0001.csv"
+    scored = data / scored_rows(data)[0]["relative_path"]  # evaluate reads only these
     commands = [
-        ["train", "--model", "lstm", "--dataset", data, "--epochs", 1, "--hidden", 4,
-         "--decimate", 60, "--out", tmp_path / "run2"],
-        ["evaluate", "--model-file", run_dir / "model.json", "--dataset", data,
-         "--out", tmp_path / "eval"],
-        ["preprocess", "--dataset", data, "--out", tmp_path / "pre"]]
-    for argv in commands:
+        (["train", "--model", "lstm", "--dataset", data, "--epochs", 1, "--hidden", 4,
+          "--decimate", 60, "--out", tmp_path / "run2"], training),
+        (["evaluate", "--model-file", run_dir / "model.json", "--dataset", data,
+          "--out", tmp_path / "eval"], scored),
+        (["preprocess", "--dataset", data, "--out", tmp_path / "pre"], training)]
+    for argv, victim in commands:
+        clean = victim.read_bytes()
+        corrupt_line_5(victim)
+        capsys.readouterr()
         assert run_cli(*argv) == 1, argv[0]
         err = capsys.readouterr().err
         assert f"I/O error: {victim}:5: malformed number 'abc'" in err, argv[0]
+        victim.write_bytes(clean)
     assert not (tmp_path / "pre" / "manifest.csv").exists()
     assert not (tmp_path / "pre" / ".lock").exists()
+
+
+def test_corrupt_training_sample_leaves_evaluate_unchanged(
+        tmp_path, tiny_dataset, tiny_model, monkeypatch):
+    use_cores(monkeypatch, 2)
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    victim = data / "samples" / "sitting" / "sitting-0001.csv"
+    assert victim not in {data / r["relative_path"] for r in scored_rows(data)}
+    assert run_cli("evaluate", "--model-file", tiny_model, "--dataset", data,
+                   "--out", tmp_path / "clean") == 0
+    corrupt_line_5(victim)
+    assert run_cli("evaluate", "--model-file", tiny_model, "--dataset", data,
+                   "--out", tmp_path / "corrupt") == 0
+    assert tree_bytes(tmp_path / "corrupt") == tree_bytes(tmp_path / "clean")
 
 
 def test_worker_that_dies_exits_1_with_one_line(tmp_path, monkeypatch, capsys):

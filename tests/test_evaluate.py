@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harlab import evaluate
-from harlab.core import ActivityClass, Dataset, FeatureTensor
+from harlab.core import ActivityClass, Dataset, FeatureTensor, sample_label
 from harlab.rng import make_rng
 
 
@@ -66,6 +68,58 @@ def test_split_rejects_singleton_class():
 def test_split_rejects_bad_fraction():
     with pytest.raises(evaluate.EvalError):
         evaluate.SplitSpec(train_fraction=1.0)
+
+
+def reference_split_positions(labels, spec):
+    """The sample-based split that split_indices replaced, as positions."""
+    rng = make_rng(spec.seed, "split")
+    if spec.stratified:
+        train_idx, test_idx = [], []
+        for cls in ActivityClass:
+            members = [i for i, label in enumerate(labels) if label is cls]
+            if len(members) < 2:
+                raise evaluate.EvalError(f"class {cls.class_name}")
+            perm = rng.permutation(len(members))
+            n_train = min(max(int(round(spec.train_fraction * len(members))), 1),
+                          len(members) - 1)
+            train_idx.extend(members[i] for i in perm[:n_train])
+            test_idx.extend(members[i] for i in perm[n_train:])
+    else:
+        if len(labels) < 2:
+            raise evaluate.EvalError("need at least 2 samples to split")
+        perm = rng.permutation(len(labels))
+        n_train = min(max(int(round(spec.train_fraction * len(labels))), 1), len(labels) - 1)
+        train_idx, test_idx = list(perm[:n_train]), list(perm[n_train:])
+    return sorted(train_idx), sorted(test_idx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts=st.lists(st.integers(0, 7), min_size=len(ActivityClass),
+                       max_size=len(ActivityClass)),
+       order_seed=st.integers(0, 2**16), seed=st.integers(0, 2**32 - 1),
+       stratified=st.booleans(), fraction=st.sampled_from([0.8, 0.5, 0.25]))
+def test_split_indices_on_labels_is_split_on_datasets(counts, order_seed, seed, stratified,
+                                                      fraction):
+    labels = [cls for cls, n in zip(ActivityClass, counts) for _ in range(n)]
+    labels = [labels[i] for i in make_rng(order_seed, "order").permutation(len(labels))]
+    ds = Dataset.from_samples([FeatureTensor(np.full((1, 1), float(i)), int(label),
+                                             ("amplitude",))
+                               for i, label in enumerate(labels)], seed=3)
+    spec = evaluate.SplitSpec(train_fraction=fraction, seed=seed, stratified=stratified)
+    try:
+        expected = reference_split_positions(labels, spec)
+    except evaluate.EvalError as exc:
+        for run in (lambda: evaluate.split_indices(labels, spec),
+                    lambda: evaluate.split(ds, spec)):
+            with pytest.raises(evaluate.EvalError, match=str(exc)):
+                run()
+        return
+    positions = evaluate.split_indices(labels, spec)
+    assert positions == expected
+    assert [sample_label(s) for s in ds.samples] == labels
+    for part, idx in zip(evaluate.split(ds, spec), positions):
+        assert [int(s.values[0, 0]) for s in part.samples] == idx
+        assert part.seed == 3
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,17 @@ def test_spec_rejects_wrong_class_count():
         models.ModelSpec(kind="lstm", n_classes=6)
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("lstm", "hidden_size", 0), ("lstm_cnn", "hidden_size", -1), ("cnn", "kernel_size", 0),
+    ("cnn", "pool_size", 0), ("cnn", "conv_filters", (0, 32)),
+    ("lstm_cnn", "conv_filters", (50, 0)), ("lstm", "epochs", 0), ("lstm", "batch_size", 0)])
+def test_spec_rejects_sizes_below_one(kind, field, value):
+    # hidden_size 0 used to reach glorot_uniform as a ZeroDivisionError
+    name = "conv filter counts" if field == "conv_filters" else field
+    with pytest.raises(models.ModelError, match=f"{name} .*>= 1"):
+        models.ModelSpec(kind=kind, **{field: value})
+
+
 # ---------------------------------------------------------------------------
 # build
 

@@ -413,6 +413,19 @@ def test_cross_entropy_clamps_a_zero_true_class_probability():
     assert loss == pytest.approx(-math.log(1e-12), rel=1e-15)
 
 
+def test_cross_entropy_is_the_mean_of_sample_losses():
+    rng = make_rng(5, "sample-losses")
+    probs = nn.softmax(rng.standard_normal((33, 7)) * 20.0)
+    probs[0] = np.eye(7)[1]  # true class 0 at probability 0: clamped
+    labels = rng.integers(0, 7, 33)
+    labels[0] = 0
+    picked = np.clip(probs[np.arange(33), labels], nn.PROB_FLOOR, 1.0)
+    losses = nn.sample_losses(probs, labels)
+    assert np.array_equal(losses, -np.log(picked))
+    assert losses[0] == -math.log(nn.PROB_FLOOR)
+    assert nn.cross_entropy(probs, labels) == float(-np.mean(np.log(picked)))  # bit-equal
+
+
 # reference_cross_entropy_grad and reference_softmax_backward are the
 # two-stage head that preceded the fused gradient: d(mean CE)/d(probs),
 # zero where the loss's clamp is active, then a "softmax" Dense's Jacobian.

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from harlab import cli, dsp, evaluate, models, storage, synth
-from harlab.core import ActivityClass, CaptureMeta, CsiSample, Dataset, FeatureTensor
+from harlab.core import (ActivityClass, CaptureMeta, CsiSample, Dataset, FeatureTensor,
+                         class_from_name)
 from harlab.rng import make_rng
 
 
@@ -162,7 +164,7 @@ def test_small_files_replace_atomically(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     # A crash while rewriting leaves the old file whole and no temp file.
-    monkeypatch.setattr(json, "dump", crash)
+    monkeypatch.setattr(json, "dumps", crash)
     with pytest.raises(OSError, match="disk full"):
         storage.save_model(trained, tmp_path / "d" / "model.json")
     monkeypatch.setattr(csv.DictWriter, "writeheader", crash)
@@ -316,7 +318,11 @@ def test_mutated_sample_file_fails_only_with_storage_error(fuzz_dataset, data):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "d"
         shutil.copytree(fuzz_dataset / "d", root)
-        victim = root / "samples" / "sitting" / "sitting-0001.csv"
+        # evaluate reads only its test split (seed 42), so the victim is from it.
+        rows = storage.read_manifest(root)
+        _, test_idx = evaluate.split_indices([class_from_name(r["class_name"]) for r in rows],
+                                             evaluate.SplitSpec(seed=42))
+        victim = root / rows[test_idx[0]]["relative_path"]
         original = victim.read_bytes()
         start = data.draw(st.integers(0, len(original)), label="start")
         end = data.draw(st.integers(start, min(start + 12, len(original))), label="end")
@@ -440,6 +446,15 @@ def test_model_weight_length_mismatch(tmp_path):
         storage.load_model(path)
 
 
+def test_model_file_bytes_are_json_dump_output(tmp_path):
+    trained, _ = _tiny_trained()
+    path = tmp_path / "model.json"
+    storage.save_model(trained, path)
+    expected = io.StringIO()
+    json.dump(json.loads(path.read_text()), expected, sort_keys=True, separators=(",", ":"))
+    assert path.read_bytes() == (expected.getvalue() + "\n").encode()
+
+
 def test_model_truncated_file(tmp_path):
     trained, _ = _tiny_trained()
     path = tmp_path / "model.json"
@@ -472,13 +487,21 @@ def _malformed_model_doc(doc, how):
         doc["input"]["scale"][0] = 0.0
     elif how == "non-finite weight":
         doc["weights"]["dense.b"]["data"][0] = float("nan")
+    elif how == "zero hidden size":
+        doc["spec"]["hidden_size"] = 0
+    elif how == "deeply nested array":  # RecursionError in the JSON decoder
+        return "[" * 100000 + "]" * 100000
+    elif how == "overflowing weight shape":  # 1e400 reads as inf
+        doc["weights"]["dense.b"]["shape"] = ["SHAPE"]
+        return json.dumps(doc).replace('"SHAPE"', "1e400")
     return doc
 
 
 MALFORMED_MODELS = ["top-level list", "missing spec", "unknown spec key",
                     "weight block without shape", "weights not an object",
                     "non-numeric weights", "bad history entry", "missing input block",
-                    "input length != n_features", "zero input scale", "non-finite weight"]
+                    "input length != n_features", "zero input scale", "non-finite weight",
+                    "zero hidden size", "deeply nested array", "overflowing weight shape"]
 
 
 @pytest.mark.parametrize("how", MALFORMED_MODELS)
@@ -486,7 +509,8 @@ def test_malformed_model_json_raises_storage_error(tmp_path, how):
     trained, _ = _tiny_trained()
     path = tmp_path / "model.json"
     storage.save_model(trained, path)
-    path.write_text(json.dumps(_malformed_model_doc(json.loads(path.read_text()), how)))
+    doc = _malformed_model_doc(json.loads(path.read_text()), how)
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     with pytest.raises(storage.StorageError, match="model.json"):
         storage.load_model(path)
 
