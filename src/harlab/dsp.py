@@ -114,24 +114,31 @@ def butter_design(order: int, cutoff_norm: float) -> FilterCoeffs:
 
 
 def filter_coefficients_apply(coeffs: FilterCoeffs, values: np.ndarray) -> np.ndarray:
-    """Causal direct-form difference equation, zero initial conditions.
+    """Causal difference equation, zero initial conditions, per column:
+    y[n] = sum_i b[i] x[n-i] - sum_{j>=1} a[j] y[n-j].
 
-    y[n] = sum_i b[i] x[n-i] - sum_{j>=1} a[j] y[n-j], applied per column.
+    The b taps give v in shifted multiply-adds over the whole array.  Then,
+    ceil(log2 n) times, both sides of a(z^s) y = v (z the one-step delay,
+    s = 1 first) are multiplied by a(-z^s), which leaves a polynomial in
+    z^2s; once s >= n the recursion reaches no row, and y = v.  Only
+    elementwise float64 arithmetic: a column's result is the same in any
+    layout.
     """
     values = np.asarray(values, dtype=np.float64)
     b, a = coeffs.b, coeffs.a
-    n_steps, n_cols = values.shape
-    nb, na = b.size, a.size
-    xp = np.vstack([np.zeros((nb - 1, n_cols)), values]) if nb > 1 else values
-    yp = np.zeros((n_steps + na - 1, n_cols))
-    b_rev = b[::-1].copy()
-    a_tail_rev = a[1:][::-1].copy()
-    for n in range(n_steps):
-        acc = b_rev @ xp[n:n + nb]
-        if na > 1:
-            acc -= a_tail_rev @ yp[n:n + na - 1]
-        yp[n + na - 1] = acc
-    return yp[na - 1:]
+    n = values.shape[0]
+    y = b[0] * values
+    for i in range(1, min(b.size, n)):
+        y[i:] += b[i] * values[:n - i]
+    lag = 1
+    while lag < n:
+        a_neg = a * (-1.0) ** np.arange(a.size)
+        v = y[:n - lag].copy()
+        for j in range(1, min(a.size, (n - 1) // lag + 1)):  # the taps with j * lag < n
+            y[j * lag:] += a_neg[j] * v[:n - j * lag]
+        a = np.convolve(a, a_neg)[::2]
+        lag *= 2
+    return y
 
 
 def filter_apply(coeffs: FilterCoeffs, x: FeatureTensor) -> FeatureTensor:

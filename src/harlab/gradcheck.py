@@ -65,7 +65,7 @@ def _projection_check(name: str, layer, x: np.ndarray, proj: np.ndarray,
     """One layer's parameter gradients under a fixed random projection of
     its output: a loss linear in the output, which exposes every path."""
     def loss():
-        return float(np.sum(layer.forward(x) * proj))
+        return float(np.sum(layer.forward(x, train=True) * proj))
 
     loss()
     for g in layer.grads().values():
@@ -75,16 +75,17 @@ def _projection_check(name: str, layer, x: np.ndarray, proj: np.ndarray,
 
 
 def _cross_entropy_check(name: str, net: models.Network, x: np.ndarray,
-                         labels: np.ndarray) -> CheckResult:
+                         labels: np.ndarray, seed: int) -> CheckResult:
     """A network's parameter gradients under mean cross-entropy of its
-    softmax output."""
-    def loss():
-        return nn.cross_entropy(net.forward(x), labels)
+    train-mode softmax output, the dropout mask frozen by reseeding per call."""
+    def forward():
+        return net.forward(x, train=True, rng=make_rng(seed, "gradcheck", "dropmask"))
 
-    probs = net.forward(x)
+    probs = forward()
     net.zero_grads()
     net.backward(nn.cross_entropy_grad(probs, labels))
-    worst = compare_param_blocks(loss, net.params(), net.grads())
+    worst = compare_param_blocks(lambda: nn.cross_entropy(forward(), labels),
+                                 net.params(), net.grads())
     return CheckResult(name, worst, TOL_NONLINEAR)
 
 
@@ -113,7 +114,7 @@ def check_conv_pool_dense(seed: int = 0) -> CheckResult:
                                 ("flatten", nn.Flatten()),
                                 ("dense", nn.Dense.init(rng, t_pool * 4, 7))])
     return _cross_entropy_check("conv1d+maxpool+dense+softmax+ce", net, x,
-                                rng.integers(0, 7, 4))
+                                rng.integers(0, 7, 4), seed)
 
 
 def check_dropout(seed: int = 0) -> CheckResult:
@@ -141,7 +142,7 @@ def check_architecture(kind: str, seed: int = 0) -> CheckResult:
     rng = make_rng(seed, "gradcheck", "arch", kind)
     x = rng.standard_normal((3, spec.timesteps, spec.n_features))
     return _cross_entropy_check(f"architecture[{kind}]", net, x,
-                                rng.integers(0, spec.n_classes, 3))
+                                rng.integers(0, spec.n_classes, 3), seed)
 
 
 def run_standard_checks(seed: int = 0) -> list[CheckResult]:

@@ -3,17 +3,17 @@ dropout, last-step selection, softmax cross-entropy, and Adam, with
 hand-written backward passes.
 
 Every layer has one protocol.  forward(x, train=False, rng=None) returns
-the output for the batch x; only Dropout reads train and rng.
-backward(dy) returns the gradient w.r.t. the last forward input and adds
-the parameter gradients into grads().  params() and grads() map names to
+the output for the batch x; only Dropout reads rng.  backward(dy) returns
+the gradient w.r.t. the last train-mode forward's input and adds the
+parameter gradients into grads().  params() and grads() map names to
 arrays with the same keys and shapes ({} for parameter-free layers).
 
 Layers operate on batched float64 arrays.  Sequence layers take
-[batch, time, features]; dense takes [batch, features].  Each layer
-caches what its backward pass needs on forward, so forward/backward
-pairs must not interleave across calls on one layer instance.  Lstm and
-Conv1d drop those caches in backward, so one backward at most follows
-each forward.
+[batch, time, features]; dense takes [batch, features].  A train-mode
+forward caches what backward needs, so forward/backward pairs must not
+interleave on one layer instance; an eval-mode forward keeps no array on
+the layer.  Lstm and Conv1d drop their caches in backward, so one
+backward at most follows each train-mode forward.
 
 No layer applies softmax: a classifier's head emits logits, and
 cross_entropy_grad() is the loss gradient w.r.t. them.
@@ -32,7 +32,13 @@ class ShapeError(ValueError):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+    """1 / (1 + exp(-clip(x, -500, 500))) bit for bit, in one temporary:
+    past x = 500, 1 + exp(-x) is 1.0 without the lower clip too."""
+    z = np.negative(x)
+    np.minimum(z, 500.0, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -84,9 +90,9 @@ class Dense:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.w.shape[0]:
             raise ShapeError(f"dense expected [n, {self.w.shape[0]}], got {x.shape}")
-        self._x = x
-        self._y = _activate(x @ self.w + self.b, self.activation)
-        return self._y
+        y = _activate(x @ self.w + self.b, self.activation)
+        self._x, self._y = (x, y) if train else (None, None)
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dz = _activation_backward(dy, self._y, self.activation)
@@ -155,7 +161,8 @@ class Lstm:
             cs[:, t + 1] = c = f * cs[:, t] + i * g
             tanh_c[:, t] = tc = np.tanh(c)
             hs[:, t] = h_prev = o * tc
-        self._x, self._gates, self._cs, self._tanh_c, self._hs = x, gates, cs, tanh_c, hs
+        if train:
+            self._x, self._gates, self._cs, self._tanh_c, self._hs = x, gates, cs, tanh_c, hs
         return hs
 
     def backward(self, dhs: np.ndarray) -> np.ndarray:
@@ -236,8 +243,10 @@ class Conv1d:
             z[:n - j] += xf[j:] @ self.kernels[:, j].T
         z = z.reshape(batch, T, c_out)[:, :T - k + 1]
         z += self.bias
-        self._xf, self._y = xf, _activate(z, self.activation)
-        return self._y
+        y = _activate(z, self.activation)
+        if train:
+            self._xf, self._y = xf, y
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         xf, y = self._xf, self._y
@@ -289,8 +298,7 @@ class MaxPool1d(ParamFree):
             raise ShapeError(f"sequence length {T} shorter than pool {self.pool}")
         t_out = T // self.pool
         xr = x[:, :t_out * self.pool].reshape(batch, t_out, self.pool, c)
-        self._argmax = xr.argmax(axis=2)
-        self._x_shape = x.shape
+        self._argmax, self._x_shape = (xr.argmax(axis=2), x.shape) if train else (None, None)
         return xr.max(axis=2)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:

@@ -172,6 +172,58 @@ def test_filter_bounded_input_bounded_output():
 
 
 # ---------------------------------------------------------------------------
+# The doubling filter against the per-step loop it replaced
+
+def reference_filter(coeffs, values):
+    """Direct-form difference equation, one time step per iteration."""
+    values = np.asarray(values, dtype=np.float64)
+    b, a = coeffs.b, coeffs.a
+    n_steps, n_cols = values.shape
+    nb, na = b.size, a.size
+    xp = np.vstack([np.zeros((nb - 1, n_cols)), values]) if nb > 1 else values
+    yp = np.zeros((n_steps + na - 1, n_cols))
+    b_rev = b[::-1].copy()
+    a_tail_rev = a[1:][::-1].copy()
+    for n in range(n_steps):
+        acc = b_rev @ xp[n:n + nb]
+        if na > 1:
+            acc -= a_tail_rev @ yp[n:n + na - 1]
+        yp[n + na - 1] = acc
+    return yp[na - 1:]
+
+
+@pytest.mark.parametrize("cutoff", [0.01, 0.05, 0.2, 0.5, 0.9])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_filter_matches_the_per_step_loop(order, cutoff):
+    # Poles near z = 1 make orders 3-4 at cutoff 0.01 ill-conditioned
+    # for both forms.
+    bound = 1e-10 if order >= 3 and cutoff == 0.01 else 1e-12
+    coeffs = dsp.butter_design(order, cutoff)
+    rng = make_rng(19, "filt-loop", order, str(cutoff))
+    for n in (1, 2, 3, 7, 64, 1201):
+        x = rng.standard_normal((n, 8))
+        before = x.copy()
+        got = dsp.filter_coefficients_apply(coeffs, x)
+        want = reference_filter(coeffs, x)
+        assert got.shape == want.shape
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= bound, f"n={n}: relative error {err:.3g}"
+        assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_filter_result_is_independent_of_columns_and_memory_order(order):
+    coeffs = dsp.butter_design(order, 0.05)
+    x = make_rng(23, "filt-layout").standard_normal((1200, 64)) + 2.0
+    got = dsp.filter_coefficients_apply(coeffs, x)
+    fortran = dsp.filter_coefficients_apply(coeffs, np.asfortranarray(x))
+    assert fortran.tobytes() == got.tobytes()
+    for col in range(x.shape[1]):
+        alone = dsp.filter_coefficients_apply(coeffs, x[:, col:col + 1])
+        assert alone.tobytes() == got[:, col:col + 1].tobytes()
+
+
+# ---------------------------------------------------------------------------
 # PCA
 
 def test_pca_collinear_points():

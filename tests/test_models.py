@@ -231,6 +231,25 @@ def test_predict_probs_sum_to_one_and_deterministic():
     assert isinstance(cls_a, ActivityClass)
 
 
+def test_predict_probs_leaves_no_array_on_any_layer():
+    rng = make_rng(7, "predict-caches")
+    tensors = toy_tensors(rng, n=14)
+    x, _ = models.stack_features(tensors)
+    seen = set()
+    for kind in models.KINDS:
+        trained = models.train(models.build(toy_spec(kind, epochs=1)), tensors, tensors[:7])
+        trained.predict_probs(x)
+        for name, layer in trained.network._layers:
+            seen.add(type(layer))
+            kept = {id(a) for a in (*layer.params().values(), *layer.grads().values())}
+            extra = [attr for attr, value in vars(layer).items()
+                     if isinstance(value, np.ndarray) and id(value) not in kept]
+            assert extra == [], f"{kind}.{name} keeps {extra}"
+    layer_classes = {obj for obj in vars(nn).values()
+                     if isinstance(obj, type) and hasattr(obj, "backward")}
+    assert seen == layer_classes
+
+
 def test_predict_rejects_wrong_shape():
     rng = make_rng(6, "predict-shape")
     tensors = toy_tensors(rng, n=14)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,10 +98,32 @@ def test_lstm_two_step_hand_recursion():
     np.testing.assert_allclose(got, expect, atol=1e-12)
 
 
+def clip_sigmoid(x):
+    """The clipped sigmoid formula nn.sigmoid reproduces bit for bit."""
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+
+
+def test_sigmoid_is_the_clip_formula_bit_for_bit():
+    rng = make_rng(18, "sigmoid")
+    special = np.array([0.0, -0.0, 500.0, -500.0, 710.0, -710.0, 1e308, -1e308,
+                        np.inf, -np.inf, np.nan, 499.9999, -500.0001, 36.7, -745.2])
+    blocks = [special, rng.standard_normal((32, 100)) * 10,
+              rng.uniform(-800.0, 800.0, (32, 50)),
+              np.asfortranarray(rng.standard_normal((7, 9)))[:, 1:]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in blocks:
+            before = x.copy()
+            got = nn.sigmoid(x)
+            assert got.shape == x.shape
+            assert got.tobytes() == clip_sigmoid(x).tobytes()
+            assert np.array_equal(x, before, equal_nan=True)
+
+
 def test_lstm_gates_strictly_in_unit_interval():
     rng = make_rng(6, "lstm-gates")
     layer = nn.Lstm.init(rng, 4, 3)
-    layer.forward(rng.standard_normal((2, 10, 4)) * 10)
+    layer.forward(rng.standard_normal((2, 10, 4)) * 10, train=True)
     gates = layer._gates
     h = layer.hidden_size
     for block in (gates[..., :h], gates[..., h:2 * h], gates[..., 3 * h:]):
@@ -311,7 +334,7 @@ def assert_matches_oracle(got, want, names):
 
 
 def forward_backward(layer, x, dy):
-    y = layer.forward(x)
+    y = layer.forward(x, train=True)
     dx = layer.backward(dy)
     return (y, dx, *layer.grads().values())
 
@@ -450,7 +473,7 @@ def test_fused_head_gradient_matches_two_stage_oracle():
     layer.b += rng.standard_normal(7)
     x = rng.standard_normal((32, 50))
     labels = rng.integers(0, 7, 32)
-    probs = nn.softmax(layer.forward(x))
+    probs = nn.softmax(layer.forward(x, train=True))
     dx = layer.backward(nn.cross_entropy_grad(probs, labels))
     dz = reference_softmax_backward(reference_cross_entropy_grad(probs, labels), probs)
     assert_matches_oracle((dx, layer.dw, layer.db), (dz @ layer.w.T, x.T @ dz, dz.sum(axis=0)),
