@@ -336,6 +336,15 @@ def fit_stages(stages, samples) -> None:
         tensors = map(stage.apply, tensors)
 
 
+def _stage_param(stage: str, params: dict, key: str, convert, default=None):
+    text = params.pop(key) if default is None else params.pop(key, default)
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise DspError(f"stage {stage!r} parameter {key}={text!r} is not {kind}") from None
+
+
 def parse_stages(text: str) -> list[Stage]:
     """Parse a stage list like "amplitude;impute_mean;butterworth:order=1,cutoff=0.05".
 
@@ -363,12 +372,12 @@ def parse_stages(text: str) -> list[Stage]:
             elif name == "impute_mean":
                 stages.append(ImputeMeanStage())
             elif name == "butterworth":
-                stages.append(ButterworthStage(int(params.pop("order", 1)),
-                                               float(params.pop("cutoff", 0.05))))
+                stages.append(ButterworthStage(_stage_param(name, params, "order", int, 1),
+                                               _stage_param(name, params, "cutoff", float, 0.05)))
             elif name == "pca":
-                stages.append(PcaStage(int(params.pop("n_components"))))
+                stages.append(PcaStage(_stage_param(name, params, "n_components", int)))
             elif name == "select_k_best":
-                stages.append(SelectKBestStage(int(params.pop("k"))))
+                stages.append(SelectKBestStage(_stage_param(name, params, "k", int)))
             else:
                 raise DspError(f"unknown stage {name!r}")
         except KeyError as exc:

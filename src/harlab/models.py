@@ -135,29 +135,26 @@ def build(spec: ModelSpec) -> Network:
     T, d = spec.input_shape
     k, pool, C = spec.kernel_size, spec.pool_size, spec.n_classes
     layers: list[tuple[str, object]] = []
-    if spec.kind == "lstm":
+    if spec.kind != "cnn":
         layers.append(("lstm", nn.Lstm.init(rng, d, spec.hidden_size)))
+    if spec.kind == "lstm":
         layers.append(("select_last", nn.SelectLast()))
         layers.append(("dropout", nn.Dropout(spec.dropout)))
         layers.append(("dense", nn.Dense.init(rng, spec.hidden_size, C)))
-        return Network(spec, layers)
-
-    if spec.kind == "cnn":
-        c_in, t = d, T
     else:
-        layers.append(("lstm", nn.Lstm.init(rng, d, spec.hidden_size)))
-        c_in, t = spec.hidden_size, T
-    f1, f2 = spec.conv_filters
-    layers.append(("conv1", nn.Conv1d.init(rng, c_in, f1, k, "tanh")))
-    t = t - k + 1
-    layers.append(("conv2", nn.Conv1d.init(rng, f1, f2, k, "tanh")))
-    t = t - k + 1
-    if t < pool:
-        raise ModelError(f"timesteps {T} too short for conv/pool stack")
-    layers.append(("pool", nn.MaxPool1d(pool)))
-    t = t // pool
-    layers.append(("flatten", nn.Flatten()))
-    layers.append(("dense", nn.Dense.init(rng, t * f2, C)))
+        c_in, t = (d if spec.kind == "cnn" else spec.hidden_size), T
+        f1, f2 = spec.conv_filters
+        layers.append(("conv1", nn.Conv1d.init(rng, c_in, f1, k, "tanh")))
+        t = t - k + 1
+        layers.append(("conv2", nn.Conv1d.init(rng, f1, f2, k, "tanh")))
+        t = t - k + 1
+        if t < pool:
+            raise ModelError(f"timesteps {T} too short for conv/pool stack")
+        layers.append(("pool", nn.MaxPool1d(pool)))
+        t = t // pool
+        layers.append(("flatten", nn.Flatten()))
+        layers.append(("dense", nn.Dense.init(rng, t * f2, C)))
+    layers[0][1].needs_input_grad = False  # nothing reads the gradient of the input
     return Network(spec, layers)
 
 

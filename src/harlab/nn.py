@@ -5,15 +5,18 @@ hand-written backward passes.
 Every layer has one protocol.  forward(x, train=False, rng=None) returns
 the output for the batch x; only Dropout reads rng.  backward(dy) returns
 the gradient w.r.t. the last train-mode forward's input and adds the
-parameter gradients into grads().  params() and grads() map names to
-arrays with the same keys and shapes ({} for parameter-free layers).
+parameter gradients into grads(); Lstm and Conv1d form no input gradient
+and return None when needs_input_grad is False, which models.build sets
+on a network's first layer.  params() and grads() map names to arrays
+with the same keys and shapes ({} for parameter-free layers).
 
 Layers operate on batched float64 arrays.  Sequence layers take
 [batch, time, features]; dense takes [batch, features].  A train-mode
 forward caches what backward needs, so forward/backward pairs must not
 interleave on one layer instance; an eval-mode forward keeps no array on
-the layer.  Lstm and Conv1d drop their caches in backward, so one
-backward at most follows each train-mode forward.
+the layer.  Lstm and Conv1d drop their input and output caches in
+backward, so one backward at most follows each train-mode forward.  Lstm
+keeps its gate, cell and tanh arrays for the next same-shape one to refill.
 
 No layer applies softmax: a classifier's head emits logits, and
 cross_entropy_grad() is the loss gradient w.r.t. them.
@@ -127,6 +130,8 @@ class Lstm:
         self.dW = np.zeros_like(self.W)
         self.dU = np.zeros_like(self.U)
         self.db = np.zeros_like(self.b)
+        self.needs_input_grad = True
+        self._gates = self._cs = self._tanh_c = None
 
     @classmethod
     def init(cls, rng, d: int, h: int) -> "Lstm":
@@ -142,12 +147,18 @@ class Lstm:
         if x.ndim != 3 or x.shape[2] != self.W.shape[1]:
             raise ShapeError(f"lstm expected [batch, T, {self.W.shape[1]}], got {x.shape}")
         batch, T, d = x.shape
+        # Refill the last train-mode forward's arrays if the shape matches; eval drops them.
+        gates, cs, tanh_c = self._gates, self._cs, self._tanh_c
+        self._gates = self._cs = self._tanh_c = None
+        if not train or gates is None or gates.shape != (batch, T, 4 * h):
+            gates = cs = tanh_c = None  # freed before the new ones are made
+            gates, cs, tanh_c = (np.empty((batch, T, 4 * h)), np.empty((batch, T + 1, h)),
+                                 np.empty((batch, T, h)))  # cs[:, t]: cell state before step t
         # The input projection of every step is one GEMM; its result is the
         # gate cache, [batch, T, 4h], which the loop turns into gate values.
-        gates = (x.reshape(batch * T, d) @ self.W.T).reshape(batch, T, 4 * h)
+        np.matmul(x.reshape(batch * T, d), self.W.T, out=gates.reshape(batch * T, 4 * h))
         gates += self.b
-        cs = np.zeros((batch, T + 1, h))  # cs[:, t] is the cell state before step t
-        tanh_c = np.empty((batch, T, h))
+        cs[:, 0] = 0.0
         hs = np.empty((batch, T, h))
         h_prev = np.zeros((batch, h))
         U_T = np.ascontiguousarray(self.U.T)  # OpenBLAS runs a contiguous operand faster
@@ -165,9 +176,9 @@ class Lstm:
             self._x, self._gates, self._cs, self._tanh_c, self._hs = x, gates, cs, tanh_c, hs
         return hs
 
-    def backward(self, dhs: np.ndarray) -> np.ndarray:
+    def backward(self, dhs: np.ndarray) -> np.ndarray | None:
         x, gates, cs, tanh_c, hs = self._x, self._gates, self._cs, self._tanh_c, self._hs
-        del self._x, self._gates, self._cs, self._tanh_c, self._hs
+        del self._x, self._hs
         batch, T, d = x.shape
         h = self.hidden_size
         dh_next = np.zeros((batch, h))
@@ -195,7 +206,7 @@ class Lstm:
         self.dW += (x.reshape(batch * T, d).T @ dpre).T
         self.dU += (h_prev.reshape(batch * T, h).T @ dpre).T
         self.db += dpre.sum(axis=0)
-        return (dpre @ self.W).reshape(x.shape)
+        return (dpre @ self.W).reshape(x.shape) if self.needs_input_grad else None
 
     def params(self):
         return {"W": self.W, "U": self.U, "b": self.b}
@@ -220,6 +231,7 @@ class Conv1d:
         self.activation = activation
         self.dkernels = np.zeros_like(self.kernels)
         self.dbias = np.zeros_like(self.bias)
+        self.needs_input_grad = True
 
     @classmethod
     def init(cls, rng, c_in: int, c_out: int, k: int, activation: str = "none") -> "Conv1d":
@@ -248,7 +260,7 @@ class Conv1d:
             self._xf, self._y = xf, y
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray) -> np.ndarray | None:
         xf, y = self._xf, self._y
         del self._xf, self._y
         dz = _activation_backward(dy, y, self.activation)
@@ -261,12 +273,13 @@ class Conv1d:
         dzf = np.zeros((batch, T, c_out))
         dzf[:, :t_out] = dz
         dzf = dzf.reshape(n, c_out)
-        dxf = np.zeros_like(xf)
+        dxf = np.zeros_like(xf) if self.needs_input_grad else None
         for j in range(k):
             self.dkernels[:, j] += dzf[:n - j].T @ xf[j:]
-            dxf[j:] += dzf[:n - j] @ self.kernels[:, j]
+            if dxf is not None:
+                dxf[j:] += dzf[:n - j] @ self.kernels[:, j]
         self.dbias += dz.sum(axis=(0, 1))
-        return dxf.reshape(batch, T, c_in)
+        return None if dxf is None else dxf.reshape(batch, T, c_in)
 
     def params(self):
         return {"kernels": self.kernels, "bias": self.bias}

@@ -470,7 +470,7 @@ def _coerce(field: dataclasses.Field, text: str):
         return float(text)
     if field.type in ("bool", bool):
         if text not in ("true", "false"):
-            raise StorageError(f"boolean field {field.name} must be true/false, got {text!r}")
+            raise ValueError("must be true or false")
         return text == "true"
     if "tuple" in str(field.type):
         return tuple(int(v) for v in text.split(",") if v)
@@ -500,7 +500,10 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
         for name, text in sections[section].items():
             if name not in by_name:
                 raise StorageError(f"{path}: unknown key {section}.{name}")
-            kwargs[name] = _coerce(by_name[name], text)
+            try:
+                kwargs[name] = _coerce(by_name[name], text)
+            except ValueError as exc:
+                raise StorageError(f"{path}: {section}.{name} = {text!r}: {exc}") from None
         setattr(config, attr, cls(**kwargs))
     if "pipeline" in sections:
         stages_text = sections["pipeline"].get("stages")

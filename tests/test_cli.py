@@ -188,6 +188,23 @@ def test_preprocess_rejects_unknown_stage(tmp_path, tiny_dataset, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("stage, key, value, kind", [
+    ("butterworth", "order", "abc", "an integer"),
+    ("butterworth", "cutoff", "x", "a number"),
+    ("pca", "n_components", "1e3", "an integer"),
+], ids=["order", "cutoff", "n_components"])
+def test_preprocess_with_unconvertible_stage_parameter_exits_2(tmp_path, tiny_dataset, capsys,
+                                                               stage, key, value, kind):
+    # each used to end in a ValueError traceback from int() or float()
+    out = tmp_path / "x"
+    code = run_cli("preprocess", "--dataset", tiny_dataset, "--out", out,
+                   "--stages", f"amplitude;{stage}:{key}={value}")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: stage {stage!r} parameter {key}={value!r} is not {kind}\n")
+    assert not out.exists()
+
+
 def test_evaluate_missing_model_file_exits_1(tmp_path, tiny_dataset, capsys):
     code = run_cli("evaluate", "--model-file", tmp_path / "nope.json",
                    "--dataset", tiny_dataset, "--out", tmp_path / "x")

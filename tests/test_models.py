@@ -217,6 +217,80 @@ def test_input_standardisation_is_fitted_on_the_training_split_only():
 
 
 # ---------------------------------------------------------------------------
+# the training step: no first-layer input gradient, LSTM arrays reused
+#
+# The oracles are the same networks doing the work the training step skips:
+# a first layer that forms its input gradient, and LSTMs that allocate fresh
+# gate, cell and tanh arrays on every forward.
+
+def lstm_forward_hook(net, before):
+    """Call before(layer) ahead of every forward of each Lstm in net."""
+    for _, layer in net._layers:
+        if isinstance(layer, nn.Lstm):
+            def forward(x, train=False, rng=None, _layer=layer, _forward=layer.forward):
+                before(_layer)
+                return _forward(x, train, rng)
+            layer.forward = forward
+
+
+def drop_kept_arrays(layer):
+    layer._gates = layer._cs = layer._tanh_c = None
+
+
+def poison_kept_arrays(layer):
+    for arr in (layer._gates, layer._cs, layer._tanh_c):
+        if arr is not None:
+            arr.fill(np.nan)
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_backward_gradients_equal_a_first_layer_input_gradient_oracle(kind):
+    spec = toy_spec(kind)
+    net, oracle = models.build(spec), models.build(spec)
+    assert net._layers[0][1].needs_input_grad is False
+    oracle._layers[0][1].needs_input_grad = True
+    rng = make_rng(10, "first-layer", kind)
+    x = rng.standard_normal((5, spec.timesteps, spec.n_features))
+    labels = rng.integers(0, spec.n_classes, 5)
+    for model in (net, oracle):
+        probs = model.forward(x, train=True, rng=make_rng(10, "dropout"))
+        model.backward(nn.cross_entropy_grad(probs, labels))
+    got, want = net.grads(), oracle.grads()
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_training_with_a_partial_last_batch_equals_a_fresh_allocation_oracle(kind):
+    rng = make_rng(11, "reuse", kind)
+    tensors = toy_tensors(rng, n=18)  # batches of 4, 4, 4, 4 and 2
+    x, _ = models.stack_features(tensors)
+    spec = toy_spec(kind, epochs=3)
+    runs = []
+    for hook in (None, poison_kept_arrays, drop_kept_arrays):
+        net = models.build(spec)
+        if hook:
+            lstm_forward_hook(net, hook)
+        trained = models.train(net, tensors, tensors[:7])
+        runs.append((weight_checksum(net), trained.predict_probs(x).tobytes(), trained.history))
+    assert runs[0] == runs[2]  # reused arrays against fresh ones
+    assert runs[1] == runs[2]  # every entry a forward reads, it wrote first
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_second_backward_after_one_forward_raises(kind):
+    spec = toy_spec(kind)
+    net = models.build(spec)
+    x = make_rng(12, "twice", kind).standard_normal((3, spec.timesteps, spec.n_features))
+    probs = net.forward(x, train=True, rng=make_rng(12, "dropout"))
+    dlogits = nn.cross_entropy_grad(probs, np.zeros(3, dtype=np.int64))
+    net.backward(dlogits)
+    with pytest.raises(AttributeError):
+        net.backward(dlogits)
+
+
+# ---------------------------------------------------------------------------
 # predict
 
 def test_predict_probs_sum_to_one_and_deterministic():

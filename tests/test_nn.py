@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -357,6 +358,27 @@ def test_lstm_matches_per_step_oracle(case):
     want = reference_lstm(layer.W.copy(), layer.U.copy(), layer.b.copy(), x, dhs)
     got = forward_backward(layer, x, dhs)
     assert_matches_oracle(got, want, ("hs", "dx", "dW", "dU", "db"))
+
+
+def test_second_same_shape_lstm_step_allocates_less_than_its_gate_cache():
+    # numpy reports its buffers to tracemalloc.  A second train step of one
+    # shape refills the first step's gate, cell and tanh arrays, so what it
+    # allocates (hidden states, input gradient) stays below the gates alone.
+    batch, T, d, h = LSTM_ORACLE_CASES["paper"]
+    rng = make_rng(17, "lstm-reuse")
+    layer = nn.Lstm.init(rng, d, h)
+    x = rng.standard_normal((batch, T, d))
+    dhs = rng.standard_normal((batch, T, h))
+    forward_backward(layer, x, dhs)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        forward_backward(layer, x, dhs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    gate_bytes = batch * T * 4 * h * 8  # 5.12 MB
+    assert peak < gate_bytes, f"second step peaked at {peak / 1e6:.2f} MB"
 
 
 CONV_ORACLE_CASES = {  # (batch, T, c_in, c_out, k)

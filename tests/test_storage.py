@@ -542,6 +542,18 @@ def test_experiment_config_rejects_unknown_key(tmp_path):
         storage.load_experiment_config(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("generator.seed", "abc"), ("model.conv_filters", "1,x"), ("split.stratified", "yes"),
+], ids=["int", "int_tuple", "bool"])
+def test_experiment_config_names_file_key_and_value_it_cannot_convert(tmp_path, key, value):
+    # the first two used to escape as a bare ValueError from int(), with no path
+    path = tmp_path / "config"
+    path.write_text(f"model.kind = cnn\n{key} = {value}\n")
+    with pytest.raises(storage.StorageError) as info:
+        storage.load_experiment_config(path)
+    assert str(info.value).startswith(f"{path}: {key} = {value!r}: ")
+
+
 # ---------------------------------------------------------------------------
 # report csvs
 
