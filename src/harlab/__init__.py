@@ -4,8 +4,7 @@ Synthetic channel-state-information generation, the amplitude/impute/
 low-pass preprocessing chain, three from-scratch sequence classifiers
 (LSTM, CNN, LSTM+CNN), and a deterministic evaluation harness.
 """
-from .core import (ActivityClass, CaptureMeta, CsiSample, Dataset, FeatureTensor,
-                   decode_label, encode_label)
+from .core import ActivityClass, CsiSample, Dataset, FeatureTensor
 from .dsp import (amplitude, anova_f_scores, butter_design, filter_apply,
                   impute_mean, pca_fit_transform, run_pipeline, select_k_best)
 from .evaluate import MetricsReport, SplitSpec, compute_metrics, run_grid, split
@@ -16,10 +15,10 @@ from .synth import GeneratorConfig, generate_dataset, generate_sample
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivityClass", "CaptureMeta", "CsiSample", "Dataset", "FeatureTensor",
+    "ActivityClass", "CsiSample", "Dataset", "FeatureTensor",
     "GeneratorConfig", "MetricsReport", "ModelSpec", "SplitSpec", "TrainedModel",
     "amplitude", "anova_f_scores", "build", "butter_design", "compute_metrics",
-    "decimate", "decode_label", "encode_label", "filter_apply", "generate_dataset",
+    "decimate", "filter_apply", "generate_dataset",
     "generate_sample", "impute_mean", "load_dataset", "load_model",
     "pca_fit_transform", "predict", "run_grid", "run_pipeline", "save_dataset",
     "save_model", "select_k_best", "split", "train",

@@ -8,7 +8,6 @@ under an explicit --out directory; set HARLAB_LOG to control verbosity
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import os
 import sys
@@ -217,12 +216,11 @@ def cmd_report(args) -> int:
     sections = ["# harlab run report", ""]
     metrics_path = run_dir / "metrics.csv"
     if metrics_path.exists():
-        with open(metrics_path, newline="") as fh:
-            row = next(csv.DictReader(fh))
+        row = storage.read_metrics_csv(metrics_path)
         sections += ["## test metrics", "",
                      "| " + " | ".join(row.keys()) + " |",
                      "|" + "---|" * len(row),
-                     "| " + " | ".join(f"{float(v):.4f}" for v in row.values()) + " |", ""]
+                     "| " + " | ".join(f"{v:.4f}" for v in row.values()) + " |", ""]
     grid_path = run_dir / "grid.csv"
     if grid_path.exists():
         cells = storage.read_grid_csv(grid_path)

@@ -6,7 +6,7 @@ so they can be shared freely across threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,32 +35,11 @@ N_CLASSES = len(ActivityClass)
 _BY_NAME = {c.class_name: c for c in ActivityClass}
 
 
-def encode_label(cls: ActivityClass) -> int:
-    """Canonical integer code of an activity class."""
-    return int(cls)
-
-
-def decode_label(code: int) -> ActivityClass:
-    """Inverse of encode_label; raises ValueError on unknown codes."""
-    return ActivityClass(code)
-
-
 def class_from_name(name: str) -> ActivityClass:
     try:
         return _BY_NAME[name]
     except KeyError:
         raise ValueError(f"unknown activity class name: {name!r}") from None
-
-
-@dataclass(frozen=True)
-class CaptureMeta:
-    """Capture parameters kept as metadata (no RF hardware is driven here)."""
-
-    carrier_hz: float = 3.75e9
-    tx_gain_db: float = 70.0
-    rx_gain_db: float = 50.0
-    sample_rate_hz: float = 400.0
-    lineage: tuple[str, ...] = ()
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -75,16 +54,18 @@ class CsiSample:
     frames: np.ndarray
     label: ActivityClass
     sample_id: str
-    capture_meta: CaptureMeta = field(default_factory=CaptureMeta)
+    lineage: tuple[str, ...] = ()
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.complex128)
         if frames.ndim != 2 or frames.shape[0] < 1:
             raise ValueError(f"frames must be a non-empty 2-D matrix, got shape {frames.shape}")
-        if frames.shape[1] != 64 and not self.capture_meta.lineage:
+        if frames.shape[1] != 64 and not self.lineage:
             raise ValueError(
                 f"expected 64 subcarriers, got {frames.shape[1]} with empty lineage")
         object.__setattr__(self, "frames", _freeze(frames))
+        object.__setattr__(self, "label", ActivityClass(self.label))
+        object.__setattr__(self, "lineage", tuple(self.lineage))
 
     @property
     def n_packets(self) -> int:
@@ -100,7 +81,7 @@ class CsiSample:
             return NotImplemented
         return (self.label == other.label
                 and self.sample_id == other.sample_id
-                and self.capture_meta == other.capture_meta
+                and self.lineage == other.lineage
                 and self.frames.shape == other.frames.shape
                 and self.frames.tobytes() == other.frames.tobytes())
 
@@ -110,19 +91,18 @@ class FeatureTensor:
     """Real-valued preprocessed sample (timesteps x features) plus its label."""
 
     values: np.ndarray
-    label_code: int
+    label: ActivityClass
     lineage: tuple[str, ...] = ()
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError(f"values must be 2-D, got shape {values.shape}")
-        if not 0 <= self.label_code < N_CLASSES:
-            raise ValueError(f"label_code {self.label_code} outside 0..{N_CLASSES - 1}")
         if values.shape[1] != 64 and not self.lineage:
             raise ValueError(
                 f"expected 64 features, got {values.shape[1]} with empty lineage")
         object.__setattr__(self, "values", _freeze(values))
+        object.__setattr__(self, "label", ActivityClass(self.label))
         object.__setattr__(self, "lineage", tuple(self.lineage))
 
     @property
@@ -130,24 +110,18 @@ class FeatureTensor:
         return self.values.shape[1]
 
     def with_values(self, values: np.ndarray, stage: str) -> "FeatureTensor":
-        return FeatureTensor(values, self.label_code, self.lineage + (stage,))
+        return FeatureTensor(values, self.label, self.lineage + (stage,))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FeatureTensor):
             return NotImplemented
-        return (self.label_code == other.label_code
+        return (self.label == other.label
                 and self.lineage == other.lineage
                 and self.values.shape == other.values.shape
                 and self.values.tobytes() == other.values.tobytes())
 
 
 Sample = CsiSample | FeatureTensor
-
-
-def sample_label(sample: Sample) -> ActivityClass:
-    if isinstance(sample, CsiSample):
-        return sample.label
-    return decode_label(sample.label_code)
 
 
 @dataclass(frozen=True)
@@ -165,7 +139,7 @@ class Dataset:
     def class_counts(self) -> dict[ActivityClass, int]:
         counts = {c: 0 for c in ActivityClass}
         for s in self.samples:
-            counts[sample_label(s)] += 1
+            counts[s.label] += 1
         return counts
 
     def __len__(self) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CsiSample, FeatureTensor, encode_label
+from .core import CsiSample, FeatureTensor
 
 
 class DspError(ValueError):
@@ -66,9 +66,7 @@ class FeatureSelection:
 
 def amplitude(sample: CsiSample) -> FeatureTensor:
     """Per-entry modulus of the complex CSI frames."""
-    values = np.abs(sample.frames)
-    lineage = sample.capture_meta.lineage + ("amplitude",)
-    return FeatureTensor(values, encode_label(sample.label), lineage)
+    return FeatureTensor(np.abs(sample.frames), sample.label, sample.lineage + ("amplitude",))
 
 
 def impute_mean(x: FeatureTensor) -> FeatureTensor:
@@ -286,8 +284,8 @@ class SelectKBestStage(Stage):
 
     def fit(self, tensors) -> "SelectKBestStage":
         rows = np.vstack([t.values for t in tensors])
-        labels = [t.label_code for t in tensors]
-        row_labels = np.repeat(np.asarray(labels), [t.values.shape[0] for t in tensors])
+        row_labels = np.repeat([int(t.label) for t in tensors],
+                               [t.values.shape[0] for t in tensors])
         self.selection = select_k_best(anova_f_scores(rows, row_labels), self.k)
         return self
 
@@ -393,7 +391,7 @@ def stages_to_text(stages) -> str:
     parts = []
     for s in stages:
         if isinstance(s, ButterworthStage):
-            parts.append(f"butterworth:order={s.order},cutoff={s.cutoff:g}")
+            parts.append(f"butterworth:order={s.order},cutoff={float(s.cutoff)!r}")
         elif isinstance(s, PcaStage):
             parts.append(f"pca:n_components={s.n_components}")
         elif isinstance(s, SelectKBestStage):

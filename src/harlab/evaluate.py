@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models, nn
-from .core import ActivityClass, Dataset, N_CLASSES, sample_label
+from .core import ActivityClass, Dataset, N_CLASSES
 from .rng import make_rng
 
 GRID_LRS = (0.01, 0.1)
@@ -71,7 +71,7 @@ def split_indices(labels, spec: SplitSpec) -> tuple[list[int], list[int]]:
 def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """The train and test datasets of split_indices on `dataset`'s labels."""
     samples = dataset.samples
-    train_idx, test_idx = split_indices([sample_label(s) for s in samples], spec)
+    train_idx, test_idx = split_indices([s.label for s in samples], spec)
     return (Dataset.from_samples([samples[i] for i in train_idx], seed=dataset.seed),
             Dataset.from_samples([samples[i] for i in test_idx], seed=dataset.seed))
 
@@ -202,7 +202,7 @@ def run_grid(dataset: Dataset, kinds=models.KINDS, lrs=GRID_LRS,
     """
     train_ds, test_ds = split(dataset, SplitSpec(seed=seed))
     train_xy = models.stack_features(train_ds.samples)
-    x_test, y_test = test_xy = models.stack_features(test_ds.samples)
+    test_xy = models.stack_features(test_ds.samples)
     _, timesteps, n_features = train_xy[0].shape
 
     def run_cell(cell_key: tuple[str, int, float]) -> GridCell:
@@ -211,10 +211,9 @@ def run_grid(dataset: Dataset, kinds=models.KINDS, lrs=GRID_LRS,
             spec = models.ModelSpec(kind=kind, timesteps=timesteps, n_features=n_features,
                                     hidden_size=hidden_size, lr0=lr, epochs=epochs,
                                     seed=seed)
-            trained = models.train(models.build(spec), train_xy, test_xy)
-            probs = trained.predict_probs(x_test)
-            loss = nn.cross_entropy(probs, y_test)  # raises on non-finite probabilities
-            return GridCell(kind, epochs, lr, nn.accuracy(probs, y_test), loss)
+            # The test split is the validation set, so the last epoch's row scores it.
+            last = models.train(models.build(spec), train_xy, test_xy).history[-1]
+            return GridCell(kind, epochs, lr, last.val_acc, last.val_loss)
         except Exception as exc:  # keep the grid running; the cell is marked
             return GridCell(kind, epochs, lr, None, None,
                             error=f"{type(exc).__name__}: {exc}")

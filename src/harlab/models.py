@@ -211,7 +211,7 @@ def stack_features(tensors) -> tuple[np.ndarray, np.ndarray]:
         if t.values.shape != shape:
             raise ModelError(f"inconsistent sample shapes {t.values.shape} vs {shape}")
     x = np.stack([t.values for t in tensors])
-    y = np.array([t.label_code for t in tensors], dtype=np.int64)
+    y = np.array([t.label for t in tensors], dtype=np.int64)
     return x, y
 
 

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, models
-from .core import (ActivityClass, CaptureMeta, CsiSample, Dataset, FeatureTensor,
-                   Sample, class_from_name, sample_label)
+from .core import (ActivityClass, CsiSample, Dataset, FeatureTensor, Sample,
+                   class_from_name)
 from .evaluate import GridCell, MetricsReport, SplitSpec, ordered_map
 from .synth import GeneratorConfig
 
@@ -141,34 +141,26 @@ def _raise_first_defect(path: Path, n_cols: int | None, n_rows: int | None):
     raise StorageError(f"{path}: not a matrix of numbers")
 
 
-def _sample_rows(sample: Sample) -> np.ndarray:
-    if isinstance(sample, CsiSample):
-        # Interleaved real/imaginary columns: complex128's own memory layout.
-        return np.ascontiguousarray(sample.frames).view(np.float64)
-    return sample.values
-
-
 def write_sample(root: Path, sample: Sample, sample_id: str) -> dict:
     """Write one sample file under `root` and return its manifest row (all
     but the dataset seed, which DatasetWriter.record fills in).  The file
     gets its name only once it is whole; it is not synced to disk."""
-    label = sample_label(sample)
-    rel = Path("samples") / label.class_name / f"{sample_id}.csv"
+    rel = Path("samples") / sample.label.class_name / f"{sample_id}.csv"
     path = root / rel
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = _sample_rows(sample)
+    is_complex = isinstance(sample, CsiSample)
+    # A complex sample as interleaved real/imaginary columns: complex128's own layout.
+    rows = np.ascontiguousarray(sample.frames).view(np.float64) if is_complex else sample.values
     with _replace_on_success(path, newline="", durable=False) as fh:
         _write_rows(fh, rows)
-    is_complex = isinstance(sample, CsiSample)
-    lineage = sample.capture_meta.lineage if is_complex else sample.lineage
     return {
         "sample_id": sample_id,
-        "class_name": label.class_name,
+        "class_name": sample.label.class_name,
         "relative_path": rel.as_posix(),
         "n_packets": str(rows.shape[0]),
         "n_subcarriers": str(rows.shape[1] // 2 if is_complex else rows.shape[1]),
         "is_complex": "1" if is_complex else "0",
-        "lineage": "|".join(lineage),
+        "lineage": "|".join(sample.lineage),
     }
 
 
@@ -244,7 +236,7 @@ def write_dataset(root: Path | str, items, make, seed: int | None = None) -> Non
 def save_dataset(dataset: Dataset, root: Path | str) -> None:
     """Write manifest.csv plus one CSV per sample under samples/<class>/."""
     samples = dataset.samples
-    new_ids = iter(arrival_ids(sample_label(s).class_name for s in samples
+    new_ids = iter(arrival_ids(s.label.class_name for s in samples
                                if not isinstance(s, CsiSample)))
     ids = [s.sample_id if isinstance(s, CsiSample) else next(new_ids) for s in samples]
     write_dataset(root, range(len(samples)), lambda i: (samples[i], ids[i]), dataset.seed)
@@ -290,8 +282,8 @@ def read_sample(root: Path, row: dict) -> Sample:
     lineage = tuple(s for s in row["lineage"].split("|") if s)
     if row["is_complex"] == "1":
         frames = _read_rows(path, 2 * n_sub, n_packets).view(np.complex128)
-        return CsiSample(frames, label, row["sample_id"], CaptureMeta(lineage=lineage))
-    return FeatureTensor(_read_rows(path, n_sub, n_packets), int(label), lineage)
+        return CsiSample(frames, label, row["sample_id"], lineage)
+    return FeatureTensor(_read_rows(path, n_sub, n_packets), label, lineage)
 
 
 def load_dataset_seed(rows: list[dict]) -> int | None:
@@ -338,7 +330,7 @@ def export_flat(dataset: Dataset, path: Path | str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         for t in tensors:
-            _write_rows(fh, t.values, prefix=f"{t.label_code},")
+            _write_rows(fh, t.values, prefix=f"{int(t.label)},")
 
 
 def load_flat(path: Path | str, n_packets: int) -> list[FeatureTensor]:
@@ -490,9 +482,8 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
         section, _, field_name = key.strip().partition(".")
         sections.setdefault(section, {})[field_name.strip()] = value.strip()
     config = ExperimentConfig()
-    for section, cls, attr in (("generator", GeneratorConfig, "generator"),
-                               ("model", models.ModelSpec, "model"),
-                               ("split", SplitSpec, "split")):
+    for section, cls in (("generator", GeneratorConfig), ("model", models.ModelSpec),
+                         ("split", SplitSpec)):
         if section not in sections:
             continue
         kwargs = {}
@@ -504,7 +495,10 @@ def load_experiment_config(path: Path | str) -> ExperimentConfig:
                 kwargs[name] = _coerce(by_name[name], text)
             except ValueError as exc:
                 raise StorageError(f"{path}: {section}.{name} = {text!r}: {exc}") from None
-        setattr(config, attr, cls(**kwargs))
+        try:
+            setattr(config, section, cls(**kwargs))
+        except (TypeError, ValueError) as exc:  # a missing field or a value out of range
+            raise StorageError(f"{path}: section {section}: {exc}") from None
     if "pipeline" in sections:
         stages_text = sections["pipeline"].get("stages")
         if stages_text is None:
@@ -524,6 +518,18 @@ def write_metrics_csv(report: MetricsReport, path: Path | str) -> None:
         writer.writerow([fmt(report.accuracy), fmt(report.macro_precision),
                          fmt(report.macro_recall), fmt(report.macro_f1),
                          fmt(report.mean_loss)])
+
+
+def read_metrics_csv(path: Path | str) -> dict[str, float]:
+    """The metrics row of a write_metrics_csv file, column name -> value."""
+    try:
+        with open(path, newline="") as fh:
+            row = next(csv.DictReader(fh), None)
+        if row is None:
+            raise ValueError("no metrics row")
+        return {key: float(value) for key, value in row.items()}
+    except (TypeError, ValueError) as exc:
+        raise StorageError(f"{path}: malformed metrics file ({exc})") from None
 
 
 def write_confusion_csv(matrix: np.ndarray, path: Path | str, normalized: bool) -> None:
@@ -558,11 +564,14 @@ def write_grid_csv(cells: list[GridCell], path: Path | str) -> None:
 
 def read_grid_csv(path: Path | str) -> list[GridCell]:
     cells = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            cells.append(GridCell(
-                kind=row["model"], epochs=int(row["epochs"]), lr=float(row["lr"]),
-                accuracy=float(row["accuracy"]) if row["accuracy"] else None,
-                mean_loss=float(row["mean_loss"]) if row["mean_loss"] else None,
-                error="marked failed" if not row["accuracy"] else None))
+    try:
+        with open(path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                cells.append(GridCell(
+                    kind=row["model"], epochs=int(row["epochs"]), lr=float(row["lr"]),
+                    accuracy=float(row["accuracy"]) if row["accuracy"] else None,
+                    mean_loss=float(row["mean_loss"]) if row["mean_loss"] else None,
+                    error="marked failed" if not row["accuracy"] else None))
+    except (KeyError, TypeError, ValueError) as exc:  # KeyError: a missing column
+        raise StorageError(f"{path}: malformed grid file ({type(exc).__name__}: {exc})") from None
     return cells

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActivityClass, CaptureMeta, CsiSample, Dataset
+from .core import ActivityClass, CsiSample, Dataset
 from .rng import make_rng
 
 SAMPLE_RATE_HZ = 400.0
@@ -206,8 +206,7 @@ def generate_sample(cfg: GeneratorConfig, cls: ActivityClass, index: int) -> Csi
     channel = realize_channel(cfg, cls, rng)
     frames = synthesize_frames(cfg, channel, rng)
     lineage = () if cfg.n_subcarriers == 64 else (f"subcarrier_count:{cfg.n_subcarriers}",)
-    meta = CaptureMeta(sample_rate_hz=SAMPLE_RATE_HZ, lineage=lineage)
-    return CsiSample(frames, cls, f"{cls.class_name}-{index:04d}", meta)
+    return CsiSample(frames, cls, f"{cls.class_name}-{index:04d}", lineage)
 
 
 def generate_dataset(cfg: GeneratorConfig) -> Dataset:

@@ -148,6 +148,39 @@ def test_preprocess_train_evaluate_chain(tmp_path, tiny_dataset, capsys):
     assert "test metrics" in text
 
 
+def test_report_markdown_of_a_metrics_and_a_grid_file(tmp_path):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    storage.write_metrics_csv(evaluate.compute_metrics([0, 1, 2, 3], [0, 1, 1, 3],
+                                                       [0.1, 0.2, 0.3, 0.25]),
+                              run_dir / "metrics.csv")
+    storage.write_grid_csv([evaluate.GridCell("lstm", 20, 0.1, 1 / 3, 0.7)],
+                           run_dir / "grid.csv")
+    assert run_cli("report", "--run-dir", run_dir, "--out", tmp_path / "report") == 0
+    assert (tmp_path / "report" / "report.md").read_text() == (
+        "# harlab run report\n\n## test metrics\n\n"
+        "| accuracy | macro_precision | macro_recall | macro_f1 | mean_loss |\n"
+        "|---|---|---|---|---|\n| 0.7500 | 0.3571 | 0.4286 | 0.3810 | 0.2125 |\n\n"
+        "## learning rate vs. epochs\n\n"
+        "| epochs = 20 | lr = 0.1 accuracy | lr = 0.1 loss |\n|---|---|---|\n"
+        "| lstm | 0.3333 | 0.7000 |\n")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("metrics.csv", ""),
+    ("metrics.csv", "accuracy,macro_precision,macro_recall,macro_f1,mean_loss\r\n"
+                    "abc,0.5,0.5,0.5,0.5\r\n"),
+    ("grid.csv", "model,epochs,lr,accuracy,mean_loss\r\nlstm,x,0.01,0.9,0.3\r\n"),
+], ids=["empty_metrics", "non_numeric_accuracy", "non_integer_epochs"])
+def test_report_on_a_malformed_csv_exits_1_with_one_line(tmp_path, capsys, name, text):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / name).write_text(text, newline="")
+    assert run_cli("report", "--run-dir", run_dir, "--out", tmp_path / "report") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"I/O error: {run_dir / name}: ") and err.count("\n") == 1
+
+
 def test_train_directly_on_raw_dataset(tmp_path, tiny_dataset):
     run_dir = tmp_path / "run-raw"
     assert run_cli("train", "--model", "cnn", "--dataset", tiny_dataset,

@@ -3,34 +3,13 @@ import copy
 import numpy as np
 import pytest
 
-from harlab.core import (ActivityClass, CaptureMeta, CsiSample, Dataset,
-                         FeatureTensor, class_from_name, decode_label,
-                         encode_label, sample_label)
+import harlab
+from harlab.core import ActivityClass, CsiSample, Dataset, FeatureTensor, class_from_name
 
 
 def test_seven_classes_contiguous_codes():
     codes = [int(c) for c in ActivityClass]
     assert codes == [0, 1, 2, 3, 4, 5, 6]
-
-
-def test_canonical_order():
-    assert encode_label(ActivityClass.EMPTY) == 0
-    assert encode_label(ActivityClass.WALK_BACKWARD) == 6
-    assert decode_label(2) is ActivityClass.SITTING
-
-
-def test_encode_decode_bijection():
-    seen = set()
-    for cls in ActivityClass:
-        code = encode_label(cls)
-        assert decode_label(code) is cls
-        seen.add(code)
-    assert len(seen) == 7
-
-
-def test_decode_rejects_unknown_code():
-    with pytest.raises(ValueError):
-        decode_label(7)
 
 
 def test_class_from_name_roundtrip():
@@ -50,8 +29,8 @@ def test_csisample_shape_validation():
     with pytest.raises(ValueError):
         CsiSample(np.ones((5, 32), dtype=np.complex128), ActivityClass.EMPTY, "x")
     # non-64 widths are fine once lineage records the producing stage
-    meta = CaptureMeta(lineage=("select_k_best(k=32)",))
-    s = CsiSample(np.ones((5, 32), dtype=np.complex128), ActivityClass.EMPTY, "x", meta)
+    s = CsiSample(np.ones((5, 32), dtype=np.complex128), ActivityClass.EMPTY, "x",
+                  ("select_k_best(k=32)",))
     assert s.n_subcarriers == 32
 
 
@@ -92,7 +71,13 @@ def test_dataset_class_counts():
     assert sum(counts.values()) == len(ds) == 3
 
 
-def test_sample_label_for_both_kinds():
-    assert sample_label(_sample()) is ActivityClass.SITTING
-    ft = FeatureTensor(np.zeros((2, 64)), 4, ("amplitude",))
-    assert sample_label(ft) is ActivityClass.LEANING
+def test_public_names_resolve_and_are_listed_once_in_order():
+    assert [name for name in harlab.__all__ if not hasattr(harlab, name)] == []
+    assert harlab.__all__ == sorted(set(harlab.__all__))
+
+
+def test_both_sample_types_carry_label_and_lineage():
+    raw = CsiSample(np.ones((2, 64)), ActivityClass.LEANING, "leaning-0000", ["toy"])
+    tensor = FeatureTensor(np.zeros((2, 64)), 4, ["amplitude"])
+    assert raw.label is tensor.label is ActivityClass.LEANING
+    assert (raw.lineage, tensor.lineage) == (("toy",), ("amplitude",))

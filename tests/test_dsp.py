@@ -493,6 +493,15 @@ def test_parse_stages_roundtrip():
     assert dsp.stages_to_text(stages) == text
 
 
+@pytest.mark.parametrize("cutoff", [0.05, 0.0123456789, 1 / 3, 0.1 + 0.2])
+def test_stages_to_text_round_trips_the_butterworth_coefficients(cutoff):
+    stage = dsp.ButterworthStage(2, cutoff)
+    back = dsp.parse_stages(dsp.stages_to_text([dsp.AmplitudeStage(), stage]))[1]
+    assert back.cutoff == cutoff
+    assert back.coeffs.b.tobytes() == stage.coeffs.b.tobytes()
+    assert back.coeffs.a.tobytes() == stage.coeffs.a.tobytes()
+
+
 def test_parse_stages_rejects_unknown():
     with pytest.raises(dsp.DspError):
         dsp.parse_stages("amplitude;stft")

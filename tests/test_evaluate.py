@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harlab import evaluate
-from harlab.core import ActivityClass, Dataset, FeatureTensor, sample_label
+from harlab import evaluate, models, nn
+from harlab.core import ActivityClass, Dataset, FeatureTensor
 from harlab.rng import make_rng
 
 
@@ -116,7 +116,7 @@ def test_split_indices_on_labels_is_split_on_datasets(counts, order_seed, seed, 
         return
     positions = evaluate.split_indices(labels, spec)
     assert positions == expected
-    assert [sample_label(s) for s in ds.samples] == labels
+    assert [s.label for s in ds.samples] == labels
     for part, idx in zip(evaluate.split(ds, spec), positions):
         assert [int(s.values[0, 0]) for s in part.samples] == idx
         assert part.seed == 3
@@ -246,3 +246,18 @@ def test_grid_marks_failed_cell_and_continues():
     assert by_kind["bogus"].failed
     assert by_kind["bogus"].accuracy is None
     assert "ModelError" in by_kind["bogus"].error
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_grid_cell_scores_equal_a_fresh_prediction_on_the_test_split(kind):
+    ds = _tiny_grid_dataset()
+    cell, = evaluate.run_grid(ds, kinds=(kind,), lrs=(0.1,), epochs_grid=(2,), seed=0,
+                              workers=1, hidden_size=4)
+    train_ds, test_ds = evaluate.split(ds, evaluate.SplitSpec(seed=0))
+    spec = models.ModelSpec(kind=kind, timesteps=9, n_features=4, hidden_size=4, lr0=0.1,
+                            epochs=2, seed=0)
+    trained = models.train(models.build(spec), train_ds.samples, test_ds.samples)
+    x, y = models.stack_features(test_ds.samples)
+    probs = trained.predict_probs(x)
+    assert not cell.failed
+    assert (cell.accuracy, cell.mean_loss) == (nn.accuracy(probs, y), nn.cross_entropy(probs, y))

@@ -163,7 +163,7 @@ def test_train_names_epoch_and_batch_of_non_finite_loss():
     tensors = toy_tensors(rng, n=14)
     values = tensors[3].values.copy()
     values[4, 2] = np.inf
-    tensors[3] = FeatureTensor(values, tensors[3].label_code, ("amplitude", "toy"))
+    tensors[3] = FeatureTensor(values, tensors[3].label, ("amplitude", "toy"))
     with pytest.raises(models.ModelError,
                        match=r"^train split: non-finite value inf at sample 3, step 4, feature 2$"):
         models.train(models.build(toy_spec()), tensors, tensors[:7])

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from harlab import cli, dsp, evaluate, models, storage, synth
-from harlab.core import (ActivityClass, CaptureMeta, CsiSample, Dataset, FeatureTensor,
-                         class_from_name)
+from harlab.core import ActivityClass, CsiSample, Dataset, FeatureTensor, class_from_name
 from harlab.rng import make_rng
 
 
@@ -114,7 +113,7 @@ def test_manifest_order_independence(tmp_path):
     shuffled = storage.load_dataset(tmp_path / "d")
     ordered = storage.load_dataset(tmp_path / "d")
     assert list(shuffled.samples) == list(ordered.samples)
-    labels = [s.label_code for s in shuffled.samples]
+    labels = [s.label for s in shuffled.samples]
     assert labels == sorted(labels)
 
 
@@ -218,8 +217,7 @@ def test_codec_matches_csv_reference(mat):
 def test_complex_sample_roundtrip_keeps_signed_zero_and_inf(tmp_path):
     parts = np.array([v for v in SPECIAL_VALUES if v == v] * 2).reshape(7, 4)
     frames = parts.view(np.complex128)  # real/imaginary pairs, -0.0 and inf included
-    sample = CsiSample(frames, ActivityClass.SITTING, "sitting-0000",
-                       CaptureMeta(lineage=("toy",)))
+    sample = CsiSample(frames, ActivityClass.SITTING, "sitting-0000", ("toy",))
     storage.save_dataset(Dataset.from_samples([sample]), tmp_path / "d")
     loaded = storage.load_dataset(tmp_path / "d").samples[0]
     assert loaded.frames.tobytes() == sample.frames.tobytes()
@@ -357,7 +355,7 @@ def test_flat_reimport_labels_identical(tmp_path):
     path = tmp_path / "flat.csv"
     storage.export_flat(ds, path)
     tensors = storage.load_flat(path, n_packets=10)
-    assert [t.label_code for t in tensors] == [s.label_code for s in ds.samples]
+    assert [t.label for t in tensors] == [s.label for s in ds.samples]
     for a, b in zip(tensors, ds.samples):
         assert a.values.tobytes() == b.values.tobytes()
 
@@ -369,7 +367,7 @@ def test_flat_export_matches_csv_reference(tmp_path):
     expected = b""
     for t in ds.samples:
         reference_write(ref, t.values)
-        expected += b"".join(f"{t.label_code},".encode() + line + b"\r\n"
+        expected += b"".join(f"{int(t.label)},".encode() + line + b"\r\n"
                              for line in ref.read_bytes().split(b"\r\n")[:-1])
     assert flat.read_bytes() == expected
 
@@ -552,6 +550,23 @@ def test_experiment_config_names_file_key_and_value_it_cannot_convert(tmp_path, 
     with pytest.raises(storage.StorageError) as info:
         storage.load_experiment_config(path)
     assert str(info.value).startswith(f"{path}: {key} = {value!r}: ")
+
+
+@pytest.mark.parametrize("text, section", [
+    ("model.kind = rnn", "model"),
+    ("model.kind = cnn\nmodel.hidden_size = 0", "model"),
+    ("model.hidden_size = 50", "model"),
+    ("generator.samples_per_class = -1", "generator"),
+    ("split.train_fraction = 2", "split"),
+], ids=["unknown_kind", "zero_hidden_size", "no_kind", "negative_count", "fraction_above_1"])
+def test_experiment_config_names_file_and_section_of_an_invalid_section(tmp_path, text,
+                                                                        section):
+    # these escaped as the dataclass's own error, or a bare TypeError, with no path
+    path = tmp_path / "config"
+    path.write_text(text + "\n")
+    with pytest.raises(storage.StorageError) as info:
+        storage.load_experiment_config(path)
+    assert str(info.value).startswith(f"{path}: section {section}: ")
 
 
 # ---------------------------------------------------------------------------
