@@ -108,7 +108,7 @@ def butter_design(order: int, cutoff_norm: float) -> FilterCoeffs:
     a = a / a[0]
     b = np.poly(-np.ones(order)).real
     b = b * (a.sum() / b.sum())
-    return FilterCoeffs(b, a, label=f"butterworth(order={order},cutoff={cutoff_norm:g})")
+    return FilterCoeffs(b, a, label=f"butterworth(order={order},cutoff={float(cutoff_norm)!r})")
 
 
 def filter_coefficients_apply(coeffs: FilterCoeffs, values: np.ndarray) -> np.ndarray:

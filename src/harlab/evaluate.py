@@ -201,9 +201,7 @@ def run_grid(dataset: Dataset, kinds=models.KINDS, lrs=GRID_LRS,
     marked and the run continues.
     """
     train_ds, test_ds = split(dataset, SplitSpec(seed=seed))
-    train_xy = models.stack_features(train_ds.samples)
-    test_xy = models.stack_features(test_ds.samples)
-    _, timesteps, n_features = train_xy[0].shape
+    timesteps, n_features = train_ds.samples[0].values.shape
 
     def run_cell(cell_key: tuple[str, int, float]) -> GridCell:
         kind, epochs, lr = cell_key
@@ -212,7 +210,8 @@ def run_grid(dataset: Dataset, kinds=models.KINDS, lrs=GRID_LRS,
                                     hidden_size=hidden_size, lr0=lr, epochs=epochs,
                                     seed=seed)
             # The test split is the validation set, so the last epoch's row scores it.
-            last = models.train(models.build(spec), train_xy, test_xy).history[-1]
+            last = models.train(models.build(spec), train_ds.samples,
+                                test_ds.samples).history[-1]
             return GridCell(kind, epochs, lr, last.val_acc, last.val_loss)
         except Exception as exc:  # keep the grid running; the cell is marked
             return GridCell(kind, epochs, lr, None, None,

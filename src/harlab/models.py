@@ -185,17 +185,19 @@ class TrainedModel:
     def weights(self) -> dict[str, np.ndarray]:
         return self.network.params()
 
-    def predict_probs(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode probabilities [n, n_classes] of raw inputs x [n, T, F].
+    def predict_probs(self, x) -> np.ndarray:
+        """Eval-mode probabilities [n, n_classes] of raw inputs x, an
+        [n, T, F] array or a sequence of n [T, F] arrays.
 
-        Runs in chunks of spec.batch_size, so the standardised copy and the
-        layer caches are no larger than a training step's.
+        Stacks and standardises one chunk of spec.batch_size samples at a
+        time, so the standardised copy and the layer caches are no larger
+        than a training step's.
         """
-        x = np.asarray(x, dtype=np.float64)
         step = self.spec.batch_size
         chunks = []
-        for start in range(0, x.shape[0], step):
-            xb = x[start:start + step] - self.input_mean
+        for start in range(0, len(x), step):
+            xb = np.array(x[start:start + step], dtype=np.float64)
+            xb -= self.input_mean
             xb /= self.input_scale
             chunks.append(self.network.forward(xb))
         return np.vstack(chunks)
@@ -215,56 +217,74 @@ def stack_features(tensors) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _fit_standardisation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature mean and standard deviation of x [n, T, F] over n and T.
+def _fit_standardisation(xs) -> tuple[np.ndarray, np.ndarray]:
+    """Per-feature mean and standard deviation of the [T, F] samples xs
+    over every sample and step.
 
-    Two passes, one sample at a time, so no temporary of x's size is made.
-    A zero deviation (a constant feature) becomes 1.
+    Two passes, one sample at a time, so no temporary of the split's size
+    is made.  A zero deviation (a constant feature) becomes 1.
     """
-    count = x.shape[0] * x.shape[1]
-    mean = sum(sample.sum(axis=0) for sample in x) / count
-    var = sum(((sample - mean) ** 2).sum(axis=0) for sample in x) / count
+    count = len(xs) * xs[0].shape[0]
+    mean = sum(sample.sum(axis=0) for sample in xs) / count
+    var = sum(((sample - mean) ** 2).sum(axis=0) for sample in xs) / count
     scale = np.sqrt(var)
     scale[scale == 0.0] = 1.0
     return mean, scale
+
+
+def _split_samples(data, name: str, spec: ModelSpec) -> tuple[list[np.ndarray], np.ndarray]:
+    """The [T, F] sample arrays and int labels of one split, checked.
+
+    data is an iterable of FeatureTensor, whose arrays are kept as they
+    are, or an (x [n, T, F], y [n]) pair, kept as views of x's rows.  An
+    empty split, samples of unequal or wrong shape, and a non-finite value
+    (named by sample, step and feature) raise ModelError.
+    """
+    if isinstance(data, tuple) and len(data) == 2 and isinstance(data[0], np.ndarray):
+        xs, y = list(np.asarray(data[0], dtype=np.float64)), np.asarray(data[1])
+    else:
+        tensors = list(data)
+        xs = [t.values for t in tensors]
+        y = np.array([t.label for t in tensors], dtype=np.int64)
+    if not xs:
+        raise ModelError(f"empty {name} split")
+    shape = xs[0].shape
+    for sample in xs:
+        if sample.shape != shape:
+            raise ModelError(f"inconsistent sample shapes {sample.shape} vs {shape}")
+    if shape != spec.input_shape:
+        raise ModelError(f"{name} data shape {shape} != spec {spec.input_shape}")
+    for i, sample in enumerate(xs):
+        bad = np.argwhere(~np.isfinite(sample))
+        if bad.size:
+            step, feature = bad[0]
+            raise ModelError(f"{name} split: non-finite value {sample[step, feature]} "
+                             f"at sample {i}, step {step}, feature {feature}")
+    return xs, y
 
 
 def train(net: Network, train_set, val_set) -> TrainedModel:
     """Mini-batch Adam training with seeded shuffling and dropout.
 
     train_set/val_set are iterables of FeatureTensor (or pre-stacked
-    (x, y) pairs).  Inputs are standardised per feature with the mean and
-    standard deviation of the training split only; the returned model
-    keeps both vectors and applies them in predict_probs.  History records
-    one row per epoch.  A non-finite input value raises ModelError naming
-    its split, sample, step and feature, before anything is fitted; a
-    training batch or validation pass whose probabilities are not finite
-    raises ModelError naming the epoch and the batch or "validation".
+    (x, y) pairs).  No stacked copy of either split is made: each batch
+    is stacked from its shuffled samples, and validation runs through
+    predict_probs one chunk at a time.  Inputs are standardised per
+    feature with the mean and standard deviation of the training split
+    only; the returned model keeps both vectors and applies them in
+    predict_probs.  History records one row per epoch.  A non-finite input
+    value raises ModelError naming its split, sample, step and feature,
+    before anything is fitted; a training batch or validation pass whose
+    probabilities are not finite raises ModelError naming the epoch and
+    the batch or "validation".
     """
     spec = net.spec
-
-    def as_arrays(data):
-        if (isinstance(data, tuple) and len(data) == 2
-                and isinstance(data[0], np.ndarray)):
-            return np.asarray(data[0], dtype=np.float64), data[1]
-        return stack_features(data)
-
-    x_train, y_train = as_arrays(train_set)
-    x_val, y_val = as_arrays(val_set)
-    for name, x in (("train", x_train), ("validation", x_val)):
-        if x.shape[0] == 0:
-            raise ModelError(f"empty {name} split")
-        if x.shape[1:] != spec.input_shape:
-            raise ModelError(f"{name} data shape {x.shape[1:]} != spec {spec.input_shape}")
-        bad = np.argwhere(~np.isfinite(x))
-        if bad.size:
-            sample, step, feature = bad[0]
-            raise ModelError(f"{name} split: non-finite value {x[sample, step, feature]} "
-                             f"at sample {sample}, step {step}, feature {feature}")
+    x_train, y_train = _split_samples(train_set, "train", spec)
+    x_val, y_val = _split_samples(val_set, "validation", spec)
     shuffle_rng = make_rng(spec.seed, "shuffle")
     dropout_rng = make_rng(spec.seed, "dropout")
     state = nn.AdamState(lr0=spec.lr0)
-    n = x_train.shape[0]
+    n = len(x_train)
     mean, scale = _fit_standardisation(x_train)
     model = TrainedModel(spec, net, mean, scale)
     for epoch in range(1, spec.epochs + 1):
@@ -273,7 +293,7 @@ def train(net: Network, train_set, val_set) -> TrainedModel:
         hit_sum = 0.0
         for batch, start in enumerate(range(0, n, spec.batch_size), start=1):
             idx = order[start:start + spec.batch_size]
-            xb, yb = x_train[idx], y_train[idx]  # fancy indexing copies
+            xb, yb = np.stack([x_train[i] for i in idx]), y_train[idx]
             xb -= mean
             xb /= scale
             probs = net.forward(xb, train=True, rng=dropout_rng)

@@ -367,7 +367,8 @@ def save_model(model: models.TrainedModel, path: Path | str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with _replace_on_success(path) as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
 
 
 def load_model(path: Path | str) -> models.TrainedModel:
@@ -572,6 +573,8 @@ def read_grid_csv(path: Path | str) -> list[GridCell]:
                     accuracy=float(row["accuracy"]) if row["accuracy"] else None,
                     mean_loss=float(row["mean_loss"]) if row["mean_loss"] else None,
                     error="marked failed" if not row["accuracy"] else None))
+        if not cells:
+            raise ValueError("no grid rows")
     except (KeyError, TypeError, ValueError) as exc:  # KeyError: a missing column
         raise StorageError(f"{path}: malformed grid file ({type(exc).__name__}: {exc})") from None
     return cells

@@ -171,7 +171,8 @@ def test_report_markdown_of_a_metrics_and_a_grid_file(tmp_path):
     ("metrics.csv", "accuracy,macro_precision,macro_recall,macro_f1,mean_loss\r\n"
                     "abc,0.5,0.5,0.5,0.5\r\n"),
     ("grid.csv", "model,epochs,lr,accuracy,mean_loss\r\nlstm,x,0.01,0.9,0.3\r\n"),
-], ids=["empty_metrics", "non_numeric_accuracy", "non_integer_epochs"])
+    ("grid.csv", "model,epochs,lr,accuracy,mean_loss\r\n"),
+], ids=["empty_metrics", "non_numeric_accuracy", "non_integer_epochs", "header_only_grid"])
 def test_report_on_a_malformed_csv_exits_1_with_one_line(tmp_path, capsys, name, text):
     run_dir = tmp_path / "run"
     run_dir.mkdir()

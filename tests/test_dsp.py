@@ -106,6 +106,17 @@ def test_butter_poles_inside_unit_circle():
         assert np.all(np.abs(coeffs.poles) < 1.0)
 
 
+def test_butter_label_names_the_exact_cutoff():
+    # Every harlab sample's lineage carries this label, so two filters get two labels.
+    assert dsp.butter_design(2, 0.05).label == "butterworth(order=2,cutoff=0.05)"
+    a, b = dsp.butter_design(2, 0.0123456789), dsp.butter_design(2, 0.01234571)
+    assert a.label == "butterworth(order=2,cutoff=0.0123456789)"
+    assert a.label != b.label
+    lineages = {dsp.ButterworthStage(2, c).apply(_ft(np.ones((4, 64)))).lineage
+                for c in (0.0123456789, 0.01234571)}
+    assert len(lineages) == 2
+
+
 def test_butter_rejects_bad_args():
     with pytest.raises(dsp.DspError):
         dsp.butter_design(0, 0.05)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -214,6 +215,52 @@ def test_input_standardisation_is_fitted_on_the_training_split_only():
     shifted = models.train(models.build(spec), (x, y), (x[:7] + 100.0, y[:7]))
     assert np.array_equal(shifted.input_mean, trained.input_mean)
     assert np.array_equal(shifted.input_scale, trained.input_scale)
+
+
+# ---------------------------------------------------------------------------
+# the data train holds: the caller's sample arrays, one stacked batch at a time
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_training_on_samples_equals_training_on_the_stacked_pair(kind):
+    rng = make_rng(13, "samples-vs-stacked", kind)
+    tensors = toy_tensors(rng, n=18)  # batches of 4, 4, 4, 4 and 2
+    x, y = models.stack_features(tensors)
+    spec = toy_spec(kind, epochs=3)
+    on_samples = models.train(models.build(spec), tensors, tensors[:7])
+    on_pair = models.train(models.build(spec), (x, y), (x[:7], y[:7]))
+    assert weight_checksum(on_samples.network) == weight_checksum(on_pair.network)
+    assert on_samples.history == on_pair.history
+    assert on_samples.input_mean.tobytes() == on_pair.input_mean.tobytes()
+    assert on_samples.input_scale.tobytes() == on_pair.input_scale.tobytes()
+    assert on_samples.predict_probs(x).tobytes() == on_pair.predict_probs(x).tobytes()
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_predict_probs_on_a_sample_list_equals_predict_probs_on_the_array(kind):
+    rng = make_rng(14, "predict-list", kind)
+    tensors = toy_tensors(rng, n=11)  # chunks of 4, 4 and 3
+    trained = models.train(models.build(toy_spec(kind, epochs=1)), tensors, tensors[:7])
+    x, _ = models.stack_features(tensors)
+    want = trained.predict_probs(x).tobytes()
+    assert trained.predict_probs([t.values for t in tensors]).tobytes() == want
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_train_peak_stays_below_a_stacked_copy_of_the_training_split(kind):
+    # 300 samples of [40, 16]: the stacked split is 1.5 MB; a step of 32
+    # peaks at about 0.4-0.8 MB, and a stacked copy would add its 1.5 MB to that
+    rng = make_rng(15, "train-peak", kind)
+    tensors = toy_tensors(rng, n=300, T=40, F=16)
+    spec = toy_spec(kind, timesteps=40, n_features=16, epochs=1, batch_size=32)
+    stacked_bytes = 300 * 40 * 16 * 8
+    net = models.build(spec)
+    tracemalloc.start()
+    try:
+        models.train(net, tensors, tensors[:7])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stacked_bytes, f"traced peak {peak} B"
 
 
 # ---------------------------------------------------------------------------

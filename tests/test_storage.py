@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import io
 import json
 import os
 import shutil
@@ -162,8 +161,15 @@ def test_small_files_replace_atomically(tmp_path, monkeypatch):
     def crash(*args, **kwargs):
         raise OSError("disk full")
 
-    # A crash while rewriting leaves the old file whole and no temp file.
-    monkeypatch.setattr(json, "dumps", crash)
+    def crash_after_first_chunk(self, o, _one_shot=False):
+        chunks = iter(real_iterencode(self, o, _one_shot))
+        yield next(chunks)
+        raise OSError("disk full")
+
+    # A crash while rewriting leaves the old file whole and no temp file; the
+    # model crash comes after the first chunk of JSON is encoded.
+    real_iterencode = json.JSONEncoder.iterencode
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", crash_after_first_chunk)
     with pytest.raises(OSError, match="disk full"):
         storage.save_model(trained, tmp_path / "d" / "model.json")
     monkeypatch.setattr(csv.DictWriter, "writeheader", crash)
@@ -445,12 +451,14 @@ def test_model_weight_length_mismatch(tmp_path):
 
 
 def test_model_file_bytes_are_json_dump_output(tmp_path):
-    trained, _ = _tiny_trained()
-    path = tmp_path / "model.json"
-    storage.save_model(trained, path)
-    expected = io.StringIO()
-    json.dump(json.loads(path.read_text()), expected, sort_keys=True, separators=(",", ":"))
-    assert path.read_bytes() == (expected.getvalue() + "\n").encode()
+    # save_model streams with json.dump; the bytes are those of one json.dumps string
+    for kind in models.KINDS:
+        trained, _ = _tiny_trained(kind)
+        path = tmp_path / f"{kind}.json"
+        storage.save_model(trained, path)
+        doc = json.loads(path.read_text())
+        expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert path.read_bytes() == expected.encode(), kind
 
 
 def test_model_truncated_file(tmp_path):
