@@ -255,9 +255,8 @@ def _split_samples(data, name: str, spec: ModelSpec) -> tuple[list[np.ndarray], 
     if shape != spec.input_shape:
         raise ModelError(f"{name} data shape {shape} != spec {spec.input_shape}")
     for i, sample in enumerate(xs):
-        bad = np.argwhere(~np.isfinite(sample))
-        if bad.size:
-            step, feature = bad[0]
+        if not np.isfinite(sample).all():
+            step, feature = np.argwhere(~np.isfinite(sample))[0]
             raise ModelError(f"{name} split: non-finite value {sample[step, feature]} "
                              f"at sample {i}, step {step}, feature {feature}")
     return xs, y
