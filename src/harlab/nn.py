@@ -16,7 +16,8 @@ forward caches what backward needs, so forward/backward pairs must not
 interleave on one layer instance; an eval-mode forward keeps no array on
 the layer.  Lstm and Conv1d drop their input and output caches in
 backward, so one backward at most follows each train-mode forward.  Lstm
-keeps its gate, cell and tanh arrays for the next same-shape one to refill.
+keeps its step-major, batch-last gate, cell and tanh arrays for the next
+same-shape one to refill, and returns a [batch, time, h] view.
 
 No layer applies softmax: a classifier's head emits logits, and
 cross_entropy_grad() is the loss gradient w.r.t. them.
@@ -28,16 +29,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PROB_FLOOR = 1e-12
+_GRAD_STEPS = 2  # steps per weight-gradient product in Lstm.backward; 2 ran fastest
 
 
 class ShapeError(ValueError):
     """Raised when array shapes disagree with a layer's parameters."""
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-clip(x, -500, 500))) bit for bit, in one temporary:
-    past x = 500, 1 + exp(-x) is 1.0 without the lower clip too."""
-    z = np.negative(x)
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-clip(x, -500, 500))) bit for bit, in one temporary or
+    in out (which may be x): past x = 500, 1 + exp(-x) is 1.0 without the
+    lower clip too."""
+    z = np.negative(x, out=out)
     np.minimum(z, 500.0, out=z)
     np.exp(z, out=z)
     z += 1.0
@@ -115,7 +118,12 @@ class Lstm:
 
     W: [4h, d] input weights, U: [4h, h] recurrent weights, b: [4h].
     forward maps [batch, T, d] -> hidden sequence [batch, T, h] from zero
-    initial hidden and cell state.
+    initial hidden and cell state, as a view of a [T + 1, h, batch] array.
+    Arrays are step-major and batch-last, so each gate of a step is one
+    contiguous [h, batch] block.  A train-mode forward keeps gates
+    [T, 4h, batch], cells [T + 1, h, batch] and tanh(cells) [T, h, batch]
+    for backward, which turns them into gate gradients and hidden states,
+    and for the next same-shape train-mode forward to refill.
     """
 
     def __init__(self, W: np.ndarray, U: np.ndarray, b: np.ndarray):
@@ -150,63 +158,68 @@ class Lstm:
         # Refill the last train-mode forward's arrays if the shape matches; eval drops them.
         gates, cs, tanh_c = self._gates, self._cs, self._tanh_c
         self._gates = self._cs = self._tanh_c = None
-        if not train or gates is None or gates.shape != (batch, T, 4 * h):
+        if not train or gates is None or gates.shape != (T, 4 * h, batch):
             gates = cs = tanh_c = None  # freed before the new ones are made
-            gates, cs, tanh_c = (np.empty((batch, T, 4 * h)), np.empty((batch, T + 1, h)),
-                                 np.empty((batch, T, h)))  # cs[:, t]: cell state before step t
-        # The input projection of every step is one GEMM; its result is the
-        # gate cache, [batch, T, 4h], which the loop turns into gate values.
-        np.matmul(x.reshape(batch * T, d), self.W.T, out=gates.reshape(batch * T, 4 * h))
-        gates += self.b
-        cs[:, 0] = 0.0
-        hs = np.empty((batch, T, h))
-        h_prev = np.zeros((batch, h))
-        U_T = np.ascontiguousarray(self.U.T)  # OpenBLAS runs a contiguous operand faster
+            gates, cs, tanh_c = (np.empty((T, 4 * h, batch)), np.empty((T + 1, h, batch)),
+                                 np.empty((T, h, batch)))  # cs[t]: cell state before step t
+        # The input projection of every step is one batched GEMM; its result
+        # is the gate cache, [T, 4h, batch], which the loop turns into gate
+        # values.  OpenBLAS runs it faster on a contiguous [T, d, batch] copy.
+        np.matmul(self.W, np.ascontiguousarray(x.transpose(1, 2, 0)), out=gates)
+        gates += self.b[:, None]
+        cs[0] = 0.0
+        hs = np.empty((T + 1, h, batch))  # hs[t]: hidden state before step t
+        hs[0] = 0.0
         for t in range(T):
-            pre = gates[:, t]
-            pre += h_prev @ U_T
-            pre[:, :2 * h] = sigmoid(pre[:, :2 * h])
-            pre[:, 2 * h:3 * h] = np.tanh(pre[:, 2 * h:3 * h])
-            pre[:, 3 * h:] = sigmoid(pre[:, 3 * h:])
-            i, f, g, o = pre[:, :h], pre[:, h:2 * h], pre[:, 2 * h:3 * h], pre[:, 3 * h:]
-            cs[:, t + 1] = c = f * cs[:, t] + i * g
-            tanh_c[:, t] = tc = np.tanh(c)
-            hs[:, t] = h_prev = o * tc
+            pre = gates[t]
+            pre += self.U @ hs[t]
+            i, f, g, o = pre[:h], pre[h:2 * h], pre[2 * h:3 * h], pre[3 * h:]
+            sigmoid(pre[:2 * h], out=pre[:2 * h])
+            np.tanh(g, out=g)
+            sigmoid(o, out=o)
+            c = np.multiply(f, cs[t], out=cs[t + 1])
+            c += i * g
+            np.multiply(o, np.tanh(c, out=tanh_c[t]), out=hs[t + 1])
         if train:
-            self._x, self._gates, self._cs, self._tanh_c, self._hs = x, gates, cs, tanh_c, hs
-        return hs
+            self._x, self._gates, self._cs, self._tanh_c = x, gates, cs, tanh_c
+        return hs[1:].transpose(2, 0, 1)
 
     def backward(self, dhs: np.ndarray) -> np.ndarray | None:
-        x, gates, cs, tanh_c, hs = self._x, self._gates, self._cs, self._tanh_c, self._hs
-        del self._x, self._hs
+        x, gates, cs, tanh_c = self._x, self._gates, self._cs, self._tanh_c
+        del self._x
         batch, T, d = x.shape
         h = self.hidden_size
-        dh_next = np.zeros((batch, h))
-        dc_next = np.zeros((batch, h))
+        dh_next = np.zeros((h, batch))
+        dc_next = np.zeros((h, batch))
         for t in range(T - 1, -1, -1):
-            dpre = gates[:, t]
-            i, f, g, o = dpre[:, :h], dpre[:, h:2 * h], dpre[:, 2 * h:3 * h], dpre[:, 3 * h:]
-            tc = tanh_c[:, t]
-            dh = dhs[:, t] + dh_next
+            dpre = gates[t]
+            i, f, g, o = dpre[:h], dpre[h:2 * h], dpre[2 * h:3 * h], dpre[3 * h:]
+            tc = tanh_c[t]
+            dh = dhs[:, t].T + dh_next
             do = dh * tc
             dc = dc_next + dh * o * (1.0 - tc * tc)
-            di, df, dg = dc * g, dc * cs[:, t], dc * i
+            di, df, dg = dc * g, dc * cs[t], dc * i
             dc_next = dc * f
+            # cs[t + 1] is dead from here on: it takes h_t, which dU reads after the loop.
+            np.multiply(o, tc, out=cs[t + 1])
             # Step t's gate values are dead from here on: its dpre takes their place.
-            dpre[:, :h] = di * i * (1.0 - i)
-            dpre[:, h:2 * h] = df * f * (1.0 - f)
-            dpre[:, 2 * h:3 * h] = dg * (1.0 - g * g)
-            dpre[:, 3 * h:] = do * o * (1.0 - o)
-            dh_next = dpre @ self.U
-        dpre = gates.reshape(batch * T, 4 * h)
-        h_prev = tanh_c  # dead after the loop: it takes h_{t-1} for dU
-        h_prev[:, 0] = 0.0
-        h_prev[:, 1:] = hs[:, :-1]
-        # (a.T @ dpre).T, not dpre.T @ a: OpenBLAS runs this operand order faster.
-        self.dW += (x.reshape(batch * T, d).T @ dpre).T
-        self.dU += (h_prev.reshape(batch * T, h).T @ dpre).T
-        self.db += dpre.sum(axis=0)
-        return (dpre @ self.W).reshape(x.shape) if self.needs_input_grad else None
+            np.multiply(di * i, 1.0 - i, out=i)
+            np.multiply(df * f, 1.0 - f, out=f)
+            np.multiply(dg, 1.0 - g * g, out=g)
+            np.multiply(do * o, 1.0 - o, out=o)
+            dh_next = self.U.T @ dpre
+        self.db += gates.sum(axis=(0, 2))
+        dx = np.empty(x.shape) if self.needs_input_grad else None
+        # dW, dU and dx over a few steps at a time, from [4h, steps * batch]
+        # copies of the gate gradients: a whole transposed copy would double them.
+        for t0 in range(0, T, _GRAD_STEPS):
+            t1 = min(t0 + _GRAD_STEPS, T)
+            dpre = gates[t0:t1].transpose(1, 0, 2).reshape(4 * h, -1)
+            self.dW += dpre @ x[:, t0:t1].transpose(1, 0, 2).reshape(-1, d)
+            self.dU += dpre @ cs[t0:t1].transpose(0, 2, 1).reshape(-1, h)
+            if dx is not None:
+                dx[:, t0:t1] = (dpre.T @ self.W).reshape(t1 - t0, batch, d).transpose(1, 0, 2)
+        return dx
 
     def params(self):
         return {"W": self.W, "U": self.U, "b": self.b}

@@ -356,19 +356,24 @@ def load_flat(path: Path | str, n_packets: int) -> list[FeatureTensor]:
 # Model files
 
 def save_model(model: models.TrainedModel, path: Path | str) -> None:
-    doc = {
+    head = {
         "format_version": MODEL_FORMAT_VERSION,
-        "spec": dataclasses.asdict(model.spec),
-        "weights": {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-                    for name, arr in sorted(model.weights.items())},
         "history": [dataclasses.asdict(h) for h in model.history],
         "input": {"mean": model.input_mean.tolist(), "scale": model.input_scale.tolist()},
+        "spec": dataclasses.asdict(model.spec),
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # The bytes of json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
+    # encoded in C one head value or weight block at a time; "weights" sorts last.
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     with _replace_on_success(path) as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write("{" + ",".join(f"{encode(k)}:{encode(v)}" for k, v in sorted(head.items())))
+        fh.write(',"weights":{')
+        for n, (name, arr) in enumerate(sorted(model.weights.items())):
+            block = {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+            fh.write(f"{',' if n else ''}{encode(name)}:{encode(block)}")
+        fh.write("}}\n")
 
 
 def load_model(path: Path | str) -> models.TrainedModel:

@@ -119,6 +119,9 @@ def test_sigmoid_is_the_clip_formula_bit_for_bit():
             assert got.shape == x.shape
             assert got.tobytes() == clip_sigmoid(x).tobytes()
             assert np.array_equal(x, before, equal_nan=True)
+            in_place = x.copy()
+            assert nn.sigmoid(in_place, out=in_place) is in_place
+            assert in_place.tobytes() == got.tobytes()
 
 
 def test_lstm_gates_strictly_in_unit_interval():
@@ -127,9 +130,31 @@ def test_lstm_gates_strictly_in_unit_interval():
     layer.forward(rng.standard_normal((2, 10, 4)) * 10, train=True)
     gates = layer._gates
     h = layer.hidden_size
-    for block in (gates[..., :h], gates[..., h:2 * h], gates[..., 3 * h:]):
+    for block in (gates[:, :h], gates[:, h:2 * h], gates[:, 3 * h:]):
         assert np.all(block > 0.0)
         assert np.all(block < 1.0)
+
+
+def test_lstm_gate_blocks_of_a_step_are_contiguous():
+    # The step loop's speed rests on each gate of one step being a single
+    # contiguous [h, batch] block.
+    rng = make_rng(19, "lstm-layout")
+    layer = nn.Lstm.init(rng, 6, 5)
+    layer.forward(rng.standard_normal((7, 13, 6)), train=True)
+    h = layer.hidden_size
+    for t in range(13):
+        for k in range(4):
+            assert layer._gates[t, k * h:(k + 1) * h].flags.c_contiguous, (t, k)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 32])
+def test_lstm_train_and_eval_forwards_are_bit_equal(batch):
+    rng = make_rng(20, "lstm-modes", batch)
+    layer = nn.Lstm.init(rng, 6, 5)
+    layer.b += rng.standard_normal(20)
+    x = rng.standard_normal((batch, 13, 6))
+    train = layer.forward(x, train=True)
+    assert layer.forward(x).tobytes() == train.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +369,7 @@ LSTM_ORACLE_CASES = {  # (batch, T, d, h)
     "paper": (32, 100, 64, 50),
     "one_step": (4, 1, 6, 5),
     "batch_1": (1, 9, 6, 5),
+    "odd_batch_ragged_chunks": (7, 13, 6, 5),  # T not a multiple of the gradient chunk
 }
 
 

@@ -451,7 +451,8 @@ def test_model_weight_length_mismatch(tmp_path):
 
 
 def test_model_file_bytes_are_json_dump_output(tmp_path):
-    # save_model streams with json.dump; the bytes are those of one json.dumps string
+    # save_model encodes the document a piece at a time, one top-level value or
+    # weight block per string; the bytes are those of one json.dumps string
     for kind in models.KINDS:
         trained, _ = _tiny_trained(kind)
         path = tmp_path / f"{kind}.json"
