@@ -191,12 +191,16 @@ class TrainedModel:
 
         Stacks and standardises one chunk of spec.batch_size samples at a
         time, so the standardised copy and the layer caches are no larger
-        than a training step's.
+        than a training step's.  A chunk whose [T, F] is not the spec's
+        input shape raises ModelError.
         """
         step = self.spec.batch_size
         chunks = []
         for start in range(0, len(x), step):
             xb = np.array(x[start:start + step], dtype=np.float64)
+            if xb.shape[1:] != self.spec.input_shape:
+                raise ModelError(f"input shape {xb.shape[1:]} != model input "
+                                 f"{self.spec.input_shape}")
             xb -= self.input_mean
             xb /= self.input_scale
             chunks.append(self.network.forward(xb))
@@ -322,9 +326,6 @@ def train(net: Network, train_set, val_set) -> TrainedModel:
 
 def predict(model: TrainedModel, x: FeatureTensor) -> tuple[ActivityClass, np.ndarray]:
     """Eval-mode class prediction and the full probability row."""
-    if x.values.shape != model.spec.input_shape:
-        raise ModelError(
-            f"input shape {x.values.shape} != model input {model.spec.input_shape}")
     probs = model.predict_probs(x.values[None])[0]
     return ActivityClass(int(probs.argmax())), probs
 

@@ -16,7 +16,7 @@ forward caches what backward needs, so forward/backward pairs must not
 interleave on one layer instance; an eval-mode forward keeps no array on
 the layer.  Lstm and Conv1d drop their input and output caches in
 backward, so one backward at most follows each train-mode forward.  Lstm
-keeps its step-major, batch-last gate, cell and tanh arrays for the next
+keeps its step-major, batch-last gate and cell arrays for the next
 same-shape one to refill, and returns a [batch, time, h] view.
 
 No layer applies softmax: a classifier's head emits logits, and
@@ -62,11 +62,13 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def _activation_backward(dy: np.ndarray, y: np.ndarray, activation: str) -> np.ndarray:
+def _activation_backward(dy: np.ndarray, y: np.ndarray, activation: str, out=None) -> np.ndarray:
     if activation == "none":
-        return dy
+        return dy if out is None else np.positive(dy, out=out)
     if activation == "tanh":
-        return dy * (1.0 - y * y)
+        z = np.multiply(y, y, out=out)
+        np.subtract(1.0, z, out=z)
+        return np.multiply(dy, z, out=z)
     raise ValueError(f"unknown activation {activation!r}")
 
 
@@ -121,9 +123,10 @@ class Lstm:
     initial hidden and cell state, as a view of a [T + 1, h, batch] array.
     Arrays are step-major and batch-last, so each gate of a step is one
     contiguous [h, batch] block.  A train-mode forward keeps gates
-    [T, 4h, batch], cells [T + 1, h, batch] and tanh(cells) [T, h, batch]
-    for backward, which turns them into gate gradients and hidden states,
-    and for the next same-shape train-mode forward to refill.
+    [T, 4h, batch] and cells [T + 1, h, batch] for backward, which
+    recomputes tanh of each cell and turns the two into gate gradients and
+    hidden states, and for the next same-shape train-mode forward to
+    refill.
     """
 
     def __init__(self, W: np.ndarray, U: np.ndarray, b: np.ndarray):
@@ -139,7 +142,7 @@ class Lstm:
         self.dU = np.zeros_like(self.U)
         self.db = np.zeros_like(self.b)
         self.needs_input_grad = True
-        self._gates = self._cs = self._tanh_c = None
+        self._gates = self._cs = None
 
     @classmethod
     def init(cls, rng, d: int, h: int) -> "Lstm":
@@ -156,20 +159,20 @@ class Lstm:
             raise ShapeError(f"lstm expected [batch, T, {self.W.shape[1]}], got {x.shape}")
         batch, T, d = x.shape
         # Refill the last train-mode forward's arrays if the shape matches; eval drops them.
-        gates, cs, tanh_c = self._gates, self._cs, self._tanh_c
-        self._gates = self._cs = self._tanh_c = None
+        gates, cs = self._gates, self._cs
+        self._gates = self._cs = None
         if not train or gates is None or gates.shape != (T, 4 * h, batch):
-            gates = cs = tanh_c = None  # freed before the new ones are made
-            gates, cs, tanh_c = (np.empty((T, 4 * h, batch)), np.empty((T + 1, h, batch)),
-                                 np.empty((T, h, batch)))  # cs[t]: cell state before step t
+            gates = cs = None  # freed before the new ones are made
+            gates, cs = np.empty((T, 4 * h, batch)), np.empty((T + 1, h, batch))
         # The input projection of every step is one batched GEMM; its result
         # is the gate cache, [T, 4h, batch], which the loop turns into gate
         # values.  OpenBLAS runs it faster on a contiguous [T, d, batch] copy.
         np.matmul(self.W, np.ascontiguousarray(x.transpose(1, 2, 0)), out=gates)
         gates += self.b[:, None]
-        cs[0] = 0.0
+        cs[0] = 0.0  # cs[t]: cell state before step t
         hs = np.empty((T + 1, h, batch))  # hs[t]: hidden state before step t
         hs[0] = 0.0
+        tanh_c = np.empty((h, batch))
         for t in range(T):
             pre = gates[t]
             pre += self.U @ hs[t]
@@ -179,22 +182,23 @@ class Lstm:
             sigmoid(o, out=o)
             c = np.multiply(f, cs[t], out=cs[t + 1])
             c += i * g
-            np.multiply(o, np.tanh(c, out=tanh_c[t]), out=hs[t + 1])
+            np.multiply(o, np.tanh(c, out=tanh_c), out=hs[t + 1])
         if train:
-            self._x, self._gates, self._cs, self._tanh_c = x, gates, cs, tanh_c
+            self._x, self._gates, self._cs = x, gates, cs
         return hs[1:].transpose(2, 0, 1)
 
     def backward(self, dhs: np.ndarray) -> np.ndarray | None:
-        x, gates, cs, tanh_c = self._x, self._gates, self._cs, self._tanh_c
+        x, gates, cs = self._x, self._gates, self._cs
         del self._x
         batch, T, d = x.shape
         h = self.hidden_size
         dh_next = np.zeros((h, batch))
         dc_next = np.zeros((h, batch))
+        tc = np.empty((h, batch))
         for t in range(T - 1, -1, -1):
             dpre = gates[t]
             i, f, g, o = dpre[:h], dpre[h:2 * h], dpre[2 * h:3 * h], dpre[3 * h:]
-            tc = tanh_c[t]
+            np.tanh(cs[t + 1], out=tc)  # as the forward computed it, bit for bit
             dh = dhs[:, t].T + dh_next
             do = dh * tc
             dc = dc_next + dh * o * (1.0 - tc * tc)
@@ -274,25 +278,27 @@ class Conv1d:
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray | None:
-        xf, y = self._xf, self._y
-        del self._xf, self._y
-        dz = _activation_backward(dy, y, self.activation)
+        xf = self._xf
         c_out, k, c_in = self.kernels.shape
-        batch, t_out, _ = dz.shape
+        batch, t_out, _ = dy.shape
         T, n = t_out + k - 1, xf.shape[0]
         # dz padded with zeros past t_out and flattened like the input, so
         # each tap is one GEMM on row-shifted views; the zero rows cancel
         # the cross-sample terms.
-        dzf = np.zeros((batch, T, c_out))
-        dzf[:, :t_out] = dz
+        dzf = np.empty((batch, T, c_out))
+        dzf[:, t_out:] = 0.0
+        dz = _activation_backward(dy, self._y, self.activation, out=dzf[:, :t_out])
+        del self._xf, self._y
+        self.dbias += dz.sum(axis=(0, 1))
         dzf = dzf.reshape(n, c_out)
-        dxf = np.zeros_like(xf) if self.needs_input_grad else None
         for j in range(k):
             self.dkernels[:, j] += dzf[:n - j].T @ xf[j:]
-            if dxf is not None:
-                dxf[j:] += dzf[:n - j] @ self.kernels[:, j]
-        self.dbias += dz.sum(axis=(0, 1))
-        return None if dxf is None else dxf.reshape(batch, T, c_in)
+        if not self.needs_input_grad:
+            return None
+        dxf = dzf @ self.kernels[:, 0]
+        for j in range(1, k):
+            dxf[j:] += dzf[:n - j] @ self.kernels[:, j]
+        return dxf.reshape(batch, T, c_in)
 
     def params(self):
         return {"kernels": self.kernels, "bias": self.bias}
@@ -329,10 +335,9 @@ class MaxPool1d(ParamFree):
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         batch, t_out, c = dy.shape
-        dxr = np.zeros((batch, t_out, self.pool, c))
-        np.put_along_axis(dxr, self._argmax[:, :, None, :], dy[:, :, None, :], axis=2)
         dx = np.zeros(self._x_shape)
-        dx[:, :t_out * self.pool] = dxr.reshape(batch, t_out * self.pool, c)
+        dxr = dx[:, :t_out * self.pool].reshape(batch, t_out, self.pool, c)  # a view of dx
+        np.put_along_axis(dxr, self._argmax[:, :, None, :], dy[:, :, None, :], axis=2)
         return dx
 
 

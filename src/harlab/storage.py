@@ -55,11 +55,14 @@ def _replace_on_success(path: Path, newline: str | None = None, durable: bool = 
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-    if not durable:
-        return
-    dir_fd = os.open(path.parent, os.O_RDONLY)
+    if durable:
+        _sync_dir(path.parent)  # make the rename itself durable
+
+
+def _sync_dir(path: Path) -> None:
+    dir_fd = os.open(path, os.O_RDONLY)
     try:
-        os.fsync(dir_fd)  # make the rename itself durable
+        os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
 
@@ -167,7 +170,8 @@ def write_sample(root: Path, sample: Sample, sample_id: str) -> dict:
 class DatasetWriter:
     """Holds a dataset root's `.lock`, which names the writer's pid, while
     its sample files are written, then writes manifest.csv from the rows
-    `record`ed, in that order.
+    `record`ed, in that order.  It removes an old manifest.csv durably first,
+    so a rewrite that fails or is killed leaves a root that no reader loads.
 
     As a context manager it closes on a clean exit and aborts, writing no
     manifest, when the block raises.
@@ -191,6 +195,10 @@ class DatasetWriter:
         with os.fdopen(fd, "w") as fh:
             fh.write(f"{os.getpid()}\n")
         self._rows: list[dict] = []
+        manifest = self.root / MANIFEST_NAME
+        if manifest.exists():  # a fresh root has none, and no entry to sync
+            manifest.unlink()
+            _sync_dir(self.root)
 
     def record(self, row: dict) -> None:
         self._rows.append({**row, "seed": "" if self.seed is None else str(self.seed)})

@@ -293,6 +293,22 @@ def test_evaluate_model_file_with_zero_hidden_size_exits_1(
     assert err.count("\n") == 1
 
 
+def test_evaluate_with_a_model_of_another_feature_count_exits_2(
+        tmp_path, tiny_dataset, tiny_pre, capsys):
+    # a 10-feature model on a 64-feature root used to end in a broadcast
+    # ValueError traceback from the input standardisation
+    pca = tmp_path / "pca"
+    assert run_cli("preprocess", "--dataset", tiny_dataset, "--out", pca,
+                   "--stages", "amplitude;impute_mean;pca:n_components=10") == 0
+    assert run_cli("train", "--model", "lstm", "--dataset", pca, "--epochs", 1,
+                   "--hidden", 4, "--decimate", 60, "--out", tmp_path / "run") == 0
+    capsys.readouterr()
+    code = run_cli("evaluate", "--model-file", tmp_path / "run" / "model.json",
+                   "--dataset", tiny_pre, "--out", tmp_path / "eval")
+    assert code == 2
+    assert capsys.readouterr().err == "error: input shape (20, 64) != model input (20, 10)\n"
+
+
 def test_evaluate_parses_only_the_test_split(tmp_path, tiny_dataset, tiny_model, monkeypatch):
     use_cores(monkeypatch, 1)  # jobs run in this process, where the calls are counted
     read_rows, calls = storage._read_rows, []
@@ -512,7 +528,30 @@ def test_crashed_sample_write_leaves_no_partial_file(tmp_path, monkeypatch, caps
         assert not [p for p in root.rglob(".*") if p.is_file()]  # no temp file, no .lock
     assert not (tmp_path / "new" / "manifest.csv").exists()
     assert not list((tmp_path / "new").rglob("*.csv"))
-    assert tree_bytes(old) == before  # a crashed rewrite leaves the old root whole
+    del before["manifest.csv"]
+    assert tree_bytes(old) == before  # a crashed rewrite leaves the old samples, no manifest
+
+
+def test_failed_rewrite_leaves_a_root_that_no_reader_loads(tmp_path, monkeypatch, capsys):
+    # the seventh sample's synthesis fails after six files of the new seed
+    # were written over the old ones; the old manifest used to survive,
+    # so the mixed root loaded without an error
+    use_cores(monkeypatch, 1)  # jobs run in this process, in order
+    root = tmp_path / "d"
+    assert run_cli("generate", "--seed", 1, "--samples-per-class", 2, "--out", root) == 0
+    generate_sample, calls = synth.generate_sample, []
+
+    def fail_seventh(*args):
+        calls.append(args)
+        if len(calls) == 7:
+            raise OSError("synthesis failed")
+        return generate_sample(*args)
+
+    monkeypatch.setattr(synth, "generate_sample", fail_seventh)
+    assert run_cli("generate", "--seed", 2, "--samples-per-class", 2, "--out", root) == 1
+    assert "synthesis failed" in capsys.readouterr().err
+    with pytest.raises(storage.StorageError, match="manifest.csv not found"):
+        storage.read_manifest(root)
 
 
 def test_corrupt_sample_fails_every_loading_command_with_exit_1(

@@ -1,4 +1,8 @@
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +73,18 @@ def test_dataset_class_counts():
     assert counts[ActivityClass.EMPTY] == 2
     assert counts[ActivityClass.NO_ACTIVITY] == 1
     assert sum(counts.values()) == len(ds) == 3
+
+
+def test_import_of_models_loads_no_storage_dsp_or_pool_code():
+    # the package resolves its re-exports on first use, so a process that
+    # trains in memory pays for no submodule it does not call
+    code = "import sys, harlab.models; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(harlab.__file__).parents[1])}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert [m for m in loaded if m.partition(".")[0] == "harlab"] == [
+        "harlab", "harlab.core", "harlab.models", "harlab.nn", "harlab.rng"]
+    assert "multiprocessing" not in loaded
 
 
 def test_public_names_resolve_and_are_listed_once_in_order():

@@ -268,7 +268,7 @@ def test_train_peak_stays_below_a_stacked_copy_of_the_training_split(kind):
 #
 # The oracles are the same networks doing the work the training step skips:
 # a first layer that forms its input gradient, and LSTMs that allocate fresh
-# gate, cell and tanh arrays on every forward.
+# gate and cell arrays on every forward.
 
 def lstm_forward_hook(net, before):
     """Call before(layer) ahead of every forward of each Lstm in net."""
@@ -281,11 +281,11 @@ def lstm_forward_hook(net, before):
 
 
 def drop_kept_arrays(layer):
-    layer._gates = layer._cs = layer._tanh_c = None
+    layer._gates = layer._cs = None
 
 
 def poison_kept_arrays(layer):
-    for arr in (layer._gates, layer._cs, layer._tanh_c):
+    for arr in (layer._gates, layer._cs):
         if arr is not None:
             arr.fill(np.nan)
 

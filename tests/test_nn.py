@@ -388,7 +388,7 @@ def test_lstm_matches_per_step_oracle(case):
 
 def test_second_same_shape_lstm_step_allocates_less_than_its_gate_cache():
     # numpy reports its buffers to tracemalloc.  A second train step of one
-    # shape refills the first step's gate, cell and tanh arrays, so what it
+    # shape refills the first step's gate and cell arrays, so what it
     # allocates (hidden states, input gradient) stays below the gates alone.
     batch, T, d, h = LSTM_ORACLE_CASES["paper"]
     rng = make_rng(17, "lstm-reuse")
@@ -443,6 +443,27 @@ def test_conv_forward_matches_scipy_correlate(case):
                                        method="direct")[:, 0] + layer.bias[o]
                       for o in range(c_out)] for b in range(batch)]).transpose(0, 2, 1)
     assert_matches_oracle([layer.forward(x)], [want], ["y"])
+
+
+def test_conv_backward_allocates_three_padded_gradients_at_most():
+    # At lstm_cnn's first conv the backward needs the zero-padded output
+    # gradient, the input gradient it returns and one tap's product in
+    # flight, each [batch, T, 50].  Separate activation-gradient temporaries
+    # and a zeroed input gradient took it to four.
+    batch, T, c_in, c_out, k = 32, 100, 50, 50, 3
+    rng = make_rng(18, "conv-peak")
+    layer = nn.Conv1d.init(rng, c_in, c_out, k, "tanh")
+    x = rng.standard_normal((batch, T, c_in))
+    dy = rng.standard_normal(layer.forward(x, train=True).shape)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        layer.backward(dy)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    padded_bytes = batch * T * c_out * 8  # 1.28 MB
+    assert peak < 3.5 * padded_bytes, f"backward peaked at {peak / 1e6:.2f} MB"
 
 
 # ---------------------------------------------------------------------------

