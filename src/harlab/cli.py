@@ -4,6 +4,8 @@ Commands: generate, preprocess, train, evaluate, grid, gradcheck, report.
 Exit codes: 0 success, 1 I/O failure, 2 invalid flags.  All outputs land
 under an explicit --out directory; set HARLAB_LOG to control verbosity
 (timestamps appear only in <out>/harlab.log, never in data files).
+numpy and the pipeline modules are imported inside the commands, so help
+and flag errors are answered without loading them.
 """
 from __future__ import annotations
 
@@ -11,11 +13,7 @@ import argparse
 import logging
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-
-from . import dsp, evaluate, gradcheck, models, reporting, storage, synth
-from .core import ActivityClass, Dataset, class_from_name
 
 log = logging.getLogger("harlab")
 
@@ -47,12 +45,12 @@ def _ensure_out(path_text: str) -> Path:
     return out
 
 
-def _feature_dataset(root: Path, rows: list[dict], decimate_k: int,
-                     positions=None) -> Dataset:
+def _feature_dataset(root: Path, rows: list[dict], decimate_k: int, positions=None):
     """The samples of manifest `rows` (only those at `positions`, if given)
     as model inputs, read on the sample pool: raw complex roots, judged on
     all `rows`, get the default preprocessing chain applied on the fly,
     then each sample is decimated."""
+    from . import dsp, models, storage
     if not rows:
         raise storage.StorageError(f"{root}: dataset has no samples")
     stages = None
@@ -71,6 +69,8 @@ def _feature_dataset(root: Path, rows: list[dict], decimate_k: int,
 
 
 def cmd_generate(args) -> int:
+    from . import storage, synth
+    from .core import ActivityClass
     cfg = synth.GeneratorConfig(seed=args.seed, samples_per_class=args.samples_per_class,
                                 snr_db=args.snr_db)
     out = _ensure_out(args.out)
@@ -90,6 +90,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    from . import dsp, evaluate, storage
     stages = dsp.parse_stages(args.stages)
     out = _ensure_out(args.out)
     _setup_logging(out)
@@ -117,6 +118,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import evaluate, models, storage
     kind = args.model.replace("-", "_")
     # Validate hyperparameter flags before touching the filesystem.
     models.ModelSpec(kind=kind, hidden_size=args.hidden, dropout=args.dropout,
@@ -152,6 +154,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import evaluate, models, reporting, storage
+    from .core import class_from_name
     out = _ensure_out(args.out)
     _setup_logging(out)
     model = storage.load_model(args.model_file)
@@ -178,6 +182,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    from . import evaluate, storage
     if args.decimate < 1:
         raise UsageError(f"--decimate must be >= 1, got {args.decimate}")
     out = _ensure_out(args.out)
@@ -196,6 +201,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from . import gradcheck
     _setup_logging(None)
     results = gradcheck.run_standard_checks(seed=args.seed)
     width = max(len(r.name) for r in results)
@@ -210,6 +216,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import reporting, storage
     run_dir = Path(args.run_dir)
     out = _ensure_out(args.out)
     _setup_logging(out)
@@ -310,6 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from concurrent.futures.process import BrokenProcessPool
+
+    from . import dsp, evaluate, models, storage, synth
     try:
         return args.func(args)
     except (UsageError, dsp.DspError, models.ModelError,

@@ -257,6 +257,8 @@ class PcaStage(Stage):
     needs_fit = True
 
     def __init__(self, n_components: int):
+        if n_components < 1:
+            raise DspError(f"pca n_components must be >= 1, got {n_components}")
         self.n_components = n_components
         self.name = f"pca(n_components={n_components})"
         self.model: PcaModel | None = None
@@ -278,6 +280,8 @@ class SelectKBestStage(Stage):
     needs_fit = True
 
     def __init__(self, k: int):
+        if k < 1:
+            raise DspError(f"select_k_best k must be >= 1, got {k}")
         self.k = k
         self.name = f"select_k_best(k={self.k})"
         self.selection: FeatureSelection | None = None

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +24,8 @@ from .core import (ActivityClass, CsiSample, Dataset, FeatureTensor, Sample,
                    class_from_name)
 from .evaluate import GridCell, MetricsReport, SplitSpec, ordered_map
 from .synth import GeneratorConfig
+
+log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_FIELDS = ("sample_id", "class_name", "relative_path", "seed",
@@ -185,13 +188,7 @@ class DatasetWriter:
         try:
             fd = os.open(self._lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            try:
-                owner = self._lock.read_text().strip() or "unknown"
-            except OSError:
-                owner = "unknown"
-            raise StorageError(
-                f"dataset root is locked by another writer (pid {owner}): {self._lock}; "
-                "if that process is gone, delete the lock file") from None
+            fd = self._take_over_dead_lock()
         with os.fdopen(fd, "w") as fh:
             fh.write(f"{os.getpid()}\n")
         self._rows: list[dict] = []
@@ -199,6 +196,35 @@ class DatasetWriter:
         if manifest.exists():  # a fresh root has none, and no entry to sync
             manifest.unlink()
             _sync_dir(self.root)
+
+    def _take_over_dead_lock(self) -> int:
+        """Replace a lock whose pid is not alive, and remove its writer's temp
+        files.  Only the writer that renames aside the very file judged dead
+        takes it over; a live, unreadable or unsignalable pid still blocks."""
+        owner = "unknown"
+        try:
+            with open(self._lock, "rb") as fh:  # held open, so no new lock reuses its inode
+                owner = fh.read().decode().strip() or owner
+                try:
+                    os.kill(max(int(owner), 0), 0)  # pid 0 is our group: a lock naming none blocks
+                except ProcessLookupError:
+                    aside = self._lock.with_name(f"{self._lock.name}.{os.getpid()}")
+                    os.rename(self._lock, aside)
+                    if os.stat(aside).st_ino != os.fstat(fh.fileno()).st_ino:
+                        os.rename(aside, self._lock)  # a racing writer's new lock: put it back
+                        raise
+                    os.unlink(aside)
+                    fd = os.open(self._lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                    log.warning("took over the lock of dead writer pid %s: %s", owner, self._lock)
+                    with contextlib.suppress(OSError):  # what its writes left half done
+                        for tmp in self.root.rglob(".*.tmp"):
+                            tmp.unlink()
+                    return fd
+        except (OSError, ValueError, OverflowError):
+            pass  # gone, unreadable, alive, not ours to signal, or taken by a racing writer
+        raise StorageError(
+            f"dataset root is locked by another writer (pid {owner}): {self._lock}; "
+            "if that process is gone, delete the lock file")
 
     def record(self, row: dict) -> None:
         self._rows.append({**row, "seed": "" if self.seed is None else str(self.seed)})

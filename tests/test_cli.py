@@ -2,7 +2,11 @@ import csv
 import json
 import os
 import shutil
+import signal
+import subprocess
+import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -54,10 +58,43 @@ def scored_rows(root, split_seed=42):
     return [rows[i] for i in test_idx]
 
 
+def harlab_env() -> dict:
+    """The environment of a `python -m harlab.cli` child that imports this checkout."""
+    return {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+
 def corrupt_line_5(path: Path) -> None:
     lines = path.read_text().splitlines()
     lines[4] = "abc," + lines[4].split(",", 1)[1]
     path.write_text("\r\n".join(lines) + "\r\n", newline="")
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+# runpy runs the module as __main__, the way `python -m harlab.cli` does,
+# then lists what the process loaded, whatever the exit.
+STARTUP_SCRIPT = """
+import runpy, sys
+sys.argv[0] = "harlab"
+try:
+    runpy.run_module("harlab.cli", run_name="__main__")
+finally:
+    print("loaded:", *sorted(sys.modules), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["train", "--help"], 0),
+    (["train", "--dataset", "d", "--out", "o"], 2),  # no --model
+    ([], 2)], ids=["help", "train-help", "usage-error", "no-command"])
+def test_help_and_flag_errors_load_no_numpy_and_no_pipeline(argv, code):
+    child = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, *argv], env=harlab_env(),
+                           capture_output=True, text=True)
+    assert child.returncode == code, child.stderr
+    loaded = child.stderr.splitlines()[-1].split()[1:]
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.partition(".")[0] == "harlab"} <= {"harlab", "harlab.cli"}
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +498,24 @@ def test_fitted_preprocess_reads_each_raw_sample_once(tmp_path, tiny_dataset, mo
     assert len(calls) == len(set(calls)) == len(storage.read_manifest(tiny_dataset)) == 21
 
 
+@pytest.mark.parametrize("stage", ["pca:n_components=0", "select_k_best:k=-3"])
+def test_invalid_fitted_stage_exits_2_before_any_sample_is_read(
+        tmp_path, tiny_dataset, monkeypatch, capsys, stage):
+    use_cores(monkeypatch, 1)  # jobs run in this process, where the calls are counted
+    read_rows, calls = storage._read_rows, []
+
+    def counting_read_rows(*args, **kwargs):
+        calls.append(args[0])
+        return read_rows(*args, **kwargs)
+
+    monkeypatch.setattr(storage, "_read_rows", counting_read_rows)
+    assert run_cli("preprocess", "--dataset", tiny_dataset, "--out", tmp_path / "pre",
+                   "--stages", f"amplitude;impute_mean;{stage}") == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "pre").exists()
+
+
 def test_generate_tree_is_save_dataset_on_any_core_count(tmp_path, monkeypatch):
     cfg = synth.GeneratorConfig(seed=7, samples_per_class=2)
     storage.save_dataset(synth.generate_dataset(cfg), tmp_path / "ref")
@@ -613,6 +668,42 @@ def test_worker_that_dies_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: a worker process died:") and err.count("\n") == 1
     assert not (out / "manifest.csv").exists()
     assert not (out / ".lock").exists()
+
+
+def test_lock_of_a_dead_writer_is_taken_over(tmp_path):
+    fresh, root = tmp_path / "fresh", tmp_path / "d"
+    assert run_cli("generate", "--seed", 4, "--samples-per-class", 1, "--out", fresh) == 0
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped, so its pid names no process
+    root.mkdir()
+    (root / ".lock").write_text(f"{child.pid}\n")
+    assert run_cli("generate", "--seed", 4, "--samples-per-class", 1, "--out", root) == 0
+    assert tree_bytes(root) == tree_bytes(fresh)
+    log = (root / "harlab.log").read_text()
+    assert f"WARNING took over the lock of dead writer pid {child.pid}" in log
+
+
+def test_generate_after_a_killed_generate_succeeds(tmp_path):
+    fresh, root = tmp_path / "fresh", tmp_path / "d"
+    argv = ["generate", "--seed", "6", "--samples-per-class", "4"]
+    assert run_cli(*argv, "--out", fresh) == 0
+    # its own session, so that one SIGKILL ends the command and its pool workers
+    child = subprocess.Popen([sys.executable, "-m", "harlab.cli", *argv, "--out", str(root)],
+                             env=harlab_env(), start_new_session=True,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(root.glob("samples/*/*.csv")) and child.poll() is None:
+            assert time.monotonic() < deadline
+            time.sleep(0.002)
+    finally:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.wait()
+    assert child.returncode == -signal.SIGKILL
+    assert (root / ".lock").read_text() == f"{child.pid}\n"
+    assert not (root / "manifest.csv").exists()
+    assert run_cli(*argv, "--out", root) == 0
+    assert tree_bytes(root) == tree_bytes(fresh)
 
 
 # ---------------------------------------------------------------------------

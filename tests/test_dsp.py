@@ -518,3 +518,43 @@ def test_parse_stages_rejects_unknown():
         dsp.parse_stages("amplitude;stft")
     with pytest.raises(dsp.DspError):
         dsp.parse_stages("butterworth:order=1,window=3")
+
+
+# ---------------------------------------------------------------------------
+# scipy oracles (test-only; skipped where scipy is absent)
+
+SCIPY_ORDERS = [1, 2, 3, 4]
+SCIPY_CUTOFFS = [0.01, 0.05, 0.1, 0.3, 0.7]
+
+
+@pytest.mark.parametrize("cutoff", SCIPY_CUTOFFS)
+@pytest.mark.parametrize("order", SCIPY_ORDERS)
+def test_butter_design_matches_scipy_butter(order, cutoff):
+    # Order 4 at cutoff 0.01 is the worst case: about 1e-10 of the largest
+    # coefficient, from poles near z = 1.
+    signal = pytest.importorskip("scipy.signal")
+    coeffs = dsp.butter_design(order, cutoff)
+    b, a = signal.butter(order, cutoff)
+    for got, want in ((coeffs.b, b), (coeffs.a, a)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("cutoff", SCIPY_CUTOFFS)
+@pytest.mark.parametrize("order", SCIPY_ORDERS)
+def test_filter_matches_scipy_lfilter(order, cutoff):
+    signal = pytest.importorskip("scipy.signal")
+    coeffs = dsp.butter_design(order, cutoff)
+    x = make_rng(31, "lfilter", order, str(cutoff)).standard_normal((1200, 8))
+    want = signal.lfilter(coeffs.b, coeffs.a, x, axis=0)
+    got = dsp.filter_coefficients_apply(coeffs, x)
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_anova_matches_scipy_f_oneway():
+    stats = pytest.importorskip("scipy.stats")
+    rng = make_rng(37, "anova-scipy")
+    labels = np.repeat(np.arange(7), [30, 25, 40, 35, 30, 20, 50])
+    x = rng.standard_normal((labels.size, 16)) + labels[:, None] * rng.standard_normal(16)
+    want = stats.f_oneway(*[x[labels == g] for g in range(7)]).statistic
+    np.testing.assert_allclose(dsp.anova_f_scores(x, labels), want, rtol=1e-13, atol=0)

@@ -138,6 +138,36 @@ def test_lock_file_names_its_writer(tmp_path):
     assert not (tmp_path / "d" / ".lock").exists()
 
 
+@pytest.mark.parametrize("owner", ["", "not a pid", "0", "-1", "9" * 30, "\xff"])
+def test_lock_naming_no_dead_pid_still_blocks(tmp_path, owner):
+    # only a lock that names a pid no process holds is taken over
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / ".lock").write_text(owner, encoding="latin-1")
+    with pytest.raises(storage.StorageError, match="locked by another writer"):
+        storage.DatasetWriter(tmp_path / "d", seed=1)
+    assert (tmp_path / "d" / ".lock").read_text(encoding="latin-1") == owner
+
+
+def test_writer_that_loses_a_lock_take_over_race_restores_the_winners_lock(
+        tmp_path, monkeypatch):
+    root = tmp_path / "d"
+    root.mkdir()
+    (root / ".lock").write_text("123456789\n")
+
+    def dead_after_another_writer_took_over(pid, sig):
+        # between this writer's read of the dead pid and its rename, a
+        # racing writer replaces the lock with its own
+        (root / ".lock").unlink()
+        (root / ".lock").write_text(f"{os.getpid()}\n")
+        raise ProcessLookupError
+
+    monkeypatch.setattr(os, "kill", dead_after_another_writer_took_over)
+    with pytest.raises(storage.StorageError, match="locked by another writer"):
+        storage.DatasetWriter(root, seed=1)
+    assert [p.name for p in root.iterdir()] == [".lock"]
+    assert (root / ".lock").read_text() == f"{os.getpid()}\n"
+
+
 def test_writer_block_that_raises_leaves_no_lock_and_no_manifest(tmp_path):
     sample = small_feature_dataset(per_class=1).samples[0]
     with pytest.raises(RuntimeError, match="boom"):
