@@ -15,7 +15,7 @@ __all__ = [
     "amplitude", "anova_f_scores", "build", "butter_design", "compute_metrics",
     "decimate", "filter_apply", "generate_dataset",
     "generate_sample", "impute_mean", "load_dataset", "load_model",
-    "pca_fit_transform", "predict", "run_grid", "run_pipeline", "save_dataset",
+    "pca_fit_transform", "run_grid", "run_pipeline", "save_dataset",
     "save_model", "select_k_best", "split", "train",
 ]
 
@@ -24,7 +24,7 @@ _SUBMODULE = {name: module for module, names in {
     "dsp": "amplitude anova_f_scores butter_design filter_apply impute_mean "
            "pca_fit_transform run_pipeline select_k_best",
     "evaluate": "MetricsReport SplitSpec compute_metrics run_grid split",
-    "models": "ModelSpec TrainedModel build decimate predict train",
+    "models": "ModelSpec TrainedModel build decimate train",
     "storage": "load_dataset load_model save_dataset save_model",
     "synth": "GeneratorConfig generate_dataset generate_sample",
 }.items() for name in names.split()}

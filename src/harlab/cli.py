@@ -49,12 +49,17 @@ def _feature_dataset(root: Path, rows: list[dict], decimate_k: int, positions=No
     """The samples of manifest `rows` (only those at `positions`, if given)
     as model inputs, read on the sample pool: raw complex roots, judged on
     all `rows`, get the default preprocessing chain applied on the fly,
-    then each sample is decimated."""
+    then each sample is decimated.  Rows that mix raw and preprocessed
+    samples raise StorageError."""
     from . import dsp, models, storage
     if not rows:
         raise storage.StorageError(f"{root}: dataset has no samples")
     stages = None
-    if all(r["is_complex"] == "1" for r in rows):
+    is_complex = {r["is_complex"] == "1" for r in rows}
+    if len(is_complex) > 1:
+        raise storage.StorageError(f"{root}: manifest mixes raw (is_complex 1) and "
+                                   "preprocessed (is_complex 0) samples")
+    if is_complex == {True}:
         log.info("raw complex dataset: applying default preprocessing chain")
         stages = dsp.default_stages()
 
@@ -118,25 +123,21 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from dataclasses import replace
+
     from . import evaluate, models, storage
-    kind = args.model.replace("-", "_")
     # Validate hyperparameter flags before touching the filesystem.
-    models.ModelSpec(kind=kind, hidden_size=args.hidden, dropout=args.dropout,
-                     lr0=args.lr, epochs=args.epochs, batch_size=args.batch_size,
-                     seed=args.seed)
+    spec = models.ModelSpec(kind=args.model.replace("-", "_"), hidden_size=args.hidden,
+                            dropout=args.dropout, lr0=args.lr, epochs=args.epochs,
+                            batch_size=args.batch_size, seed=args.seed)
     if args.decimate < 1:
         raise UsageError(f"--decimate must be >= 1, got {args.decimate}")
     out = _ensure_out(args.out)
     _setup_logging(out)
     root = Path(args.dataset)
     dataset = _feature_dataset(root, storage.read_manifest(root), args.decimate)
-    first = dataset.samples[0]
-    spec = models.ModelSpec(kind=kind,
-                            timesteps=first.values.shape[0],
-                            n_features=first.values.shape[1],
-                            hidden_size=args.hidden, dropout=args.dropout,
-                            lr0=args.lr, epochs=args.epochs,
-                            batch_size=args.batch_size, seed=args.seed)
+    timesteps, n_features = dataset.samples[0].values.shape
+    spec = replace(spec, timesteps=timesteps, n_features=n_features)
     split_spec = evaluate.SplitSpec(seed=args.seed)
     train_ds, val_ds = evaluate.split(dataset, split_spec)
     log.info("training %s on %d samples (%d validation)", spec.kind,

@@ -67,14 +67,6 @@ class CsiSample:
         object.__setattr__(self, "label", ActivityClass(self.label))
         object.__setattr__(self, "lineage", tuple(self.lineage))
 
-    @property
-    def n_packets(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def n_subcarriers(self) -> int:
-        return self.frames.shape[1]
-
     def __eq__(self, other) -> bool:
         # Bitwise on frames: equality must be exact for determinism checks.
         if not isinstance(other, CsiSample):
@@ -104,10 +96,6 @@ class FeatureTensor:
         object.__setattr__(self, "values", _freeze(values))
         object.__setattr__(self, "label", ActivityClass(self.label))
         object.__setattr__(self, "lineage", tuple(self.lineage))
-
-    @property
-    def n_features(self) -> int:
-        return self.values.shape[1]
 
     def with_values(self, values: np.ndarray, stage: str) -> "FeatureTensor":
         return FeatureTensor(values, self.label, self.lineage + (stage,))

@@ -36,10 +36,6 @@ class FilterCoeffs:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a", a)
 
-    @property
-    def poles(self) -> np.ndarray:
-        return np.roots(self.a) if self.a.size > 1 else np.empty(0, dtype=np.complex128)
-
 
 @dataclass(frozen=True)
 class PcaModel:
@@ -66,6 +62,9 @@ class FeatureSelection:
 
 def amplitude(sample: CsiSample) -> FeatureTensor:
     """Per-entry modulus of the complex CSI frames."""
+    if not isinstance(sample, CsiSample):
+        raise DspError("amplitude needs a raw CSI sample; this one is already "
+                       f"preprocessed (lineage {'|'.join(sample.lineage)})")
     return FeatureTensor(np.abs(sample.frames), sample.label, sample.lineage + ("amplitude",))
 
 

@@ -85,7 +85,6 @@ class MetricsReport:
     mean_loss: float
     confusion: np.ndarray             # [C, C] counts, rows = true class
     confusion_normalized: np.ndarray  # rows sum to 1 (all-zero rows stay zero)
-    empty_classes: tuple[int, ...]    # true classes absent from the test set
 
 
 def compute_metrics(true_labels, pred_labels, losses) -> MetricsReport:
@@ -127,7 +126,6 @@ def compute_metrics(true_labels, pred_labels, losses) -> MetricsReport:
         mean_loss=float(loss_arr.mean()),
         confusion=confusion,
         confusion_normalized=normalized,
-        empty_classes=tuple(int(c) for c in np.flatnonzero(row_sums == 0)),
     )
 
 

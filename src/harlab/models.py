@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .core import ActivityClass, FeatureTensor, N_CLASSES
+from .core import FeatureTensor, N_CLASSES
 from .rng import make_rng
 
 KINDS = ("lstm", "cnn", "lstm_cnn")
@@ -123,10 +123,6 @@ class Network:
                 raise ModelError(
                     f"weight {name!r} has shape {arr.shape}, expected {params[name].shape}")
             params[name][...] = arr
-
-
-def count_params(net: Network) -> int:
-    return sum(arr.size for arr in net.params().values())
 
 
 def build(spec: ModelSpec) -> Network:
@@ -240,16 +236,12 @@ def _split_samples(data, name: str, spec: ModelSpec) -> tuple[list[np.ndarray], 
     """The [T, F] sample arrays and int labels of one split, checked.
 
     data is an iterable of FeatureTensor, whose arrays are kept as they
-    are, or an (x [n, T, F], y [n]) pair, kept as views of x's rows.  An
-    empty split, samples of unequal or wrong shape, and a non-finite value
-    (named by sample, step and feature) raise ModelError.
+    are.  An empty split, samples of unequal or wrong shape, and a
+    non-finite value (named by sample, step and feature) raise ModelError.
     """
-    if isinstance(data, tuple) and len(data) == 2 and isinstance(data[0], np.ndarray):
-        xs, y = list(np.asarray(data[0], dtype=np.float64)), np.asarray(data[1])
-    else:
-        tensors = list(data)
-        xs = [t.values for t in tensors]
-        y = np.array([t.label for t in tensors], dtype=np.int64)
+    tensors = list(data)
+    xs = [t.values for t in tensors]
+    y = np.array([t.label for t in tensors], dtype=np.int64)
     if not xs:
         raise ModelError(f"empty {name} split")
     shape = xs[0].shape
@@ -269,17 +261,16 @@ def _split_samples(data, name: str, spec: ModelSpec) -> tuple[list[np.ndarray], 
 def train(net: Network, train_set, val_set) -> TrainedModel:
     """Mini-batch Adam training with seeded shuffling and dropout.
 
-    train_set/val_set are iterables of FeatureTensor (or pre-stacked
-    (x, y) pairs).  No stacked copy of either split is made: each batch
-    is stacked from its shuffled samples, and validation runs through
-    predict_probs one chunk at a time.  Inputs are standardised per
-    feature with the mean and standard deviation of the training split
-    only; the returned model keeps both vectors and applies them in
-    predict_probs.  History records one row per epoch.  A non-finite input
-    value raises ModelError naming its split, sample, step and feature,
-    before anything is fitted; a training batch or validation pass whose
-    probabilities are not finite raises ModelError naming the epoch and
-    the batch or "validation".
+    train_set/val_set are iterables of FeatureTensor.  No stacked copy of
+    either split is made: each batch is stacked from its shuffled samples,
+    and validation runs through predict_probs one chunk at a time.  Inputs
+    are standardised per feature with the mean and standard deviation of
+    the training split only; the returned model keeps both vectors and
+    applies them in predict_probs.  History records one row per epoch.  A
+    non-finite input value raises ModelError naming its split, sample, step
+    and feature, before anything is fitted; a training batch or validation
+    pass whose probabilities are not finite raises ModelError naming the
+    epoch and the batch or "validation".
     """
     spec = net.spec
     x_train, y_train = _split_samples(train_set, "train", spec)
@@ -322,12 +313,6 @@ def train(net: Network, train_set, val_set) -> TrainedModel:
             val_acc=nn.accuracy(val_probs, y_val),
         ))
     return model
-
-
-def predict(model: TrainedModel, x: FeatureTensor) -> tuple[ActivityClass, np.ndarray]:
-    """Eval-mode class prediction and the full probability row."""
-    probs = model.predict_probs(x.values[None])[0]
-    return ActivityClass(int(probs.argmax())), probs
 
 
 def decimate(x: FeatureTensor, k: int) -> FeatureTensor:

@@ -1,6 +1,6 @@
-"""Minimal from-scratch neural toolkit: dense, LSTM, 1-D conv, pooling,
-dropout, last-step selection, softmax cross-entropy, and Adam, with
-hand-written backward passes.
+"""Minimal from-scratch neural toolkit: a linear dense layer, LSTM, 1-D
+conv (linear or tanh), pooling, dropout, last-step selection, softmax
+cross-entropy, and Adam, with hand-written backward passes.
 
 Every layer has one protocol.  forward(x, train=False, rng=None) returns
 the output for the batch x; only Dropout reads rng.  backward(dy) returns
@@ -62,9 +62,10 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def _activation_backward(dy: np.ndarray, y: np.ndarray, activation: str, out=None) -> np.ndarray:
+def _activation_backward(dy: np.ndarray, y: np.ndarray, activation: str,
+                         out: np.ndarray) -> np.ndarray:
     if activation == "none":
-        return dy if out is None else np.positive(dy, out=out)
+        return np.positive(dy, out=out)
     if activation == "tanh":
         z = np.multiply(y, y, out=out)
         np.subtract(1.0, z, out=z)
@@ -79,34 +80,31 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
 
 
 class Dense:
-    """y = act(x @ w + b), w: [d, u], b: [u]; act is "none" or "tanh"."""
+    """Linear map y = x @ w + b, w: [d, u], b: [u]; a classifier's head."""
 
-    def __init__(self, w: np.ndarray, b: np.ndarray, activation: str = "none"):
+    def __init__(self, w: np.ndarray, b: np.ndarray):
         self.w = np.asarray(w, dtype=np.float64)
         self.b = np.asarray(b, dtype=np.float64)
         if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
             raise ShapeError(f"inconsistent dense shapes w{self.w.shape} b{self.b.shape}")
-        self.activation = activation
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
 
     @classmethod
-    def init(cls, rng, d: int, u: int, activation: str = "none") -> "Dense":
-        return cls(glorot_uniform(rng, (d, u), d, u), np.zeros(u), activation)
+    def init(cls, rng, d: int, u: int) -> "Dense":
+        return cls(glorot_uniform(rng, (d, u), d, u), np.zeros(u))
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.w.shape[0]:
             raise ShapeError(f"dense expected [n, {self.w.shape[0]}], got {x.shape}")
-        y = _activate(x @ self.w + self.b, self.activation)
-        self._x, self._y = (x, y) if train else (None, None)
-        return y
+        self._x = x if train else None
+        return x @ self.w + self.b
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        dz = _activation_backward(dy, self._y, self.activation)
-        self.dw += self._x.T @ dz
-        self.db += dz.sum(axis=0)
-        return dz @ self.w.T
+        self.dw += self._x.T @ dy
+        self.db += dy.sum(axis=0)
+        return dy @ self.w.T
 
     def params(self):
         return {"w": self.w, "b": self.b}

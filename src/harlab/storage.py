@@ -279,27 +279,31 @@ def save_dataset(dataset: Dataset, root: Path | str) -> None:
 def read_manifest(root: Path | str) -> list[dict]:
     """The manifest rows of a dataset root, in canonical sample order.  A
     row with fewer or more cells than the header, an unknown class or a
-    non-integer sample shape raises StorageError naming its line."""
+    non-integer sample shape raises StorageError naming its line; a byte
+    that is not UTF-8 or a CSV syntax error, naming the file."""
     manifest = Path(root) / MANIFEST_NAME
     if not manifest.exists():
         raise StorageError(f"manifest.csv not found in {root}")
-    with open(manifest, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(MANIFEST_FIELDS) - set(reader.fieldnames):
-            raise StorageError(f"{manifest}: missing manifest columns")
-        rows = []
-        for row in reader:
-            try:
-                if None in row or None in row.values():
-                    raise ValueError(f"{'more' if None in row else 'fewer'} cells "
-                                     f"than the header's {len(reader.fieldnames)}")
-                class_from_name(row["class_name"])
-                for field in ("n_packets", "n_subcarriers"):
-                    if not str(row[field]).isdecimal():
-                        raise ValueError(f"{field} {row[field]!r} is not an integer")
-            except ValueError as exc:
-                raise StorageError(f"{manifest}:{reader.line_num}: {exc}") from None
-            rows.append(row)
+    try:
+        with open(manifest, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or set(MANIFEST_FIELDS) - set(reader.fieldnames):
+                raise StorageError(f"{manifest}: missing manifest columns")
+            rows = []
+            for row in reader:
+                try:
+                    if None in row or None in row.values():
+                        raise ValueError(f"{'more' if None in row else 'fewer'} cells "
+                                         f"than the header's {len(reader.fieldnames)}")
+                    class_from_name(row["class_name"])
+                    for field in ("n_packets", "n_subcarriers"):
+                        if not str(row[field]).isdecimal():
+                            raise ValueError(f"{field} {row[field]!r} is not an integer")
+                except ValueError as exc:
+                    raise StorageError(f"{manifest}:{reader.line_num}: {exc}") from None
+                rows.append(row)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise StorageError(f"{manifest}: {exc}") from None
     # Canonical order regardless of manifest row order.
     rows.sort(key=lambda r: (int(class_from_name(r["class_name"])), r["sample_id"]))
     return rows
@@ -380,7 +384,7 @@ def load_flat(path: Path | str, n_packets: int) -> list[FeatureTensor]:
         code = block[0, 0]
         if (block[:, 0] != code).any():
             raise StorageError(f"{path}: label changes inside sample block at row {start + 1}")
-        if not code.is_integer():
+        if code not in range(len(ActivityClass)):
             raise StorageError(f"{path}:{start + 1}: label {code} is not a class code")
         tensors.append(FeatureTensor(block[:, 1:], int(code), ("flat_import",)))
     return tensors
@@ -415,7 +419,7 @@ def load_model(path: Path | str) -> models.TrainedModel:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise StorageError(f"{path}: truncated or malformed model file ({exc})") from None
     if not isinstance(doc, dict):
         raise StorageError(f"{path}: model file holds a JSON {type(doc).__name__}, "

@@ -111,13 +111,12 @@ def _logistic(t: np.ndarray, center: float, width: float) -> np.ndarray:
 
 
 def class_profile(cfg: GeneratorConfig, cls: ActivityClass, t: np.ndarray, *,
-                  phase: float = 0.0, center: float | None = None,
-                  trend_sign: float | None = None) -> np.ndarray:
+                  phase: float = 0.0, center: float | None = None) -> np.ndarray:
     """Dynamic-path gain over time for one class.
 
     phase randomises the periodic signatures, center the transient
-    midpoint; trend_sign overrides the walking-direction trend (+1 for
-    walk_forward, -1 for walk_backward by default).
+    midpoint; the walking trend rises for walk_forward and falls for
+    walk_backward.
     """
     if center is None:
         center = cfg.transient_center_s
@@ -134,11 +133,10 @@ def class_profile(cfg: GeneratorConfig, cls: ActivityClass, t: np.ndarray, *,
         sigma = _BUMP_SIGMA_FRACTION * cfg.transient_width_s
         return BUMP_AMP * np.exp(-0.5 * ((t - center) / sigma) ** 2)
     if cls in (ActivityClass.WALK_FORWARD, ActivityClass.WALK_BACKWARD):
-        if trend_sign is None:
-            trend_sign = 1.0 if cls is ActivityClass.WALK_FORWARD else -1.0
+        direction = 1.0 if cls is ActivityClass.WALK_FORWARD else -1.0
         envelope = WALK_ENVELOPE_AMP * np.sin(2 * math.pi * cfg.walk_envelope_hz * t + phase)
         fringe = WALK_FRINGE_AMP * np.sin(2 * math.pi * cfg.walk_fringe_hz * t + phase)
-        trend = trend_sign * WALK_TREND_AMP * (2.0 * t / duration - 1.0)
+        trend = direction * WALK_TREND_AMP * (2.0 * t / duration - 1.0)
         return envelope + fringe + trend
     raise GeneratorError(f"no profile for class {cls!r}")
 

@@ -1,15 +1,20 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from harlab import cli, dsp, evaluate, models, nn, storage, synth
 from harlab.core import Dataset, class_from_name
@@ -437,6 +442,64 @@ def test_malformed_manifest_row_exits_1_naming_its_line(
         assert err.count("\n") == 1
 
 
+def test_preprocess_of_a_preprocessed_root_exits_2_naming_its_lineage(
+        tmp_path, tiny_pre, capsys):
+    capsys.readouterr()
+    assert run_cli("preprocess", "--dataset", tiny_pre, "--out", tmp_path / "again") == 2
+    err = capsys.readouterr().err
+    assert err == ("error: amplitude needs a raw CSI sample; this one is already preprocessed "
+                   "(lineage amplitude|impute_mean|butterworth(order=1,cutoff=0.05))\n")
+
+
+def test_root_of_raw_and_preprocessed_rows_exits_1_naming_it(
+        tmp_path, tiny_dataset, tiny_pre, tiny_model, capsys):
+    # one scored raw sample replaced by its preprocessed file and manifest row
+    data = tmp_path / "mixed"
+    shutil.copytree(tiny_dataset, data)
+    victim = scored_rows(data)[0]["sample_id"]
+    manifest = data / storage.MANIFEST_NAME
+    rows = {r["sample_id"]: r for r in storage.read_manifest(tiny_pre)}
+    with open(manifest, newline="") as fh:
+        lines = list(csv.DictReader(fh))
+    for i, row in enumerate(lines):
+        if row["sample_id"] == victim:
+            lines[i] = rows[victim]
+            shutil.copy(tiny_pre / row["relative_path"], data / row["relative_path"])
+    with open(manifest, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, storage.MANIFEST_FIELDS)
+        writer.writeheader()
+        writer.writerows(lines)
+    capsys.readouterr()
+    for argv in (["train", "--model", "lstm", "--dataset", data, "--epochs", 1,
+                  "--hidden", 4, "--decimate", 60, "--out", tmp_path / "run"],
+                 ["evaluate", "--model-file", tiny_model, "--dataset", data,
+                  "--out", tmp_path / "eval"],
+                 ["grid", "--dataset", data, "--decimate", 60, "--out", tmp_path / "grid"]):
+        assert run_cli(*argv) == 1, argv[0]
+        assert capsys.readouterr().err == (
+            f"I/O error: {data}: manifest mixes raw (is_complex 1) and "
+            "preprocessed (is_complex 0) samples\n"), argv[0]
+
+
+@pytest.mark.parametrize("victim", ["manifest", "model"])
+def test_non_utf8_byte_in_an_index_file_exits_1_naming_it(
+        tmp_path, tiny_pre, tiny_model, capsys, victim):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_pre, data)
+    model_file = tmp_path / "model.json"
+    shutil.copy(tiny_model, model_file)
+    path = data / storage.MANIFEST_NAME if victim == "manifest" else model_file
+    with open(path, "ab") as fh:
+        fh.write(b"\xff")
+    capsys.readouterr()
+    assert run_cli("evaluate", "--model-file", model_file, "--dataset", data,
+                   "--out", tmp_path / "eval") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"I/O error: {path}: ")
+    assert "can't decode byte 0xff" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_whose_validation_loss_diverges_exits_2(tmp_path, tiny_dataset, capsys):
     code = run_cli("train", "--model", "lstm", "--dataset", tiny_dataset, "--lr", "1e308",
@@ -704,6 +767,75 @@ def test_generate_after_a_killed_generate_succeeds(tmp_path):
     assert not (root / "manifest.csv").exists()
     assert run_cli(*argv, "--out", root) == 0
     assert tree_bytes(root) == tree_bytes(fresh)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: evaluate on a mutated manifest
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    """A raw 2-per-class root of 120-packet samples, and a model trained on it."""
+    base = tmp_path_factory.mktemp("fuzz")
+    cfg = synth.GeneratorConfig(seed=3, samples_per_class=2, n_packets=120)
+    storage.save_dataset(synth.generate_dataset(cfg), base / "raw")
+    assert run_cli("train", "--model", "lstm", "--dataset", base / "raw", "--epochs", 1,
+                   "--hidden", 4, "--out", base / "run") == 0
+    return base / "raw", base / "run" / "model.json"
+
+
+CELL_VALUES = st.one_of(
+    st.sampled_from(["", "0", "1", "2", "-1", "64", "128", "120", "1200", "9" * 30,
+                     "walk_forward", "samples/empty", "amplitude", "a|b"]),
+    st.text(max_size=6))
+MANIFEST_MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(["insert", "replace"]), st.integers(0, 10**6),
+              st.integers(0, 255)),
+    st.tuples(st.just("cell"), st.integers(0, 10**6), st.sampled_from(storage.MANIFEST_FIELDS),
+              CELL_VALUES),
+    st.tuples(st.sampled_from(["drop", "duplicate"]), st.integers(0, 10**6)))
+
+
+def mutated(manifest: bytes, mutation) -> bytes:
+    """manifest with one byte inserted or replaced, one cell set, or one row
+    dropped or duplicated; positions wrap around."""
+    op, at, *arg = mutation
+    if op in ("insert", "replace"):
+        at %= len(manifest)
+        return manifest[:at] + bytes([arg[0]]) + manifest[at + (op == "replace"):]
+    rows = list(csv.reader(io.StringIO(manifest.decode(), newline="")))
+    i = 1 + at % (len(rows) - 1)  # a sample row, not the header
+    if op == "cell":
+        rows[i][rows[0].index(arg[0])] = arg[1]
+    elif op == "drop":
+        del rows[i]
+    else:
+        rows.insert(i, rows[i])
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(rows)
+    return out.getvalue().encode()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@example(("replace", -1, 0xFF))
+@example(("cell", 0, "is_complex", "0"))
+@example(("cell", 0, "n_packets", "0"))
+@given(mutation=MANIFEST_MUTATIONS)
+def test_evaluate_on_a_mutated_manifest_ends_in_an_exit_code(fuzz_root, mutation):
+    root, model_file = fuzz_root
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data"
+        data.mkdir()
+        (data / "samples").symlink_to(root / "samples")
+        manifest = (root / storage.MANIFEST_NAME).read_bytes()
+        (data / storage.MANIFEST_NAME).write_bytes(mutated(manifest, mutation))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("evaluate", "--model-file", model_file, "--dataset", data,
+                           "--out", Path(tmp) / "eval")
+    assert code in (0, 1, 2)
+    if code:
+        last = err.getvalue().split("\n")[-2]  # not splitlines: a path may hold a \x1c
+        assert last.startswith("error: " if code == 2 else "I/O error: "), last
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ def test_csisample_shape_validation():
     # non-64 widths are fine once lineage records the producing stage
     s = CsiSample(np.ones((5, 32), dtype=np.complex128), ActivityClass.EMPTY, "x",
                   ("select_k_best(k=32)",))
-    assert s.n_subcarriers == 32
+    assert s.frames.shape == (5, 32)
 
 
 def test_csisample_immutable():
@@ -62,7 +62,7 @@ def test_feature_tensor_width_guard():
     with pytest.raises(ValueError):
         FeatureTensor(np.zeros((3, 10)), 0)
     t = FeatureTensor(np.zeros((3, 10)), 0, ("amplitude", "pca(n_components=10)"))
-    assert t.n_features == 10
+    assert t.values.shape == (3, 10)
 
 
 def test_dataset_class_counts():

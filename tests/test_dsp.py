@@ -35,6 +35,12 @@ def test_amplitude_zero_and_negative_real():
     assert out.values[0, 1] == 1.0
 
 
+def test_amplitude_of_a_preprocessed_sample_names_its_lineage():
+    with pytest.raises(dsp.DspError, match=r"already preprocessed "
+                                           r"\(lineage amplitude\|impute_mean\)$"):
+        dsp.amplitude(_ft(np.ones((3, 64)), ("amplitude", "impute_mean")))
+
+
 # ---------------------------------------------------------------------------
 # impute_mean
 
@@ -103,7 +109,7 @@ def test_butter_unity_dc_gain(order, cutoff):
 def test_butter_poles_inside_unit_circle():
     for order in (1, 2, 3, 4):
         coeffs = dsp.butter_design(order, 0.1)
-        assert np.all(np.abs(coeffs.poles) < 1.0)
+        assert np.all(np.abs(np.roots(coeffs.a)) < 1.0)
 
 
 def test_butter_label_names_the_exact_cutoff():

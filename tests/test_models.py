@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from harlab import models, nn
-from harlab.core import ActivityClass, FeatureTensor
+from harlab.core import FeatureTensor
 from harlab.rng import make_rng
 
 
@@ -26,6 +26,10 @@ def toy_tensors(rng, n=20, T=12, F=6):
         values = rng.standard_normal((T, F)) + code * 0.5
         out.append(FeatureTensor(values, code, ("amplitude", "toy")))
     return out
+
+
+def n_params(net):
+    return sum(arr.size for arr in net.params().values())
 
 
 def weight_checksum(net):
@@ -73,14 +77,14 @@ def test_lstm_parameter_count_shape_arithmetic():
     # 4h(d + h) + 4h for the recurrent cell, h*C + C for the head
     spec = models.ModelSpec(kind="lstm", timesteps=100, n_features=64, hidden_size=50)
     net = models.build(spec)
-    assert models.count_params(net) == 4 * 50 * (64 + 50) + 4 * 50 + 50 * 7 + 7 == 23357
+    assert n_params(net) == 4 * 50 * (64 + 50) + 4 * 50 + 50 * 7 + 7 == 23357
 
 
 def test_cnn_parameter_count_shape_arithmetic():
     spec = toy_spec("cnn")  # T=12 -> conv 10 -> conv 8 -> pool 2 -> flatten 6
     net = models.build(spec)
     expect = (4 * 3 * 6 + 4) + (3 * 3 * 4 + 3) + (2 * 3 * 7 + 7)
-    assert models.count_params(net) == expect
+    assert n_params(net) == expect
 
 
 def test_untrained_model_outputs_probability_rows():
@@ -191,49 +195,45 @@ def test_train_names_epoch_of_diverging_validation_loss():
 @pytest.mark.parametrize("split, bad", [("train", np.nan), ("validation", -np.inf)])
 def test_train_names_split_sample_step_feature_of_non_finite_input(split, bad):
     rng = make_rng(9, "train-non-finite", split)
-    x, y = models.stack_features(toy_tensors(rng, n=14))
-    x_val, y_val = x[:7].copy(), y[:7]
-    (x if split == "train" else x_val)[5, 11, 0] = bad
+    tensors = toy_tensors(rng, n=14)
+    values = tensors[5].values.copy()
+    values[11, 0] = bad
+    with_bad = tensors[:5] + [FeatureTensor(values, tensors[5].label, tensors[5].lineage)]
+    train_set, val_set = tensors, tensors[:7]
+    if split == "train":
+        train_set = with_bad + tensors[6:]
+    else:
+        val_set = with_bad + tensors[6:7]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning before the error
         with pytest.raises(models.ModelError,
                            match=rf"^{split} split: non-finite value {bad} "
                                  r"at sample 5, step 11, feature 0$"):
-            models.train(models.build(toy_spec()), (x, y), (x_val, y_val))
+            models.train(models.build(toy_spec()), train_set, val_set)
 
 
 def test_input_standardisation_is_fitted_on_the_training_split_only():
     rng = make_rng(8, "train-standardise")
-    x, y = models.stack_features(toy_tensors(rng, n=14))
-    x[..., 5] = 3.0  # a constant feature
+    tensors = []
+    for t in toy_tensors(rng, n=14):
+        values = t.values.copy()
+        values[:, 5] = 3.0  # a constant feature
+        tensors.append(FeatureTensor(values, t.label, t.lineage))
+    x = np.stack([t.values for t in tensors])
     spec = toy_spec(epochs=1)
-    trained = models.train(models.build(spec), (x, y), (x[:7], y[:7]))
+    trained = models.train(models.build(spec), tensors, tensors[:7])
     np.testing.assert_allclose(trained.input_mean, x.mean(axis=(0, 1)), rtol=1e-12)
     np.testing.assert_allclose(trained.input_scale[:5], x[..., :5].std(axis=(0, 1)),
                                rtol=1e-12)
     assert trained.input_scale[5] == 1.0
-    shifted = models.train(models.build(spec), (x, y), (x[:7] + 100.0, y[:7]))
+    shifted_val = [FeatureTensor(t.values + 100.0, t.label, t.lineage) for t in tensors[:7]]
+    shifted = models.train(models.build(spec), tensors, shifted_val)
     assert np.array_equal(shifted.input_mean, trained.input_mean)
     assert np.array_equal(shifted.input_scale, trained.input_scale)
 
 
 # ---------------------------------------------------------------------------
 # the data train holds: the caller's sample arrays, one stacked batch at a time
-
-@pytest.mark.parametrize("kind", models.KINDS)
-def test_training_on_samples_equals_training_on_the_stacked_pair(kind):
-    rng = make_rng(13, "samples-vs-stacked", kind)
-    tensors = toy_tensors(rng, n=18)  # batches of 4, 4, 4, 4 and 2
-    x, y = models.stack_features(tensors)
-    spec = toy_spec(kind, epochs=3)
-    on_samples = models.train(models.build(spec), tensors, tensors[:7])
-    on_pair = models.train(models.build(spec), (x, y), (x[:7], y[:7]))
-    assert weight_checksum(on_samples.network) == weight_checksum(on_pair.network)
-    assert on_samples.history == on_pair.history
-    assert on_samples.input_mean.tobytes() == on_pair.input_mean.tobytes()
-    assert on_samples.input_scale.tobytes() == on_pair.input_scale.tobytes()
-    assert on_samples.predict_probs(x).tobytes() == on_pair.predict_probs(x).tobytes()
-
 
 @pytest.mark.parametrize("kind", models.KINDS)
 def test_predict_probs_on_a_sample_list_equals_predict_probs_on_the_array(kind):
@@ -344,12 +344,11 @@ def test_predict_probs_sum_to_one_and_deterministic():
     rng = make_rng(5, "predict")
     tensors = toy_tensors(rng, n=14)
     trained = models.train(models.build(toy_spec(epochs=1)), tensors, tensors[:7])
-    cls_a, probs_a = models.predict(trained, tensors[0])
-    cls_b, probs_b = models.predict(trained, tensors[0])
-    assert cls_a is cls_b
+    probs_a = trained.predict_probs([tensors[0].values])
+    probs_b = trained.predict_probs([tensors[0].values])
+    assert probs_a.shape == (1, 7)
     assert np.array_equal(probs_a, probs_b)
     assert abs(probs_a.sum() - 1.0) < 1e-9
-    assert isinstance(cls_a, ActivityClass)
 
 
 def test_predict_probs_leaves_no_array_on_any_layer():
@@ -375,9 +374,8 @@ def test_predict_rejects_wrong_shape():
     rng = make_rng(6, "predict-shape")
     tensors = toy_tensors(rng, n=14)
     trained = models.train(models.build(toy_spec(epochs=1)), tensors, tensors[:7])
-    wrong = FeatureTensor(rng.standard_normal((5, 6)), 0, ("amplitude", "toy"))
-    with pytest.raises(models.ModelError):
-        models.predict(trained, wrong)
+    with pytest.raises(models.ModelError, match=r"input shape \(5, 6\) != model input \(12, 6\)"):
+        trained.predict_probs([rng.standard_normal((5, 6))])
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,9 @@ def test_dense_softmax_of_zeros_is_uniform():
     np.testing.assert_allclose(out, 1.0 / 3.0, atol=1e-15)
 
 
-def test_dense_tanh_zero_preactivation():
-    out = nn.Dense(np.zeros((3, 4)), np.zeros(4), "tanh").forward(np.zeros((2, 3)))
-    assert np.all(out == 0.0)
-
-
 def test_dense_identity_map():
     x = make_rng(0, "dense-id").standard_normal((6, 4))
-    out = nn.Dense(np.eye(4), np.zeros(4), "none").forward(x)
+    out = nn.Dense(np.eye(4), np.zeros(4)).forward(x)
     np.testing.assert_allclose(out, x, atol=0)
 
 
@@ -241,7 +236,7 @@ def test_select_last_forward_and_backward():
 
 
 PROTOCOL_LAYERS = {
-    "Dense": lambda rng: nn.Dense.init(rng, 3, 4, "tanh"),
+    "Dense": lambda rng: nn.Dense.init(rng, 3, 4),
     "Lstm": lambda rng: nn.Lstm.init(rng, 3, 4),
     "Conv1d": lambda rng: nn.Conv1d.init(rng, 3, 4, 2, "tanh"),
     "MaxPool1d": lambda rng: nn.MaxPool1d(3),

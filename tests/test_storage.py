@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -68,6 +69,16 @@ def test_missing_manifest_error(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(storage.StorageError, match="manifest.csv not found"):
         storage.load_dataset(tmp_path / "empty")
+
+
+@pytest.mark.parametrize("row, error", [
+    (b"\xff", "can't decode byte 0xff"),
+    (b"x" * 200_000, r"field larger than field limit")], ids=["not-utf8", "csv-error"])
+def test_unreadable_manifest_raises_storage_error_naming_it(tmp_path, row, error):
+    manifest = tmp_path / storage.MANIFEST_NAME
+    manifest.write_bytes(",".join(storage.MANIFEST_FIELDS).encode() + b"\n" + row + b"\n")
+    with pytest.raises(storage.StorageError, match=rf"^{re.escape(str(manifest))}: .*{error}"):
+        storage.read_manifest(tmp_path)
 
 
 def test_missing_sample_file_error_names_path(tmp_path):
@@ -418,6 +429,15 @@ def test_flat_reimport_rejects_blank_line(tmp_path):
     path.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n")
     with pytest.raises(storage.StorageError, match=r"flat.csv:4: expected 65 columns, got 0"):
         storage.load_flat(path, n_packets=4)
+
+
+@pytest.mark.parametrize("code", ["9", "-1", "0.5"])
+def test_flat_reimport_names_file_and_row_of_a_label_that_is_no_class_code(tmp_path, code):
+    path = tmp_path / "flat.csv"
+    path.write_text(f"1,1.0,2.0\n{code},1.0,2.0\n")
+    with pytest.raises(storage.StorageError,
+                       match=rf"flat.csv:2: label {float(code)} is not a class code$"):
+        storage.load_flat(path, n_packets=1)
 
 
 def test_flat_export_rejects_complex_samples(tmp_path):

@@ -122,12 +122,11 @@ def test_walk_band_energy_dominates_empty():
 def test_walk_directions_differ_only_in_trend_sign():
     cfg = small_cfg()
     t = np.arange(cfg.n_packets) / synth.SAMPLE_RATE_HZ
-    fwd_flipped = synth.class_profile(cfg, ActivityClass.WALK_FORWARD, t,
-                                      phase=0.3, trend_sign=-1.0)
+    fwd = synth.class_profile(cfg, ActivityClass.WALK_FORWARD, t, phase=0.3)
     bwd = synth.class_profile(cfg, ActivityClass.WALK_BACKWARD, t, phase=0.3)
-    assert np.array_equal(fwd_flipped, bwd)
-    # and at +inf snr the amplitude traces map onto each other through the
-    # same channel realization
+    trend = synth.WALK_TREND_AMP * (2.0 * t / cfg.duration_s - 1.0)
+    np.testing.assert_allclose(fwd - bwd, 2.0 * trend, rtol=0, atol=1e-12)
+    # and through one channel realization at +inf snr the two traces differ
     cfg_clean = small_cfg(snr_db=math.inf)
     rng = make_rng(0, "trend-check")
     chan = synth.realize_channel(cfg_clean, ActivityClass.WALK_FORWARD, rng)
@@ -138,11 +137,6 @@ def test_walk_directions_differ_only_in_trend_sign():
     trace_fwd = np.abs(synth.synthesize_frames(cfg_clean, chan_fwd)).mean(axis=1)
     trace_bwd = np.abs(synth.synthesize_frames(cfg_clean, chan_bwd)).mean(axis=1)
     assert not np.array_equal(trace_fwd, trace_bwd)
-    # flipping the trend on the forward profile reproduces backward exactly
-    flipped = synth.class_profile(cfg_clean, ActivityClass.WALK_FORWARD, t, trend_sign=-1.0)
-    chan_flip = synth.ChannelRealization(chan.static, chan.phase_offsets, flipped)
-    trace_flip = np.abs(synth.synthesize_frames(cfg_clean, chan_flip)).mean(axis=1)
-    assert np.array_equal(trace_flip, trace_bwd)
 
 
 def test_class_profiles_have_documented_shapes():
