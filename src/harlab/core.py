@@ -123,13 +123,6 @@ class Dataset:
     def from_samples(cls, samples, seed: int | None = None) -> "Dataset":
         return cls(tuple(samples), seed)
 
-    @property
-    def class_counts(self) -> dict[ActivityClass, int]:
-        counts = {c: 0 for c in ActivityClass}
-        for s in self.samples:
-            counts[s.label] += 1
-        return counts
-
     def __len__(self) -> int:
         return len(self.samples)
 

@@ -13,6 +13,8 @@ import numpy as np
 
 from .core import CsiSample, FeatureTensor
 
+MAX_BUTTER_ORDER = 100  # no order above 69 designs a stable filter; the design is O(order**2)
+
 
 class DspError(ValueError):
     """Raised on contract violations in the preprocessing chain."""
@@ -29,6 +31,8 @@ class FilterCoeffs:
     def __post_init__(self):
         b = np.asarray(self.b, dtype=np.float64)
         a = np.asarray(self.a, dtype=np.float64)
+        if not (np.isfinite(b).all() and np.isfinite(a).all()):
+            raise DspError("filter coefficients must be finite")
         if a.size < 1 or a[0] != 1.0:
             raise DspError("feedback coefficients must start with a[0] == 1")
         if a.size > 1 and np.max(np.abs(np.roots(a))) >= 1.0:
@@ -47,9 +51,6 @@ class PcaModel:
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.mean) @ self.components.T
-
-    def inverse_transform(self, scores: np.ndarray) -> np.ndarray:
-        return scores @ self.components + self.mean
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,8 @@ def butter_design(order: int, cutoff_norm: float) -> FilterCoeffs:
     bilinear transform s = (1 - z^-1)/(1 + z^-1); numerator zeros at
     z = -1, gain normalised to unity at DC.
     """
-    if order < 1:
-        raise DspError(f"filter order must be >= 1, got {order}")
+    if not 1 <= order <= MAX_BUTTER_ORDER:
+        raise DspError(f"filter order must lie in 1..{MAX_BUTTER_ORDER}, got {order}")
     if not 0.0 < cutoff_norm < 1.0:
         raise DspError(f"normalised cutoff must lie in (0, 1), got {cutoff_norm}")
     wa = math.tan(math.pi * cutoff_norm / 2.0)

@@ -140,9 +140,9 @@ def build(spec: ModelSpec) -> Network:
     else:
         c_in, t = (d if spec.kind == "cnn" else spec.hidden_size), T
         f1, f2 = spec.conv_filters
-        layers.append(("conv1", nn.Conv1d.init(rng, c_in, f1, k, "tanh")))
+        layers.append(("conv1", nn.Conv1d.init(rng, c_in, f1, k)))
         t = t - k + 1
-        layers.append(("conv2", nn.Conv1d.init(rng, f1, f2, k, "tanh")))
+        layers.append(("conv2", nn.Conv1d.init(rng, f1, f2, k)))
         t = t - k + 1
         if t < pool:
             raise ModelError(f"timesteps {T} too short for conv/pool stack")

@@ -1,5 +1,5 @@
-"""Minimal from-scratch neural toolkit: a linear dense layer, LSTM, 1-D
-conv (linear or tanh), pooling, dropout, last-step selection, softmax
+"""Minimal from-scratch neural toolkit: a linear dense layer, LSTM, tanh
+1-D conv, pooling, dropout, last-step selection, softmax
 cross-entropy, and Adam, with hand-written backward passes.
 
 Every layer has one protocol.  forward(x, train=False, rng=None) returns
@@ -29,6 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PROB_FLOOR = 1e-12
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+ADAM_DECAY = 1e-6
 _GRAD_STEPS = 2  # steps per weight-gradient product in Lstm.backward; 2 ran fastest
 
 
@@ -52,25 +56,6 @@ def softmax(x: np.ndarray) -> np.ndarray:
     z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "none":
-        return z
-    if activation == "tanh":
-        return np.tanh(z)
-    raise ValueError(f"unknown activation {activation!r}")
-
-
-def _activation_backward(dy: np.ndarray, y: np.ndarray, activation: str,
-                         out: np.ndarray) -> np.ndarray:
-    if activation == "none":
-        return np.positive(dy, out=out)
-    if activation == "tanh":
-        z = np.multiply(y, y, out=out)
-        np.subtract(1.0, z, out=z)
-        return np.multiply(dy, z, out=z)
-    raise ValueError(f"unknown activation {activation!r}")
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
@@ -231,27 +216,26 @@ class Lstm:
 
 
 class Conv1d:
-    """Valid-padding, stride-1 convolution along time.
+    """Valid-padding, stride-1 convolution along time, then tanh.
 
     kernels: [c_out, k, c_in], bias: [c_out]; maps [batch, T, c_in] to
-    [batch, T-k+1, c_out].
+    tanh of the [batch, T-k+1, c_out] correlation plus bias.
     """
 
-    def __init__(self, kernels: np.ndarray, bias: np.ndarray, activation: str = "none"):
+    def __init__(self, kernels: np.ndarray, bias: np.ndarray):
         self.kernels = np.asarray(kernels, dtype=np.float64)
         self.bias = np.asarray(bias, dtype=np.float64)
         if self.kernels.ndim != 3 or self.bias.shape != (self.kernels.shape[0],):
             raise ShapeError(
                 f"inconsistent conv shapes kernels{self.kernels.shape} bias{self.bias.shape}")
-        self.activation = activation
         self.dkernels = np.zeros_like(self.kernels)
         self.dbias = np.zeros_like(self.bias)
         self.needs_input_grad = True
 
     @classmethod
-    def init(cls, rng, c_in: int, c_out: int, k: int, activation: str = "none") -> "Conv1d":
+    def init(cls, rng, c_in: int, c_out: int, k: int) -> "Conv1d":
         kernels = glorot_uniform(rng, (c_out, k, c_in), k * c_in, c_out)
-        return cls(kernels, np.zeros(c_out), activation)
+        return cls(kernels, np.zeros(c_out))
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -270,7 +254,7 @@ class Conv1d:
             z[:n - j] += xf[j:] @ self.kernels[:, j].T
         z = z.reshape(batch, T, c_out)[:, :T - k + 1]
         z += self.bias
-        y = _activate(z, self.activation)
+        y = np.tanh(z)
         if train:
             self._xf, self._y = xf, y
         return y
@@ -285,7 +269,9 @@ class Conv1d:
         # the cross-sample terms.
         dzf = np.empty((batch, T, c_out))
         dzf[:, t_out:] = 0.0
-        dz = _activation_backward(dy, self._y, self.activation, out=dzf[:, :t_out])
+        dz = np.multiply(self._y, self._y, out=dzf[:, :t_out])  # tanh' = 1 - y^2
+        np.subtract(1.0, dz, out=dz)
+        np.multiply(dy, dz, out=dz)
         del self._xf, self._y
         self.dbias += dz.sum(axis=(0, 1))
         dzf = dzf.reshape(n, c_out)
@@ -438,21 +424,17 @@ class AdamState:
     """Adam moments plus the per-update learning-rate decay schedule.
 
     The effective rate on update number t (counting from 0) is
-    lr0 / (1 + decay * t); bias correction uses the post-increment count.
+    lr0 / (1 + ADAM_DECAY * t); bias correction uses the post-increment count.
     """
 
     lr0: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    decay: float = 1e-6
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
     @property
     def effective_lr(self) -> float:
-        return self.lr0 / (1.0 + self.decay * self.t)
+        return self.lr0 / (1.0 + ADAM_DECAY * self.t)
 
 
 def adam_step(params: dict, grads: dict, state: AdamState) -> None:
@@ -461,9 +443,8 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
         raise ShapeError(f"param/grad keys differ: {sorted(set(params) ^ set(grads))}")
     lr = state.effective_lr
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    correm = 1.0 - b1 ** state.t
-    correv = 1.0 - b2 ** state.t
+    correm = 1.0 - ADAM_BETA1 ** state.t
+    correv = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -473,8 +454,8 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= lr * (m / correm) / (np.sqrt(v / correv) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (m / correm) / (np.sqrt(v / correv) + ADAM_EPS)

@@ -43,14 +43,14 @@ def fmt(x: float) -> str:
 
 
 @contextlib.contextmanager
-def _replace_on_success(path: Path, newline: str | None = None, durable: bool = True):
+def _replace_on_success(path: Path, durable: bool = True):
     """Open a temp file beside `path` for writing; it replaces `path` only
     once the block finishes, so a process crash never leaves a half-written
     file.  `durable` also syncs the data and the rename to disk first, so
     that a power loss does not either."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, "w", newline="") as fh:
             yield fh
             if durable:
                 fh.flush()
@@ -157,7 +157,7 @@ def write_sample(root: Path, sample: Sample, sample_id: str) -> dict:
     is_complex = isinstance(sample, CsiSample)
     # A complex sample as interleaved real/imaginary columns: complex128's own layout.
     rows = np.ascontiguousarray(sample.frames).view(np.float64) if is_complex else sample.values
-    with _replace_on_success(path, newline="", durable=False) as fh:
+    with _replace_on_success(path, durable=False) as fh:
         _write_rows(fh, rows)
     return {
         "sample_id": sample_id,
@@ -240,7 +240,7 @@ class DatasetWriter:
 
     def close(self) -> None:
         try:
-            with _replace_on_success(self.root / MANIFEST_NAME, newline="") as fh:
+            with _replace_on_success(self.root / MANIFEST_NAME) as fh:
                 writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)
                 writer.writeheader()
                 writer.writerows(self._rows)
@@ -515,8 +515,12 @@ def _coerce(field: dataclasses.Field, text: str):
 
 def load_experiment_config(path: Path | str) -> ExperimentConfig:
     path = Path(path)
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise StorageError(f"{path}: {exc}") from None
     sections: dict[str, dict[str, str]] = {}
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -281,6 +281,17 @@ def test_preprocess_with_unconvertible_stage_parameter_exits_2(tmp_path, tiny_da
     assert not out.exists()
 
 
+def test_preprocess_with_a_butterworth_order_above_the_bound_exits_2(tmp_path, tiny_dataset,
+                                                                    capsys):
+    # used to end in a LinAlgError traceback from np.roots on infinite coefficients
+    out = tmp_path / "x"
+    code = run_cli("preprocess", "--dataset", tiny_dataset, "--out", out,
+                   "--stages", "amplitude;butterworth:order=2000")
+    assert code == 2
+    assert capsys.readouterr().err == "error: filter order must lie in 1..100, got 2000\n"
+    assert not out.exists()
+
+
 def test_evaluate_missing_model_file_exits_1(tmp_path, tiny_dataset, capsys):
     code = run_cli("evaluate", "--model-file", tmp_path / "nope.json",
                    "--dataset", tiny_dataset, "--out", tmp_path / "x")

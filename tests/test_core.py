@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import harlab
-from harlab.core import ActivityClass, CsiSample, Dataset, FeatureTensor, class_from_name
+from harlab.core import ActivityClass, CsiSample, FeatureTensor, class_from_name
 
 
 def test_seven_classes_contiguous_codes():
@@ -63,16 +63,6 @@ def test_feature_tensor_width_guard():
         FeatureTensor(np.zeros((3, 10)), 0)
     t = FeatureTensor(np.zeros((3, 10)), 0, ("amplitude", "pca(n_components=10)"))
     assert t.values.shape == (3, 10)
-
-
-def test_dataset_class_counts():
-    tensors = [FeatureTensor(np.zeros((2, 64)), code, ("amplitude",))
-               for code in (0, 0, 1)]
-    ds = Dataset.from_samples(tensors)
-    counts = ds.class_counts
-    assert counts[ActivityClass.EMPTY] == 2
-    assert counts[ActivityClass.NO_ACTIVITY] == 1
-    assert sum(counts.values()) == len(ds) == 3
 
 
 def test_import_of_models_loads_no_storage_dsp_or_pool_code():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from harlab import dsp
 from harlab.core import ActivityClass, CsiSample, FeatureTensor
@@ -130,6 +132,20 @@ def test_butter_rejects_bad_args():
         dsp.butter_design(1, 0.0)
     with pytest.raises(dsp.DspError):
         dsp.butter_design(1, 1.0)
+    # 2000 used to end in a LinAlgError from np.roots on infinite coefficients,
+    # and the O(order**2) design of a far larger order ran for hours
+    for order in (101, 2000):
+        with pytest.raises(dsp.DspError, match=rf"order must lie in 1\.\.100, got {order}$"):
+            dsp.butter_design(order, 0.05)
+
+
+@pytest.mark.parametrize("b, a", [([1.0, np.inf], [1.0, 0.5]), ([1.0, 1.0], [1.0, np.nan]),
+                                  ([1.0, 1.0], [1.0, -np.inf])],
+                         ids=["b_inf", "a_nan", "a_inf"])
+def test_filter_coeffs_reject_non_finite_coefficients(b, a):
+    # an infinite b used to pass, a non-finite a to end in a LinAlgError from np.roots
+    with pytest.raises(dsp.DspError, match="must be finite"):
+        dsp.FilterCoeffs(np.array(b), np.array(a))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +272,7 @@ def test_pca_full_rank_reconstruction():
     rng = make_rng(2, "pca")
     x = rng.standard_normal((12, 5))
     model, scores = dsp.pca_fit_transform(x, 5)
-    np.testing.assert_allclose(model.inverse_transform(scores), x, atol=1e-8)
+    np.testing.assert_allclose(scores @ model.components + model.mean, x, atol=1e-8)
 
 
 def test_pca_score_covariance_matches_explained_variance():
@@ -524,6 +540,39 @@ def test_parse_stages_rejects_unknown():
         dsp.parse_stages("amplitude;stft")
     with pytest.raises(dsp.DspError):
         dsp.parse_stages("butterworth:order=1,window=3")
+
+
+STAGE_KEYS = {"amplitude": [], "impute_mean": [], "butterworth": ["order", "cutoff"],
+              "pca": ["n_components"], "select_k_best": ["k"], "stft": []}
+STAGE_VALUES = st.one_of(st.integers(-10**4, 10**4).map(str),
+                         st.sampled_from(["nan", "inf", "-inf", "0.05", "0.5", "1e3", "abc", ""]))
+
+
+def stage_token(name):
+    """`name`, then maybe ':' and key=value pairs, the keys mostly the stage's own."""
+    keys = st.sampled_from(STAGE_KEYS[name] * 4 + ["window", ""])
+    pairs = st.lists(st.tuples(keys, STAGE_VALUES).map("=".join), max_size=2)
+    return pairs.map(lambda p: f"{name}:{','.join(p)}" if p else name)
+
+
+STAGE_STRINGS = st.lists(st.sampled_from(sorted(STAGE_KEYS)).flatmap(stage_token),
+                         max_size=4).map(";".join)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@example("amplitude;butterworth:order=2000")
+@example("amplitude;butterworth:order=10000,cutoff=nan")
+@example("amplitude;butterworth:order=100,cutoff=0.5")
+@example("amplitude;pca:n_components=inf")
+@example("amplitude;butterworth:order")
+@given(text=STAGE_STRINGS)
+def test_a_stage_string_parses_or_raises_dsp_error(text):
+    try:
+        stages = dsp.parse_stages(text)
+    except dsp.DspError:
+        return
+    printed = dsp.stages_to_text(stages)
+    assert dsp.stages_to_text(dsp.parse_stages(printed)) == printed
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +28,8 @@ def test_split_700_into_560_140():
     train, test = evaluate.split(ds, evaluate.SplitSpec(train_fraction=0.80, seed=42))
     assert len(train) == 560
     assert len(test) == 140
-    assert all(n == 80 for n in train.class_counts.values())
-    assert all(n == 20 for n in test.class_counts.values())
+    assert Counter(s.label for s in train.samples) == dict.fromkeys(ActivityClass, 80)
+    assert Counter(s.label for s in test.samples) == dict.fromkeys(ActivityClass, 20)
 
 
 def test_split_deterministic():
@@ -52,8 +54,9 @@ def test_split_partition_property():
 def test_split_ratio_within_one_sample():
     ds = balanced_dataset(per_class=9)
     train, _ = evaluate.split(ds, evaluate.SplitSpec(train_fraction=0.8, seed=1))
-    for cls, n in train.class_counts.items():
-        assert abs(n - 0.8 * 9) <= 1
+    counts = Counter(s.label for s in train.samples)
+    for cls in ActivityClass:
+        assert abs(counts[cls] - 0.8 * 9) <= 1
 
 
 def test_split_rejects_singleton_class():

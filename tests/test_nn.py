@@ -159,21 +159,21 @@ def test_conv_hand_dot_product():
     x = np.array([[1.0], [2.0], [3.0]])
     kernels = np.array([[[1.0], [0.0], [-1.0]]])  # [c_out=1, k=3, c_in=1]
     out = one_sample(nn.Conv1d(kernels, np.zeros(1)), x)
-    np.testing.assert_allclose(out, [[-2.0]], atol=0)
+    np.testing.assert_allclose(out, np.tanh([[-2.0]]), atol=0)
 
 
 def test_conv_identity_kernel():
     x = make_rng(7, "conv-id").standard_normal((10, 1))
     kernels = np.array([[[1.0]]])
     out = one_sample(nn.Conv1d(kernels, np.zeros(1)), x)
-    np.testing.assert_allclose(out, x, atol=0)
+    np.testing.assert_allclose(out, np.tanh(x), atol=0)
 
 
 def test_conv_bias_only():
     x = make_rng(8, "conv-bias").standard_normal((6, 2))
     kernels = np.zeros((1, 3, 2))
     out = one_sample(nn.Conv1d(kernels, np.array([5.0])), x)
-    assert np.all(out == 5.0)
+    assert np.all(out == np.tanh(5.0))
     assert out.shape == (4, 1)
 
 
@@ -238,7 +238,7 @@ def test_select_last_forward_and_backward():
 PROTOCOL_LAYERS = {
     "Dense": lambda rng: nn.Dense.init(rng, 3, 4),
     "Lstm": lambda rng: nn.Lstm.init(rng, 3, 4),
-    "Conv1d": lambda rng: nn.Conv1d.init(rng, 3, 4, 2, "tanh"),
+    "Conv1d": lambda rng: nn.Conv1d.init(rng, 3, 4, 2),
     "MaxPool1d": lambda rng: nn.MaxPool1d(3),
     "Dropout": lambda rng: nn.Dropout(0.5),
     "Flatten": lambda rng: nn.Flatten(),
@@ -330,13 +330,13 @@ def reference_lstm(W, U, b, x, dhs):
     return hs, dx, dW, dU, db
 
 
-def reference_conv1d(kernels, bias, activation, x, dy):
-    """einsum Conv1d over a sliding-window view: (y, dx, dkernels, dbias)."""
+def reference_conv1d(kernels, bias, x, dy):
+    """einsum tanh Conv1d over a sliding-window view: (y, dx, dkernels, dbias)."""
     k = kernels.shape[1]
     windows = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)
     z = np.einsum("btck,okc->bto", windows, kernels) + bias
-    y = np.tanh(z) if activation == "tanh" else z
-    dz = dy * (1.0 - y * y) if activation == "tanh" else dy
+    y = np.tanh(z)
+    dz = dy * (1.0 - y * y)
     dkernels = np.einsum("btck,bto->okc", windows, dz)
     dbias = dz.sum(axis=(0, 1))
     dx = np.zeros(x.shape)
@@ -410,16 +410,16 @@ CONV_ORACLE_CASES = {  # (batch, T, c_in, c_out, k)
 }
 
 
-@pytest.mark.parametrize("activation", ["none", "tanh"])
+@pytest.mark.parametrize("activation", ["tanh"])
 @pytest.mark.parametrize("case", sorted(CONV_ORACLE_CASES))
 def test_conv_matches_einsum_oracle(case, activation):
     batch, T, c_in, c_out, k = CONV_ORACLE_CASES[case]
     rng = make_rng(15, "conv-oracle", case, activation)
-    layer = nn.Conv1d.init(rng, c_in, c_out, k, activation)
+    layer = nn.Conv1d.init(rng, c_in, c_out, k)
     layer.bias += rng.standard_normal(c_out)
     x = rng.standard_normal((batch, T, c_in))
     dy = rng.standard_normal((batch, T - k + 1, c_out))
-    want = reference_conv1d(layer.kernels.copy(), layer.bias.copy(), activation, x, dy)
+    want = reference_conv1d(layer.kernels.copy(), layer.bias.copy(), x, dy)
     got = forward_backward(layer, x, dy)
     assert_matches_oracle(got, want, ("y", "dx", "dkernels", "dbias"))
 
@@ -434,9 +434,9 @@ def test_conv_forward_matches_scipy_correlate(case):
     x = rng.standard_normal((batch, T, c_in))
     # A 2-D valid correlation of x[b] [T, c_in] with kernels[o] [k, c_in]
     # sums over both axes, which is the convolution's output column o.
-    want = np.array([[signal.correlate(x[b], layer.kernels[o], mode="valid",
-                                       method="direct")[:, 0] + layer.bias[o]
-                      for o in range(c_out)] for b in range(batch)]).transpose(0, 2, 1)
+    want = np.tanh(np.array([[signal.correlate(x[b], layer.kernels[o], mode="valid",
+                                               method="direct")[:, 0] + layer.bias[o]
+                              for o in range(c_out)] for b in range(batch)]).transpose(0, 2, 1))
     assert_matches_oracle([layer.forward(x)], [want], ["y"])
 
 
@@ -447,7 +447,7 @@ def test_conv_backward_allocates_three_padded_gradients_at_most():
     # and a zeroed input gradient took it to four.
     batch, T, c_in, c_out, k = 32, 100, 50, 50, 3
     rng = make_rng(18, "conv-peak")
-    layer = nn.Conv1d.init(rng, c_in, c_out, k, "tanh")
+    layer = nn.Conv1d.init(rng, c_in, c_out, k)
     x = rng.standard_normal((batch, T, c_in))
     dy = rng.standard_normal(layer.forward(x, train=True).shape)
     tracemalloc.start()
@@ -576,10 +576,10 @@ def test_adam_zero_gradient_is_identity():
 
 
 def test_adam_decay_schedule():
-    state = nn.AdamState(lr0=0.01, decay=1e-6)
+    state = nn.AdamState(lr0=0.01)
     assert state.effective_lr == 0.01
     nn.adam_step({"w": np.zeros(1)}, {"w": np.ones(1)}, state)
-    assert state.effective_lr == 0.01 / (1 + 1e-6 * 1)
+    assert state.effective_lr == 0.01 / (1 + nn.ADAM_DECAY * 1)
 
 
 def test_adam_shape_mismatch():

@@ -613,6 +613,15 @@ def test_experiment_config_names_file_key_and_value_it_cannot_convert(tmp_path, 
     assert str(info.value).startswith(f"{path}: {key} = {value!r}: ")
 
 
+def test_experiment_config_with_a_byte_that_is_not_utf8_names_the_file(tmp_path):
+    # used to escape as a bare UnicodeDecodeError
+    path = tmp_path / "config"
+    path.write_bytes(b"model.kind = cnn\n\xff\n")
+    with pytest.raises(storage.StorageError, match="can't decode byte 0xff") as info:
+        storage.load_experiment_config(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 @pytest.mark.parametrize("text, section", [
     ("model.kind = rnn", "model"),
     ("model.kind = cnn\nmodel.hidden_size = 0", "model"),
