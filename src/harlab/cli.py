@@ -87,7 +87,7 @@ def cmd_generate(args) -> int:
         return sample, sample.sample_id
 
     storage.write_dataset(out, keys, make, cfg.seed)
-    storage.save_experiment_config(out / "config", storage.ExperimentConfig(generator=cfg))
+    storage.save_experiment_config(out / "config", generator=cfg)
     for cls in ActivityClass:
         print(f"{cls.class_name}: {cfg.samples_per_class}")
     print(f"total: {len(keys)} samples in {out}")
@@ -117,7 +117,7 @@ def cmd_preprocess(args) -> int:
         return dsp.run_pipeline(sample, stages), ids[i]
 
     storage.write_dataset(out, range(len(rows)), make, storage.load_dataset_seed(rows))
-    storage.save_experiment_config(out / "config", storage.ExperimentConfig(stages=stages))
+    storage.save_experiment_config(out / "config", stages=stages)
     print(f"preprocessed {len(rows)} samples -> {out}")
     return EXIT_OK
 
@@ -146,8 +146,7 @@ def cmd_train(args) -> int:
     model_path = Path(args.out_model) if args.out_model else out / "model.json"
     storage.save_model(trained, model_path)
     storage.write_history_csv(trained.history, out / "history.csv")
-    storage.save_experiment_config(out / "config",
-                                   storage.ExperimentConfig(model=spec, split=split_spec))
+    storage.save_experiment_config(out / "config", model=spec, split=split_spec)
     last = trained.history[-1]
     print(f"trained {spec.kind}: train_acc={last.train_acc:.4f} "
           f"val_acc={last.val_acc:.4f} -> {model_path}")
@@ -190,8 +189,7 @@ def cmd_grid(args) -> int:
     _setup_logging(out)
     root = Path(args.dataset)
     dataset = _feature_dataset(root, storage.read_manifest(root), args.decimate)
-    cells = evaluate.run_grid(dataset, seed=args.seed, workers=args.workers or None,
-                              hidden_size=args.hidden)
+    cells = evaluate.run_grid(dataset, seed=args.seed, hidden_size=args.hidden)
     storage.write_grid_csv(cells, out / "grid.csv")
     failed = [c for c in cells if c.failed]
     for c in failed:
@@ -297,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42, help="split + training seed (default 42)")
     p.add_argument("--decimate", type=int, default=12, help="decimation factor (default 12)")
     p.add_argument("--hidden", type=int, default=50, help="LSTM hidden size (default 50)")
-    p.add_argument("--workers", type=int, default=0,
-                   help="parallel cells (default: cores in the affinity set, capped at grid size)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_grid)
 

@@ -130,9 +130,13 @@ def compute_metrics(true_labels, pred_labels, losses) -> MetricsReport:
 
 
 def evaluate_model(model: models.TrainedModel, tensors) -> MetricsReport:
-    """Predict a sample list and compute its metrics report."""
-    x, y = models.stack_features(tensors)
-    probs = model.predict_probs(x)
+    """Predict a sample list, unstacked, and compute its metrics report.
+    A non-finite input value raises ModelError (see models.check_finite)."""
+    tensors = list(tensors)
+    xs = [t.values for t in tensors]
+    models.check_finite(xs, "test")
+    y = np.array([t.label for t in tensors], dtype=np.int64)
+    probs = model.predict_probs(xs)
     return compute_metrics(y, probs.argmax(axis=1), nn.sample_losses(probs, y))
 
 
@@ -148,19 +152,17 @@ def _run_job(item):
     return _JOB(item)
 
 
-def ordered_map(fn, items, workers: int | None = None) -> list:
+def ordered_map(fn, items) -> list:
     """`[fn(x) for x in items]` in forked worker processes (forked: they
     inherit the loaded modules and `fn` itself, so only the items and
-    results are pickled), results in input order.  `workers` defaults to
-    the cores in this process's affinity set, which `taskset` narrows, and
-    is capped at the item count; one worker runs the jobs in this process.
+    results are pickled), results in input order.  One worker per core in
+    this process's affinity set, which `taskset` narrows, capped at the
+    item count; one worker runs the jobs in this process.
     The first job that raises cancels the pending ones and its exception
     is raised here; a worker that dies raises BrokenProcessPool."""
     global _JOB
     items = list(items)
-    if workers is None:
-        workers = len(os.sched_getaffinity(0))
-    workers = min(workers, len(items))
+    workers = min(len(os.sched_getaffinity(0)), len(items))
     if workers <= 1:
         return [fn(x) for x in items]
     _JOB = fn
@@ -190,12 +192,12 @@ class GridCell:
 
 
 def run_grid(dataset: Dataset, kinds=models.KINDS, lrs=GRID_LRS,
-             epochs_grid=GRID_EPOCHS, seed: int = 42, workers: int | None = 1,
+             epochs_grid=GRID_EPOCHS, seed: int = 42,
              hidden_size: int = 50) -> list[GridCell]:
     """Train every (kind, lr, epochs) cell on one shared stratified split.
 
     Cells are independent and seeded, so results do not depend on the
-    worker count (None: one per core, see ordered_map); failed cells are
+    core count (one job per cell, see ordered_map); failed cells are
     marked and the run continues.
     """
     train_ds, test_ds = split(dataset, SplitSpec(seed=seed))
@@ -216,4 +218,4 @@ def run_grid(dataset: Dataset, kinds=models.KINDS, lrs=GRID_LRS,
                             error=f"{type(exc).__name__}: {exc}")
 
     cells = [(kind, ep, lr) for kind in kinds for ep in epochs_grid for lr in lrs]
-    return ordered_map(run_cell, cells, workers)
+    return ordered_map(run_cell, cells)

@@ -187,20 +187,21 @@ class TrainedModel:
 
         Stacks and standardises one chunk of spec.batch_size samples at a
         time, so the standardised copy and the layer caches are no larger
-        than a training step's.  A chunk whose [T, F] is not the spec's
-        input shape raises ModelError.
+        than a training step's.  A sample whose [T, F] is not the spec's
+        input shape raises ModelError before any is predicted.
         """
+        for sample in x:
+            if np.shape(sample) != self.spec.input_shape:
+                raise ModelError(f"input shape {np.shape(sample)} != model input "
+                                 f"{self.spec.input_shape}")
         step = self.spec.batch_size
-        chunks = []
+        probs = np.empty((len(x), self.spec.n_classes))
         for start in range(0, len(x), step):
             xb = np.array(x[start:start + step], dtype=np.float64)
-            if xb.shape[1:] != self.spec.input_shape:
-                raise ModelError(f"input shape {xb.shape[1:]} != model input "
-                                 f"{self.spec.input_shape}")
             xb -= self.input_mean
             xb /= self.input_scale
-            chunks.append(self.network.forward(xb))
-        return np.vstack(chunks)
+            probs[start:start + step] = self.network.forward(xb)
+        return probs
 
 
 def stack_features(tensors) -> tuple[np.ndarray, np.ndarray]:
@@ -250,12 +251,18 @@ def _split_samples(data, name: str, spec: ModelSpec) -> tuple[list[np.ndarray], 
             raise ModelError(f"inconsistent sample shapes {sample.shape} vs {shape}")
     if shape != spec.input_shape:
         raise ModelError(f"{name} data shape {shape} != spec {spec.input_shape}")
+    check_finite(xs, name)
+    return xs, y
+
+
+def check_finite(xs, name: str) -> None:
+    """Raise ModelError at the first non-finite value of the [T, F] arrays
+    xs, naming the split `name`, the sample, the step and the feature."""
     for i, sample in enumerate(xs):
         if not np.isfinite(sample).all():
             step, feature = np.argwhere(~np.isfinite(sample))[0]
             raise ModelError(f"{name} split: non-finite value {sample[step, feature]} "
                              f"at sample {i}, step {step}, feature {feature}")
-    return xs, y
 
 
 def train(net: Network, train_set, val_set) -> TrainedModel:

@@ -1,5 +1,5 @@
 """File formats: dataset roots with a manifest, flat label+amplitude CSV
-export, model files, experiment configs, and the report CSVs.
+export, model files, the experiment config record, and the report CSVs.
 
 All numeric serialization uses Python's shortest round-trip decimal
 repr, so loading never loses precision.
@@ -14,7 +14,6 @@ import itertools
 import json
 import logging
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +21,7 @@ import numpy as np
 from . import dsp, models
 from .core import (ActivityClass, CsiSample, Dataset, FeatureTensor, Sample,
                    class_from_name)
-from .evaluate import GridCell, MetricsReport, SplitSpec, ordered_map
-from .synth import GeneratorConfig
+from .evaluate import GridCell, MetricsReport, ordered_map
 
 log = logging.getLogger(__name__)
 
@@ -459,15 +457,7 @@ def load_model(path: Path | str) -> models.TrainedModel:
 
 
 # ---------------------------------------------------------------------------
-# Experiment config (key = value text file)
-
-@dataclass
-class ExperimentConfig:
-    generator: GeneratorConfig | None = None
-    model: models.ModelSpec | None = None
-    split: SplitSpec | None = None
-    stages: list | None = None
-
+# Experiment config record (key = value text file)
 
 def _value_to_text(value) -> str:
     if isinstance(value, bool):
@@ -479,80 +469,24 @@ def _value_to_text(value) -> str:
     return str(value)
 
 
-def save_experiment_config(path: Path | str, config: ExperimentConfig) -> None:
-    """Write every configured field as a "<section>.<field> = <value>" line.
-
-    Sections: generator (GeneratorConfig), model (ModelSpec), split
-    (SplitSpec), pipeline (pipeline.stages, see dsp.parse_stages).
+def save_experiment_config(path: Path | str, generator=None, model=None, split=None,
+                           stages=None) -> None:
+    """Record a run's settings as "<section>.<field> = <value>" lines, one
+    per field of each section given: generator (GeneratorConfig), model
+    (ModelSpec), split (SplitSpec), pipeline (pipeline.stages, see
+    dsp.stages_to_text).
     """
     lines = ["# harlab experiment configuration"]
-    for section, obj in (("generator", config.generator), ("model", config.model),
-                         ("split", config.split)):
+    for section, obj in (("generator", generator), ("model", model), ("split", split)):
         if obj is None:
             continue
         for f in dataclasses.fields(obj):
             lines.append(f"{section}.{f.name} = {_value_to_text(getattr(obj, f.name))}")
-    if config.stages is not None:
-        lines.append(f"pipeline.stages = {dsp.stages_to_text(config.stages)}")
+    if stages is not None:
+        lines.append(f"pipeline.stages = {dsp.stages_to_text(stages)}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
-
-
-def _coerce(field: dataclasses.Field, text: str):
-    if field.type in ("int", int):
-        return int(text)
-    if field.type in ("float", float):
-        return float(text)
-    if field.type in ("bool", bool):
-        if text not in ("true", "false"):
-            raise ValueError("must be true or false")
-        return text == "true"
-    if "tuple" in str(field.type):
-        return tuple(int(v) for v in text.split(",") if v)
-    return text
-
-
-def load_experiment_config(path: Path | str) -> ExperimentConfig:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except UnicodeDecodeError as exc:
-        raise StorageError(f"{path}: {exc}") from None
-    sections: dict[str, dict[str, str]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep or "." not in key:
-            raise StorageError(f"{path}:{line_no}: expected '<section>.<field> = <value>'")
-        section, _, field_name = key.strip().partition(".")
-        sections.setdefault(section, {})[field_name.strip()] = value.strip()
-    config = ExperimentConfig()
-    for section, cls in (("generator", GeneratorConfig), ("model", models.ModelSpec),
-                         ("split", SplitSpec)):
-        if section not in sections:
-            continue
-        kwargs = {}
-        by_name = {f.name: f for f in dataclasses.fields(cls)}
-        for name, text in sections[section].items():
-            if name not in by_name:
-                raise StorageError(f"{path}: unknown key {section}.{name}")
-            try:
-                kwargs[name] = _coerce(by_name[name], text)
-            except ValueError as exc:
-                raise StorageError(f"{path}: {section}.{name} = {text!r}: {exc}") from None
-        try:
-            setattr(config, section, cls(**kwargs))
-        except (TypeError, ValueError) as exc:  # a missing field or a value out of range
-            raise StorageError(f"{path}: section {section}: {exc}") from None
-    if "pipeline" in sections:
-        stages_text = sections["pipeline"].get("stages")
-        if stages_text is None:
-            raise StorageError(f"{path}: pipeline section needs a 'stages' key")
-        config.stages = dsp.parse_stages(stages_text)
-    return config
 
 
 # ---------------------------------------------------------------------------

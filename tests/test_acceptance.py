@@ -8,6 +8,7 @@ budgeted for a small desktop machine.
 import csv
 import json
 import math
+import os
 import time
 from collections import Counter
 
@@ -180,9 +181,10 @@ def test_criterion_5_end_to_end_learning():
 # ---------------------------------------------------------------------------
 # 6. full grid trains without divergence
 
-def test_criterion_6_grid_without_divergence(tmp_path):
+def test_criterion_6_grid_without_divergence(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a pool of 2 workers
     dataset = _default_feature_dataset(samples_per_class=20)
-    cells = evaluate.run_grid(dataset, seed=42, workers=2)
+    cells = evaluate.run_grid(dataset, seed=42)
     assert len(cells) == 12
     for c in cells:
         assert not c.failed, f"cell ({c.kind}, epochs={c.epochs}, lr={c.lr}): {c.error}"

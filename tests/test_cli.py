@@ -1,8 +1,10 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -92,7 +94,9 @@ finally:
 @pytest.mark.parametrize("argv, code", [
     (["--help"], 0), (["train", "--help"], 0),
     (["train", "--dataset", "d", "--out", "o"], 2),  # no --model
-    ([], 2)], ids=["help", "train-help", "usage-error", "no-command"])
+    ([], 2),
+    (["grid", "--dataset", "d", "--out", "o", "--workers", "2"], 2)],  # no such flag
+    ids=["help", "train-help", "usage-error", "no-command", "grid-workers"])
 def test_help_and_flag_errors_load_no_numpy_and_no_pipeline(argv, code):
     child = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, *argv], env=harlab_env(),
                            capture_output=True, text=True)
@@ -232,6 +236,15 @@ def test_train_directly_on_raw_dataset(tmp_path, tiny_dataset):
     assert (run_dir / "model.json").exists()
 
 
+@pytest.mark.parametrize("command", ["train --model lstm", "grid"])
+def test_decimate_below_1_exits_2_before_any_write(tmp_path, tiny_dataset, capsys, command):
+    code = run_cli(*command.split(), "--dataset", tiny_dataset, "--decimate", 0,
+                   "--out", tmp_path / "run")
+    assert code == 2
+    assert capsys.readouterr().err == "error: --decimate must be >= 1, got 0\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_rejects_unknown_model_kind(tmp_path, tiny_dataset, capsys):
     with pytest.raises(SystemExit) as err:
         run_cli("train", "--model", "bogus", "--dataset", tiny_dataset,
@@ -360,6 +373,26 @@ def test_evaluate_with_a_model_of_another_feature_count_exits_2(
                    "--dataset", tiny_pre, "--out", tmp_path / "eval")
     assert code == 2
     assert capsys.readouterr().err == "error: input shape (20, 64) != model input (20, 10)\n"
+
+
+def test_non_finite_input_fails_train_and_evaluate_with_exit_2(
+        tmp_path, tiny_pre, tiny_model, capsys):
+    # evaluate used to exit 0 and write mean_loss=nan
+    data = tmp_path / "data"
+    shutil.copytree(tiny_pre, data)
+    for path in (data / "samples").rglob("*.csv"):
+        raw = path.read_bytes()
+        path.write_bytes(b"nan" + raw[raw.index(b","):])
+    capsys.readouterr()
+    for argv, split_name in ((["train", "--model", "lstm", "--epochs", 1, "--hidden", 4,
+                               "--decimate", 60], "train"),
+                             (["evaluate", "--model-file", tiny_model], "test")):
+        out = tmp_path / argv[0]
+        assert run_cli(*argv, "--dataset", data, "--out", out) == 2, argv[0]
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if not line.startswith("INFO ")] == [
+            f"error: {split_name} split: non-finite value nan at sample 0, step 0, feature 0"]
+    assert not (tmp_path / "evaluate" / "metrics.csv").exists()
 
 
 def test_evaluate_parses_only_the_test_split(tmp_path, tiny_dataset, tiny_model, monkeypatch):
@@ -884,3 +917,15 @@ def test_gradcheck_detects_unscaled_cross_entropy_grad(monkeypatch, capsys):
               if line.endswith("FAIL")}
     assert failed == {"conv1d+maxpool+dense+softmax+ce", "architecture[lstm]",
                       "architecture[cnn]", "architecture[lstm_cnn]"}
+
+
+# ---------------------------------------------------------------------------
+# docs
+
+def test_every_harlab_name_in_the_readme_exists():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    names = re.findall(r"`harlab\.(\w+)\.(\w+)[^`]*`", readme)
+    assert names
+    missing = [f"harlab.{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"harlab.{module}"), name)]
+    assert missing == []

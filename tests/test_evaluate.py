@@ -1,3 +1,4 @@
+import os
 from collections import Counter
 
 import numpy as np
@@ -204,6 +205,11 @@ def test_metrics_length_mismatch():
 # ---------------------------------------------------------------------------
 # grid
 
+def use_cores(monkeypatch, n):
+    """Make the grid's pool see an affinity set of `n` cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 def _tiny_grid_dataset():
     rng = make_rng(5, "grid-data")
     tensors = []
@@ -214,10 +220,11 @@ def _tiny_grid_dataset():
     return Dataset.from_samples(tensors, seed=0)
 
 
-def test_grid_cardinality_and_schema():
+def test_grid_cardinality_and_schema(monkeypatch):
+    use_cores(monkeypatch, 1)
     ds = _tiny_grid_dataset()
     cells = evaluate.run_grid(ds, kinds=("lstm",), lrs=(0.01, 0.1),
-                              epochs_grid=(2, 1), seed=0, workers=1, hidden_size=4)
+                              epochs_grid=(2, 1), seed=0, hidden_size=4)
     assert len(cells) == 4
     assert {(c.kind, c.epochs, c.lr) for c in cells} == {
         ("lstm", 2, 0.01), ("lstm", 2, 0.1), ("lstm", 1, 0.01), ("lstm", 1, 0.1)}
@@ -227,19 +234,22 @@ def test_grid_cardinality_and_schema():
         assert np.isfinite(c.mean_loss)
 
 
-def test_grid_deterministic_across_runs_and_workers():
+def test_grid_deterministic_across_runs_and_workers(monkeypatch):
     ds = _tiny_grid_dataset()
     kwargs = dict(kinds=("lstm", "cnn"), lrs=(0.01,), epochs_grid=(1,),
                   seed=0, hidden_size=4)
-    a = evaluate.run_grid(ds, workers=1, **kwargs)
-    b = evaluate.run_grid(ds, workers=2, **kwargs)
+    use_cores(monkeypatch, 1)
+    a = evaluate.run_grid(ds, **kwargs)
+    use_cores(monkeypatch, 2)
+    b = evaluate.run_grid(ds, **kwargs)
     assert a == b
 
 
-def test_grid_marks_failed_cell_and_continues():
+def test_grid_marks_failed_cell_and_continues(monkeypatch):
+    use_cores(monkeypatch, 1)
     ds = _tiny_grid_dataset()
     cells = evaluate.run_grid(ds, kinds=("lstm", "bogus"), lrs=(0.01,),
-                              epochs_grid=(1,), seed=0, workers=1, hidden_size=4)
+                              epochs_grid=(1,), seed=0, hidden_size=4)
     by_kind = {c.kind: c for c in cells}
     assert not by_kind["lstm"].failed
     assert by_kind["bogus"].failed
@@ -248,10 +258,11 @@ def test_grid_marks_failed_cell_and_continues():
 
 
 @pytest.mark.parametrize("kind", models.KINDS)
-def test_grid_cell_scores_equal_a_fresh_prediction_on_the_test_split(kind):
+def test_grid_cell_scores_equal_a_fresh_prediction_on_the_test_split(kind, monkeypatch):
+    use_cores(monkeypatch, 1)
     ds = _tiny_grid_dataset()
     cell, = evaluate.run_grid(ds, kinds=(kind,), lrs=(0.1,), epochs_grid=(2,), seed=0,
-                              workers=1, hidden_size=4)
+                              hidden_size=4)
     train_ds, test_ds = evaluate.split(ds, evaluate.SplitSpec(seed=0))
     spec = models.ModelSpec(kind=kind, timesteps=9, n_features=4, hidden_size=4, lr0=0.1,
                             epochs=2, seed=0)

@@ -378,6 +378,17 @@ def test_predict_rejects_wrong_shape():
         trained.predict_probs([rng.standard_normal((5, 6))])
 
 
+def test_predict_rejects_a_sample_of_another_shape_inside_a_chunk():
+    # a chunk of mixed shapes used to end in numpy's bare "inhomogeneous shape" ValueError
+    rng = make_rng(6, "predict-mixed-shape")
+    tensors = toy_tensors(rng, n=14)
+    trained = models.train(models.build(toy_spec(epochs=1)), tensors, tensors[:7])
+    xs = [t.values for t in tensors[:3]]
+    xs[1] = xs[1][:5]
+    with pytest.raises(models.ModelError, match=r"^input shape \(5, 6\) != model input \(12, 6\)$"):
+        trained.predict_probs(xs)
+
+
 # ---------------------------------------------------------------------------
 # decimation
 
