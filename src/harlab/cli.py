@@ -314,6 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # harlab's parallelism is its process pool.  One BLAS thread, set before
+    # numpy loads and over any value the caller set, keeps output bytes
+    # independent of the core count and keeps pool workers from
+    # oversubscribing the cores.
+    os.environ.update(dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
     from concurrent.futures.process import BrokenProcessPool
 
     from . import dsp, evaluate, models, storage, synth

@@ -4,8 +4,11 @@ runs grid cells and per-sample jobs.
 """
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
+import signal
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -152,6 +155,21 @@ def _run_job(item):
     return _JOB(item)
 
 
+def _die_with_parent(parent: int) -> None:
+    """Pool initializer: the kernel SIGKILLs this worker once the thread
+    that forked it ends, so a killed command leaves no worker behind to
+    finish a stale job; a worker whose parent is already gone exits.
+    Fork-context workers are all forked in the first `submit`, on the
+    thread that calls ordered_map, which waits for them before it returns
+    (for the commands, the main thread)."""
+    if sys.platform.startswith("linux"):
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGKILL)  # 1: PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def ordered_map(fn, items) -> list:
     """`[fn(x) for x in items]` in forked worker processes (forked: they
     inherit the loaded modules and `fn` itself, so only the items and
@@ -166,7 +184,8 @@ def ordered_map(fn, items) -> list:
     if workers <= 1:
         return [fn(x) for x in items]
     _JOB = fn
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_die_with_parent, initargs=(os.getpid(),))
     try:
         return list(pool.map(_run_job, items))
     finally:

@@ -113,45 +113,42 @@ class Network:
         for g in self.grads().values():
             g[...] = 0.0
 
-    def set_weights(self, weights: dict[str, np.ndarray]) -> None:
-        params = self.params()
-        if set(weights) != set(params):
-            raise ModelError(
-                f"weight names do not match spec: {sorted(set(weights) ^ set(params))}")
-        for name, arr in weights.items():
-            if params[name].shape != arr.shape:
-                raise ModelError(
-                    f"weight {name!r} has shape {arr.shape}, expected {params[name].shape}")
-            params[name][...] = arr
+
+def _layer_plan(spec: ModelSpec) -> list[tuple[str, type, tuple]]:
+    """spec's network, input first: each layer's name, nn class and the
+    arguments its init takes after the rng."""
+    T, d = spec.input_shape
+    h, k, pool, C = spec.hidden_size, spec.kernel_size, spec.pool_size, spec.n_classes
+    plan = [] if spec.kind == "cnn" else [("lstm", nn.Lstm, (d, h))]
+    if spec.kind == "lstm":
+        return plan + [("select_last", nn.SelectLast, ()),
+                       ("dropout", nn.Dropout, (spec.dropout,)), ("dense", nn.Dense, (h, C))]
+    (f1, f2), t = spec.conv_filters, T - 2 * (k - 1)
+    if t < pool:
+        raise ModelError(f"timesteps {T} too short for conv/pool stack")
+    return plan + [("conv1", nn.Conv1d, (h if plan else d, f1, k)),
+                   ("conv2", nn.Conv1d, (f1, f2, k)), ("pool", nn.MaxPool1d, (pool,)),
+                   ("flatten", nn.Flatten, ()), ("dense", nn.Dense, (t // pool * f2, C))]
 
 
 def build(spec: ModelSpec) -> Network:
     """Instantiate an untrained network with seeded initial weights."""
     rng = make_rng(spec.seed, "init")
-    T, d = spec.input_shape
-    k, pool, C = spec.kernel_size, spec.pool_size, spec.n_classes
-    layers: list[tuple[str, object]] = []
-    if spec.kind != "cnn":
-        layers.append(("lstm", nn.Lstm.init(rng, d, spec.hidden_size)))
-    if spec.kind == "lstm":
-        layers.append(("select_last", nn.SelectLast()))
-        layers.append(("dropout", nn.Dropout(spec.dropout)))
-        layers.append(("dense", nn.Dense.init(rng, spec.hidden_size, C)))
-    else:
-        c_in, t = (d if spec.kind == "cnn" else spec.hidden_size), T
-        f1, f2 = spec.conv_filters
-        layers.append(("conv1", nn.Conv1d.init(rng, c_in, f1, k)))
-        t = t - k + 1
-        layers.append(("conv2", nn.Conv1d.init(rng, f1, f2, k)))
-        t = t - k + 1
-        if t < pool:
-            raise ModelError(f"timesteps {T} too short for conv/pool stack")
-        layers.append(("pool", nn.MaxPool1d(pool)))
-        t = t // pool
-        layers.append(("flatten", nn.Flatten()))
-        layers.append(("dense", nn.Dense.init(rng, t * f2, C)))
+    layers = [(name, cls.init(rng, *args)) for name, cls, args in _layer_plan(spec)]
     layers[0][1].needs_input_grad = False  # nothing reads the gradient of the input
     return Network(spec, layers)
+
+
+def check_weight_shapes(spec: ModelSpec, shapes: dict[str, tuple]) -> None:
+    """Raise ModelError unless `shapes` (block name -> shape) are those of
+    build(spec)'s params(); allocates nothing of the spec's size."""
+    expected = {f"{name}.{param}": shape for name, cls, args in _layer_plan(spec)
+                for param, shape in cls.shapes(*args).items()}
+    for name in sorted(set(shapes) | set(expected)):
+        if shapes.get(name) != expected.get(name):
+            raise ModelError(f"weight block {name!r}: file has "
+                             f"{shapes.get(name, 'no block')}, spec needs "
+                             f"{expected.get(name, 'no block')}")
 
 
 @dataclass

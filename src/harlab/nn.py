@@ -79,6 +79,11 @@ class Dense:
     def init(cls, rng, d: int, u: int) -> "Dense":
         return cls(glorot_uniform(rng, (d, u), d, u), np.zeros(u))
 
+    @staticmethod
+    def shapes(d: int, u: int) -> dict[str, tuple[int, ...]]:
+        """The shape of each of init(rng, d, u)'s params()."""
+        return {"w": (d, u), "b": (u,)}
+
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.w.shape[0]:
@@ -134,6 +139,11 @@ class Lstm:
         b = np.zeros(4 * h)
         b[h:2 * h] = 1.0  # forget-gate bias starts open
         return cls(W, U, b)
+
+    @staticmethod
+    def shapes(d: int, h: int) -> dict[str, tuple[int, ...]]:
+        """The shape of each of init(rng, d, h)'s params()."""
+        return {"W": (4 * h, d), "U": (4 * h, h), "b": (4 * h,)}
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -237,6 +247,11 @@ class Conv1d:
         kernels = glorot_uniform(rng, (c_out, k, c_in), k * c_in, c_out)
         return cls(kernels, np.zeros(c_out))
 
+    @staticmethod
+    def shapes(c_in: int, c_out: int, k: int) -> dict[str, tuple[int, ...]]:
+        """The shape of each of init(rng, c_in, c_out, k)'s params()."""
+        return {"kernels": (c_out, k, c_in), "bias": (c_out,)}
+
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         c_out, k, c_in = self.kernels.shape
@@ -292,7 +307,16 @@ class Conv1d:
 
 
 class ParamFree:
-    """Base of the layers without parameters: params() and grads() are {}."""
+    """Base of the layers without parameters: params() and grads() are {},
+    and init(rng, *args) is the constructor, drawing nothing."""
+
+    @classmethod
+    def init(cls, rng, *args):
+        return cls(*args)
+
+    @staticmethod
+    def shapes(*args) -> dict:
+        return {}
 
     def params(self):
         return {}
@@ -314,8 +338,19 @@ class MaxPool1d(ParamFree):
             raise ShapeError(f"sequence length {T} shorter than pool {self.pool}")
         t_out = T // self.pool
         xr = x[:, :t_out * self.pool].reshape(batch, t_out, self.pool, c)
-        self._argmax, self._x_shape = (xr.argmax(axis=2), x.shape) if train else (None, None)
-        return xr.max(axis=2)
+        if not train:
+            self._argmax = self._x_shape = None
+            return xr.max(axis=2)
+        # The max and its first index in one pass over the pool positions:
+        # `>` keeps the first of equal values, as argmax does, and is much
+        # cheaper than argmax over the short middle axis.
+        best = xr[:, :, 0].copy()
+        self._argmax, self._x_shape = np.zeros(best.shape, dtype=np.intp), x.shape
+        for j in range(1, self.pool):
+            v = xr[:, :, j]
+            np.copyto(self._argmax, j, where=v > best)
+            np.maximum(best, v, out=best)
+        return best
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         batch, t_out, c = dy.shape

@@ -1,5 +1,5 @@
-"""File formats: dataset roots with a manifest, flat label+amplitude CSV
-export, model files, the experiment config record, and the report CSVs.
+"""File formats: dataset roots with a manifest, model files, the
+experiment config record, and the report CSVs.
 
 All numeric serialization uses Python's shortest round-trip decimal
 repr, so loading never loses precision.
@@ -72,12 +72,11 @@ def _sync_dir(path: Path) -> None:
 # Sample-file codec: one float64 matrix per CSV file, no header, comma
 # separated, CRLF line ends, every value as its shortest round-trip repr.
 
-def _write_rows(fh, rows: np.ndarray, prefix: str = "") -> None:
-    """Write `rows` to a file opened with newline=""; `prefix` starts every
-    line (export_flat's label column).  Rows convert to Python floats one
-    at a time: the whole matrix at once would hold ~7 MB of float objects
-    per raw sample."""
-    fh.writelines(prefix + ",".join(map(repr, row.tolist())) + "\r\n" for row in rows)
+def _write_rows(fh, rows: np.ndarray) -> None:
+    """Write `rows` to a file opened with newline="".  Rows convert to
+    Python floats one at a time: the whole matrix at once would hold ~7 MB
+    of float objects per raw sample."""
+    fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in rows)
 
 
 def _no_blank_lines(fh):
@@ -93,18 +92,16 @@ def _no_blank_lines(fh):
         raise ValueError("empty file")
 
 
-def _read_rows(path: Path, n_cols: int | None = None,
-               n_rows: int | None = None) -> np.ndarray:
-    """Parse a sample file into a float64 matrix, bit-exact.  `n_cols` and
-    `n_rows` are the expected shape (None: any).  CRLF and LF both load."""
+def _read_rows(path: Path, n_cols: int, n_rows: int) -> np.ndarray:
+    """Parse a sample file into a float64 matrix of the expected shape,
+    bit-exact.  CRLF and LF both load."""
     try:
         with open(path) as fh:
             mat = np.loadtxt(_no_blank_lines(fh), delimiter=",", dtype=np.float64,
                              ndmin=2, comments=None)
     except ValueError:
         mat = None
-    if (mat is None or (n_cols is not None and mat.shape[1] != n_cols)
-            or (n_rows is not None and mat.shape[0] != n_rows)):
+    if mat is None or mat.shape != (n_rows, n_cols):
         _raise_first_defect(path, n_cols, n_rows)
     return mat
 
@@ -120,16 +117,13 @@ def _parses(text: str) -> bool:
     return True
 
 
-def _raise_first_defect(path: Path, n_cols: int | None, n_rows: int | None):
+def _raise_first_defect(path: Path, n_cols: int, n_rows: int):
     """Walk a file _read_rows rejected and raise StorageError naming the
     first bad line: its column count (a blank line has 0 columns), a
     malformed number, then the row count.  Numbers are judged by the same
     np.loadtxt parser as the success path.  A byte that is not UTF-8 reads
     as U+FFFD, so it too is a malformed number."""
     with open(path, errors="replace") as fh:
-        if n_cols is None:  # flat files: the width of the first non-blank line
-            n_cols = next((line.count(",") + 1 for line in fh if line != "\n"), 0)
-            fh.seek(0)
         line_no = 0
         for line_no, line in enumerate(fh, start=1):
             cells = line.rstrip("\n").split(",") if line != "\n" else []
@@ -139,7 +133,7 @@ def _raise_first_defect(path: Path, n_cols: int | None, n_rows: int | None):
             if not _parses(line):
                 bad = next((text for text in cells if not _parses(text)), line)
                 raise StorageError(f"{path}:{line_no}: malformed number {bad!r}")
-    if n_rows is not None and line_no != n_rows:
+    if line_no != n_rows:
         raise StorageError(f"{path}:{min(line_no, n_rows) + 1}: manifest says "
                            f"{n_rows} rows, file has {line_no}")
     raise StorageError(f"{path}: not a matrix of numbers")
@@ -346,49 +340,6 @@ def load_dataset(root: Path | str) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Flat label-first CSV
-
-def export_flat(dataset: Dataset, path: Path | str) -> None:
-    """One CSV: label code in column 0, then the feature columns, one row
-    per timestep, samples in class-major order."""
-    tensors = list(dataset.samples)
-    if not tensors:
-        raise StorageError("cannot export an empty dataset")
-    shape = None
-    for t in tensors:
-        if not isinstance(t, FeatureTensor):
-            raise StorageError("flat export needs amplitude-typed samples")
-        if shape is None:
-            shape = t.values.shape
-        elif t.values.shape != shape:
-            raise StorageError(f"inconsistent sample shapes {t.values.shape} vs {shape}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        for t in tensors:
-            _write_rows(fh, t.values, prefix=f"{int(t.label)},")
-
-
-def load_flat(path: Path | str, n_packets: int) -> list[FeatureTensor]:
-    """Read a flat export back into per-sample tensors."""
-    path = Path(path)
-    mat = _read_rows(path)
-    if len(mat) % n_packets:
-        raise StorageError(
-            f"{path}: row count {len(mat)} is not a multiple of n_packets={n_packets}")
-    tensors = []
-    for start in range(0, len(mat), n_packets):
-        block = mat[start:start + n_packets]
-        code = block[0, 0]
-        if (block[:, 0] != code).any():
-            raise StorageError(f"{path}: label changes inside sample block at row {start + 1}")
-        if code not in range(len(ActivityClass)):
-            raise StorageError(f"{path}:{start + 1}: label {code} is not a class code")
-        tensors.append(FeatureTensor(block[:, 1:], int(code), ("flat_import",)))
-    return tensors
-
-
-# ---------------------------------------------------------------------------
 # Model files
 
 def save_model(model: models.TrainedModel, path: Path | str) -> None:
@@ -431,19 +382,19 @@ def load_model(path: Path | str) -> models.TrainedModel:
         spec_doc = dict(doc["spec"])
         spec_doc["conv_filters"] = tuple(spec_doc.get("conv_filters", ()))
         spec = models.ModelSpec(**spec_doc)
+        blocks = doc["weights"]
+        # Judged by their shapes before build allocates arrays of the spec's sizes.
+        models.check_weight_shapes(
+            spec, {name: tuple(block["shape"]) for name, block in blocks.items()})
         net = models.build(spec)
-        weights = {}
-        for name, block in doc["weights"].items():
-            shape = tuple(block["shape"])
-            data = np.array(block["data"], dtype=np.float64)
-            if data.size != int(np.prod(shape)):
-                raise models.ModelError(
-                    f"weight block {name!r} has {data.size} values, "
-                    f"shape {shape} needs {int(np.prod(shape))}")
+        for name, param in net.params().items():
+            data = np.array(blocks[name]["data"], dtype=np.float64)
+            if data.size != param.size:
+                raise models.ModelError(f"weight block {name!r} has {data.size} values, "
+                                        f"shape {param.shape} needs {param.size}")
             if not np.isfinite(data).all():
                 raise models.ModelError(f"weight block {name!r} holds non-finite values")
-            weights[name] = data.reshape(shape)
-        net.set_weights(weights)
+            param[...] = data.reshape(param.shape)
         history = [models.EpochStats(**h) for h in doc.get("history", [])]
         mean = np.array(doc["input"]["mean"], dtype=np.float64)
         scale = np.array(doc["input"]["scale"], dtype=np.float64)

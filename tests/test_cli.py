@@ -359,6 +359,23 @@ def test_evaluate_model_file_with_zero_hidden_size_exits_1(
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key, size", [("hidden_size", 10**9), ("n_features", 10**10)])
+def test_evaluate_model_file_whose_spec_is_far_beyond_memory_exits_1(
+        tmp_path, tiny_dataset, tiny_model, capsys, key, size):
+    # the spec's network was built before any weight block was checked, so
+    # allocating its initial weights ended in a numpy MemoryError traceback
+    doc = json.loads(tiny_model.read_text())
+    doc["spec"][key] = size
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(doc))
+    code = run_cli("evaluate", "--model-file", model_file, "--dataset", tiny_dataset,
+                   "--out", tmp_path / "eval")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"I/O error: {model_file}: malformed model file (weight block ")
+    assert err.count("\n") == 1
+
+
 def test_evaluate_with_a_model_of_another_feature_count_exits_2(
         tmp_path, tiny_dataset, tiny_pre, capsys):
     # a 10-feature model on a 64-feature root used to end in a broadcast
@@ -672,6 +689,40 @@ def test_preprocess_tree_is_in_process_pipeline_on_any_core_count(
     assert {k: v for k, v in trees[2].items() if k != "config"} == tree_bytes(tmp_path / "ref")
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture(scope="module")
+def pre_6(tmp_path_factory):
+    base = tmp_path_factory.mktemp("blas")
+    assert run_cli("generate", "--seed", 42, "--samples-per-class", 6, "--out", base / "raw") == 0
+    assert run_cli("preprocess", "--dataset", base / "raw", "--out", base / "pre") == 0
+    return base / "pre"
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="with the BLAS variables unset OpenBLAS starts one thread per "
+                           "core, so on fewer than 2 cores both runs use one thread")
+@pytest.mark.parametrize("argv, output", [
+    (["train", "--model", "cnn", "--epochs", "3"], "model.json"),
+    (["grid", "--decimate", "24", "--hidden", "20"], "grid.csv"),
+], ids=["train-cnn", "grid"])
+def test_output_bytes_do_not_depend_on_the_blas_thread_variables(tmp_path, pre_6, argv, output):
+    # two OpenBLAS threads summed Conv1d's kernel gradient in another order
+    # than one, so these bytes depended on the core count
+    outputs = []
+    for threads in (None, "1"):
+        # built here: an in-process cli.main may have set the variables in os.environ
+        env = {k: v for k, v in harlab_env().items() if k not in BLAS_VARS}
+        if threads is not None:
+            env.update(dict.fromkeys(BLAS_VARS, threads))
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-m", "harlab.cli", *argv, "--dataset", str(pre_6),
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        outputs.append((out / output).read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("cores", [2, 1])
 def test_crashed_sample_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys, cores):
     use_cores(monkeypatch, cores)
@@ -679,7 +730,7 @@ def test_crashed_sample_write_leaves_no_partial_file(tmp_path, monkeypatch, caps
     assert run_cli("generate", "--seed", 3, "--samples-per-class", 2, "--out", old) == 0
     before = tree_bytes(old)
 
-    def write_half(fh, rows, prefix=""):
+    def write_half(fh, rows):
         fh.write(",".join(map(repr, rows[0].tolist())) + "\r\n")
         raise OSError("disk full")
 
@@ -811,6 +862,45 @@ def test_generate_after_a_killed_generate_succeeds(tmp_path):
     assert not (root / "manifest.csv").exists()
     assert run_cli(*argv, "--out", root) == 0
     assert tree_bytes(root) == tree_bytes(fresh)
+
+
+def live_session_members(sid: int) -> list[int]:
+    """Pids of the processes of session `sid`, zombies aside, read from /proc."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, _, session = stat.read_text().rsplit(")", 1)[1].split()[:4]
+        except OSError:
+            continue  # it ended while we looked
+        if session == str(sid) and state != "Z":
+            members.append(int(stat.parent.name))
+    return members
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 or not Path("/proc/self/stat").exists(),
+                    reason="needs a pool of 2 workers, and /proc to find them")
+def test_pool_workers_die_with_a_killed_generate(tmp_path):
+    # a SIGKILL of the command alone used to leave its pool workers asleep
+    # under pid 1, where one caught mid-job could still write into the root
+    root = tmp_path / "d"
+    child = subprocess.Popen([sys.executable, "-m", "harlab.cli", "generate",
+                              "--samples-per-class", "20", "--out", str(root)],
+                             env=harlab_env(), start_new_session=True,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(root.glob("samples/*/*.csv")):
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.002)
+        child.kill()  # the command only, not its session
+        child.wait()
+        deadline = time.monotonic() + 5
+        while live_session_members(child.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert live_session_members(child.pid) == []
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
 
 
 # ---------------------------------------------------------------------------

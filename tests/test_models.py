@@ -117,6 +117,20 @@ def test_build_rejects_too_short_sequences():
         models.build(toy_spec("cnn", timesteps=6))  # 6 -> 4 -> 2 < pool
 
 
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_check_weight_shapes_accepts_exactly_the_blocks_build_makes(kind):
+    spec = toy_spec(kind)
+    shapes = {name: arr.shape for name, arr in models.build(spec).params().items()}
+    models.check_weight_shapes(spec, shapes)
+    for name, shape in shapes.items():
+        with pytest.raises(models.ModelError, match=rf"'{name}': file has \(.*\), spec needs"):
+            models.check_weight_shapes(spec, {**shapes, name: shape[::-1] + (1,)})
+        with pytest.raises(models.ModelError, match=rf"'{name}': file has no block"):
+            models.check_weight_shapes(spec, {k: v for k, v in shapes.items() if k != name})
+    with pytest.raises(models.ModelError, match="'extra.w': file has .*, spec needs no block"):
+        models.check_weight_shapes(spec, {**shapes, "extra.w": (1,)})
+
+
 # ---------------------------------------------------------------------------
 # train
 

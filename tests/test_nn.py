@@ -196,6 +196,23 @@ def test_maxpool_constant_and_remainder():
         one_sample(nn.MaxPool1d(3), np.zeros((2, 1)))
 
 
+def test_maxpool_train_mode_routes_each_gradient_to_the_first_maximum():
+    rng = make_rng(12, "pool-ties")
+    x = rng.integers(0, 3, (4, 10, 5)).astype(np.float64)  # small integers: many ties
+    layer = nn.MaxPool1d(3)
+    y = layer.forward(x, train=True)
+    dy = rng.standard_normal(y.shape)
+    dx = layer.backward(dy)
+    expected_y, expected_dx = np.empty(y.shape), np.zeros(x.shape)
+    for b, t, ch in np.ndindex(y.shape):
+        window = list(x[b, 3 * t:3 * t + 3, ch])
+        expected_y[b, t, ch] = max(window)
+        expected_dx[b, 3 * t + window.index(max(window)), ch] = dy[b, t, ch]
+    assert y.tobytes() == expected_y.tobytes()
+    assert dx.tobytes() == expected_dx.tobytes()
+    assert y.tobytes() == layer.forward(x).tobytes()  # train and eval mode agree
+
+
 # ---------------------------------------------------------------------------
 # dropout
 

@@ -386,67 +386,6 @@ def test_mutated_sample_file_fails_only_with_storage_error(fuzz_dataset, data):
 
 
 # ---------------------------------------------------------------------------
-# flat export
-
-def test_flat_export_shape_and_first_label(tmp_path):
-    ds = small_feature_dataset(per_class=1, T=10)
-    path = tmp_path / "flat.csv"
-    storage.export_flat(ds, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert len(rows) == 70
-    assert all(len(r) == 65 for r in rows)
-    assert rows[0][0] == "0"  # first block is the empty class
-
-
-def test_flat_reimport_labels_identical(tmp_path):
-    ds = small_feature_dataset(per_class=2, T=10)
-    path = tmp_path / "flat.csv"
-    storage.export_flat(ds, path)
-    tensors = storage.load_flat(path, n_packets=10)
-    assert [t.label for t in tensors] == [s.label for s in ds.samples]
-    for a, b in zip(tensors, ds.samples):
-        assert a.values.tobytes() == b.values.tobytes()
-
-
-def test_flat_export_matches_csv_reference(tmp_path):
-    ds = small_feature_dataset(per_class=1, T=4)
-    flat, ref = tmp_path / "flat.csv", tmp_path / "ref.csv"
-    storage.export_flat(ds, flat)
-    expected = b""
-    for t in ds.samples:
-        reference_write(ref, t.values)
-        expected += b"".join(f"{int(t.label)},".encode() + line + b"\r\n"
-                             for line in ref.read_bytes().split(b"\r\n")[:-1])
-    assert flat.read_bytes() == expected
-
-
-def test_flat_reimport_rejects_blank_line(tmp_path):
-    ds = small_feature_dataset(per_class=1, T=4)
-    path = tmp_path / "flat.csv"
-    storage.export_flat(ds, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n")
-    with pytest.raises(storage.StorageError, match=r"flat.csv:4: expected 65 columns, got 0"):
-        storage.load_flat(path, n_packets=4)
-
-
-@pytest.mark.parametrize("code", ["9", "-1", "0.5"])
-def test_flat_reimport_names_file_and_row_of_a_label_that_is_no_class_code(tmp_path, code):
-    path = tmp_path / "flat.csv"
-    path.write_text(f"1,1.0,2.0\n{code},1.0,2.0\n")
-    with pytest.raises(storage.StorageError,
-                       match=rf"flat.csv:2: label {float(code)} is not a class code$"):
-        storage.load_flat(path, n_packets=1)
-
-
-def test_flat_export_rejects_complex_samples(tmp_path):
-    ds = small_raw_dataset(per_class=1)
-    with pytest.raises(storage.StorageError, match="amplitude-typed"):
-        storage.export_flat(ds, tmp_path / "flat.csv")
-
-
-# ---------------------------------------------------------------------------
 # model files
 
 def _tiny_trained(kind="lstm", epochs=1):
