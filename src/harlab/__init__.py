@@ -9,16 +9,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActivityClass", "CsiSample", "Dataset", "FeatureTensor",
-    "GeneratorConfig", "MetricsReport", "ModelSpec", "SplitSpec", "TrainedModel",
-    "amplitude", "anova_f_scores", "build", "butter_design", "compute_metrics",
-    "decimate", "filter_apply", "generate_dataset",
-    "generate_sample", "impute_mean", "load_dataset", "load_model",
-    "pca_fit_transform", "run_grid", "run_pipeline", "save_dataset",
-    "save_model", "select_k_best", "split", "train",
-]
-
 _SUBMODULE = {name: module for module, names in {
     "core": "ActivityClass CsiSample Dataset FeatureTensor",
     "dsp": "amplitude anova_f_scores butter_design filter_apply impute_mean "
@@ -28,6 +18,7 @@ _SUBMODULE = {name: module for module, names in {
     "storage": "load_dataset load_model save_dataset save_model",
     "synth": "GeneratorConfig generate_dataset generate_sample",
 }.items() for name in names.split()}
+__all__ = sorted(_SUBMODULE)
 
 
 def __getattr__(name: str):

@@ -58,11 +58,8 @@ class CsiSample:
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.complex128)
-        if frames.ndim != 2 or frames.shape[0] < 1:
+        if frames.ndim != 2 or 0 in frames.shape:
             raise ValueError(f"frames must be a non-empty 2-D matrix, got shape {frames.shape}")
-        if frames.shape[1] != 64 and not self.lineage:
-            raise ValueError(
-                f"expected 64 subcarriers, got {frames.shape[1]} with empty lineage")
         object.__setattr__(self, "frames", _freeze(frames))
         object.__setattr__(self, "label", ActivityClass(self.label))
         object.__setattr__(self, "lineage", tuple(self.lineage))
@@ -88,11 +85,8 @@ class FeatureTensor:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError(f"values must be 2-D, got shape {values.shape}")
-        if values.shape[1] != 64 and not self.lineage:
-            raise ValueError(
-                f"expected 64 features, got {values.shape[1]} with empty lineage")
+        if values.ndim != 2 or 0 in values.shape:
+            raise ValueError(f"values must be a non-empty 2-D matrix, got shape {values.shape}")
         object.__setattr__(self, "values", _freeze(values))
         object.__setattr__(self, "label", ActivityClass(self.label))
         object.__setattr__(self, "lineage", tuple(self.lineage))

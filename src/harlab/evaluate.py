@@ -134,10 +134,11 @@ def compute_metrics(true_labels, pred_labels, losses) -> MetricsReport:
 
 def evaluate_model(model: models.TrainedModel, tensors) -> MetricsReport:
     """Predict a sample list, unstacked, and compute its metrics report.
-    A non-finite input value raises ModelError (see models.check_finite)."""
+    A sample of another shape than the model's input or with a non-finite
+    value raises ModelError naming the "test" split (models.check_samples)."""
     tensors = list(tensors)
     xs = [t.values for t in tensors]
-    models.check_finite(xs, "test")
+    models.check_samples(xs, model.spec, "test")
     y = np.array([t.label for t in tensors], dtype=np.int64)
     probs = model.predict_probs(xs)
     return compute_metrics(y, probs.argmax(axis=1), nn.sample_losses(probs, y))
@@ -210,10 +211,9 @@ class GridCell:
         return self.error is not None
 
 
-def run_grid(dataset: Dataset, kinds=models.KINDS, lrs=GRID_LRS,
-             epochs_grid=GRID_EPOCHS, seed: int = 42,
-             hidden_size: int = 50) -> list[GridCell]:
-    """Train every (kind, lr, epochs) cell on one shared stratified split.
+def run_grid(dataset: Dataset, seed: int = 42, hidden_size: int = 50) -> list[GridCell]:
+    """Train every (kind, epochs, lr) cell of models.KINDS x GRID_EPOCHS x
+    GRID_LRS on one shared stratified split.
 
     Cells are independent and seeded, so results do not depend on the
     core count (one job per cell, see ordered_map); failed cells are
@@ -236,5 +236,5 @@ def run_grid(dataset: Dataset, kinds=models.KINDS, lrs=GRID_LRS,
             return GridCell(kind, epochs, lr, None, None,
                             error=f"{type(exc).__name__}: {exc}")
 
-    cells = [(kind, ep, lr) for kind in kinds for ep in epochs_grid for lr in lrs]
+    cells = [(kind, ep, lr) for kind in models.KINDS for ep in GRID_EPOCHS for lr in GRID_LRS]
     return ordered_map(run_cell, cells)

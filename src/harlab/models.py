@@ -70,6 +70,8 @@ class ModelSpec:
                              f"got {self.conv_filters}")
         if not 0.0 <= self.dropout < 1.0:
             raise ModelError("dropout must be in [0, 1)")
+        if not (math.isfinite(self.lr0) and self.lr0 > 0):
+            raise ModelError(f"lr0 must be finite and > 0, got {self.lr0}")
 
     @property
     def input_shape(self) -> tuple[int, int]:
@@ -184,13 +186,11 @@ class TrainedModel:
 
         Stacks and standardises one chunk of spec.batch_size samples at a
         time, so the standardised copy and the layer caches are no larger
-        than a training step's.  A sample whose [T, F] is not the spec's
-        input shape raises ModelError before any is predicted.
+        than a training step's.  The samples are checked first
+        (check_samples, as the "input" split): one of another shape or
+        with a non-finite value raises ModelError before any is predicted.
         """
-        for sample in x:
-            if np.shape(sample) != self.spec.input_shape:
-                raise ModelError(f"input shape {np.shape(sample)} != model input "
-                                 f"{self.spec.input_shape}")
+        check_samples(x, self.spec, "input")
         step = self.spec.batch_size
         probs = np.empty((len(x), self.spec.n_classes))
         for start in range(0, len(x), step):
@@ -230,32 +230,23 @@ def _fit_standardisation(xs) -> tuple[np.ndarray, np.ndarray]:
     return mean, scale
 
 
-def _split_samples(data, name: str, spec: ModelSpec) -> tuple[list[np.ndarray], np.ndarray]:
-    """The [T, F] sample arrays and int labels of one split, checked.
-
-    data is an iterable of FeatureTensor, whose arrays are kept as they
-    are.  An empty split, samples of unequal or wrong shape, and a
-    non-finite value (named by sample, step and feature) raise ModelError.
-    """
+def _split_samples(data, name: str) -> tuple[list[np.ndarray], np.ndarray]:
+    """The [T, F] sample arrays, kept as they are, and int labels of one
+    split, an iterable of FeatureTensor; an empty split raises ModelError."""
     tensors = list(data)
-    xs = [t.values for t in tensors]
-    y = np.array([t.label for t in tensors], dtype=np.int64)
-    if not xs:
+    if not tensors:
         raise ModelError(f"empty {name} split")
-    shape = xs[0].shape
-    for sample in xs:
-        if sample.shape != shape:
-            raise ModelError(f"inconsistent sample shapes {sample.shape} vs {shape}")
-    if shape != spec.input_shape:
-        raise ModelError(f"{name} data shape {shape} != spec {spec.input_shape}")
-    check_finite(xs, name)
-    return xs, y
+    return [t.values for t in tensors], np.array([t.label for t in tensors], dtype=np.int64)
 
 
-def check_finite(xs, name: str) -> None:
-    """Raise ModelError at the first non-finite value of the [T, F] arrays
-    xs, naming the split `name`, the sample, the step and the feature."""
+def check_samples(xs, spec: ModelSpec, name: str) -> None:
+    """Raise ModelError at the first of the arrays xs whose shape is not
+    spec.input_shape or that holds a non-finite value, which is named by
+    the split `name`, the sample, the step and the feature."""
     for i, sample in enumerate(xs):
+        if np.shape(sample) != spec.input_shape:
+            raise ModelError(f"input shape {np.shape(sample)} != model input "
+                             f"{spec.input_shape}")
         if not np.isfinite(sample).all():
             step, feature = np.argwhere(~np.isfinite(sample))[0]
             raise ModelError(f"{name} split: non-finite value {sample[step, feature]} "
@@ -271,14 +262,16 @@ def train(net: Network, train_set, val_set) -> TrainedModel:
     are standardised per feature with the mean and standard deviation of
     the training split only; the returned model keeps both vectors and
     applies them in predict_probs.  History records one row per epoch.  A
-    non-finite input value raises ModelError naming its split, sample, step
-    and feature, before anything is fitted; a training batch or validation
-    pass whose probabilities are not finite raises ModelError naming the
-    epoch and the batch or "validation".
+    sample of another shape than spec.input_shape, or a non-finite input
+    value, raises ModelError before anything is fitted (check_samples); a
+    training batch or validation pass whose probabilities are not finite
+    raises ModelError naming the epoch and the batch or "validation".
     """
     spec = net.spec
-    x_train, y_train = _split_samples(train_set, "train", spec)
-    x_val, y_val = _split_samples(val_set, "validation", spec)
+    x_train, y_train = _split_samples(train_set, "train")
+    x_val, y_val = _split_samples(val_set, "validation")
+    check_samples(x_train, spec, "train")
+    check_samples(x_val, spec, "validation")
     shuffle_rng = make_rng(spec.seed, "shuffle")
     dropout_rng = make_rng(spec.seed, "dropout")
     state = nn.AdamState(lr0=spec.lr0)

@@ -203,8 +203,7 @@ def generate_sample(cfg: GeneratorConfig, cls: ActivityClass, index: int) -> Csi
     rng = make_rng(cfg.seed, "sample", int(cls), index)
     channel = realize_channel(cfg, cls, rng)
     frames = synthesize_frames(cfg, channel, rng)
-    lineage = () if cfg.n_subcarriers == 64 else (f"subcarrier_count:{cfg.n_subcarriers}",)
-    return CsiSample(frames, cls, f"{cls.class_name}-{index:04d}", lineage)
+    return CsiSample(frames, cls, f"{cls.class_name}-{index:04d}")
 
 
 def generate_dataset(cfg: GeneratorConfig) -> Dataset:

@@ -19,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harlab import cli, dsp, evaluate, models, nn, storage, synth
-from harlab.core import Dataset, class_from_name
+from harlab.core import ActivityClass, CsiSample, Dataset, FeatureTensor, class_from_name
+from harlab.rng import make_rng
 
 
 def run_cli(*argv):
@@ -359,6 +360,32 @@ def test_evaluate_model_file_with_zero_hidden_size_exits_1(
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf", "-0.5", "0"])
+def test_train_with_an_lr_that_is_not_finite_and_positive_exits_2(
+        tmp_path, tiny_dataset, capsys, lr):
+    # nan and inf used to train an epoch, then exit 2 naming only the validation
+    # pass; -0.5 trained by gradient ascent and exited 0
+    code = run_cli("train", "--model", "lstm", "--dataset", tiny_dataset, "--lr", lr,
+                   "--epochs", 1, "--hidden", 4, "--decimate", 60, "--out", tmp_path / "run")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: lr0 must be finite and > 0, got {float(lr)}\n"
+    assert not (tmp_path / "run").exists()  # validated before any write
+
+
+@pytest.mark.parametrize("lr0", [-0.5, float("nan")])
+def test_evaluate_model_file_with_an_lr0_that_is_not_finite_and_positive_exits_1(
+        tmp_path, tiny_dataset, tiny_model, capsys, lr0):
+    doc = json.loads(tiny_model.read_text())
+    doc["spec"]["lr0"] = lr0
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(doc))  # nan as the JSON extension NaN
+    code = run_cli("evaluate", "--model-file", model_file, "--dataset", tiny_dataset,
+                   "--out", tmp_path / "eval")
+    assert code == 1
+    assert capsys.readouterr().err == (f"I/O error: {model_file}: malformed model file "
+                                       f"(lr0 must be finite and > 0, got {lr0})\n")
+
+
 @pytest.mark.parametrize("key, size", [("hidden_size", 10**9), ("n_features", 10**10)])
 def test_evaluate_model_file_whose_spec_is_far_beyond_memory_exits_1(
         tmp_path, tiny_dataset, tiny_model, capsys, key, size):
@@ -390,6 +417,36 @@ def test_evaluate_with_a_model_of_another_feature_count_exits_2(
                    "--dataset", tiny_pre, "--out", tmp_path / "eval")
     assert code == 2
     assert capsys.readouterr().err == "error: input shape (20, 64) != model input (20, 10)\n"
+
+
+def test_a_32_subcarrier_row_preprocesses_and_fails_train_with_exit_2(tmp_path, capsys):
+    # a sample of another width and an empty lineage used to end both commands
+    # in a "ValueError: expected 64 subcarriers" traceback
+    data = tmp_path / "raw"
+    cfg = synth.GeneratorConfig(seed=5, samples_per_class=2, n_packets=120)
+    storage.save_dataset(synth.generate_dataset(cfg), data)
+    manifest = data / storage.MANIFEST_NAME
+    with open(manifest, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    first = rows[0]  # empty-0000, the first sample in canonical order
+    assert first["sample_id"] == "empty-0000"
+    first["n_subcarriers"] = "32"
+    path = data / first["relative_path"]
+    lines = path.read_text().splitlines()
+    path.write_text("".join(",".join(line.split(",")[:64]) + "\r\n" for line in lines),
+                    newline="")
+    with open(manifest, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, storage.MANIFEST_FIELDS)
+        writer.writeheader()
+        writer.writerows(rows)
+    assert run_cli("preprocess", "--dataset", data, "--out", tmp_path / "pre") == 0
+    assert storage.read_manifest(tmp_path / "pre")[0]["n_subcarriers"] == "32"
+    capsys.readouterr()
+    assert run_cli("train", "--model", "lstm", "--dataset", data, "--epochs", 1,
+                   "--hidden", 4, "--out", tmp_path / "run") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if not line.startswith("INFO ")] == [
+        "error: input shape (10, 64) != model input (10, 32)"]
 
 
 def test_non_finite_input_fails_train_and_evaluate_with_exit_2(
@@ -970,6 +1027,70 @@ def test_evaluate_on_a_mutated_manifest_ends_in_an_exit_code(fuzz_root, mutation
     if code:
         last = err.getvalue().split("\n")[-2]  # not splitlines: a path may hold a \x1c
         assert last.startswith("error: " if code == 2 else "I/O error: "), last
+
+
+# ---------------------------------------------------------------------------
+# fuzz: evaluate a model on roots of other shapes and class coverage
+
+PAIRING_T, PAIRING_F = 4, 3
+
+
+@pytest.fixture(scope="module")
+def pairing_model(tmp_path_factory):
+    """A 1-epoch lstm of input [4, 3], saved as a model file."""
+    spec = models.ModelSpec(kind="lstm", timesteps=PAIRING_T, n_features=PAIRING_F,
+                            hidden_size=4, epochs=1, seed=0)
+    rng = make_rng(0, "pairing-model")
+    tensors = [FeatureTensor(rng.standard_normal((PAIRING_T, PAIRING_F)), cls)
+               for cls in ActivityClass for _ in range(2)]
+    path = tmp_path_factory.mktemp("pairing") / "model.json"
+    storage.save_model(models.train(models.build(spec), tensors, tensors), path)
+    return path
+
+
+def pairing_root(root, raw, n_packets, n_features, counts):
+    """A root written by save_dataset: counts[c] samples of class c, raw
+    complex captures or preprocessed tensors, all n_packets x n_features."""
+    rng = make_rng(0, "pairing-root")
+    samples = []
+    for cls, count in zip(ActivityClass, counts):
+        for i in range(count):
+            values = rng.standard_normal((n_packets, n_features, 2)) + 1.0
+            if raw:
+                samples.append(CsiSample(values[..., 0] + 1j * values[..., 1], cls,
+                                         f"{cls.class_name}-{i:04d}"))
+            else:
+                samples.append(FeatureTensor(values[..., 0], cls, ("amplitude",)))
+    storage.save_dataset(Dataset.from_samples(samples, seed=0), root)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@example(raw=False, n_packets=PAIRING_T, n_features=PAIRING_F, counts=[2] * 7)
+@example(raw=True, n_packets=3 * PAIRING_T, n_features=PAIRING_F, counts=[3, 2, 2, 3, 2, 2, 3])
+@example(raw=False, n_packets=PAIRING_T, n_features=PAIRING_F + 1, counts=[2] * 7)
+@example(raw=True, n_packets=2 * PAIRING_T + 1, n_features=PAIRING_F, counts=[2] * 7)
+@example(raw=False, n_packets=1, n_features=1, counts=[0] * 7)
+@example(raw=True, n_packets=1, n_features=PAIRING_F, counts=[1] * 7)
+@given(raw=st.booleans(), n_packets=st.integers(1, 4 * PAIRING_T),
+       n_features=st.integers(1, PAIRING_F + 2),
+       counts=st.lists(st.integers(0, 3), min_size=len(ActivityClass),
+                       max_size=len(ActivityClass)))
+def test_evaluate_on_a_root_of_any_shape_and_coverage_ends_in_an_exit_code(
+        pairing_model, raw, n_packets, n_features, counts):
+    with tempfile.TemporaryDirectory() as tmp:
+        pairing_root(Path(tmp) / "data", raw, n_packets, n_features, counts)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("evaluate", "--model-file", pairing_model,
+                           "--dataset", Path(tmp) / "data", "--out", Path(tmp) / "eval")
+    lines = [line for line in err.getvalue().splitlines()
+             if not line.startswith(("INFO ", "WARNING "))]
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: " if code == 2 else "I/O error: "), lines
 
 
 # ---------------------------------------------------------------------------

@@ -220,14 +220,18 @@ def _tiny_grid_dataset():
     return Dataset.from_samples(tensors, seed=0)
 
 
+def set_grid(monkeypatch, epochs, lrs):
+    """Make run_grid's cells every kind at `epochs` x `lrs`."""
+    monkeypatch.setattr(evaluate, "GRID_EPOCHS", epochs)
+    monkeypatch.setattr(evaluate, "GRID_LRS", lrs)
+
+
 def test_grid_cardinality_and_schema(monkeypatch):
     use_cores(monkeypatch, 1)
-    ds = _tiny_grid_dataset()
-    cells = evaluate.run_grid(ds, kinds=("lstm",), lrs=(0.01, 0.1),
-                              epochs_grid=(2, 1), seed=0, hidden_size=4)
-    assert len(cells) == 4
-    assert {(c.kind, c.epochs, c.lr) for c in cells} == {
-        ("lstm", 2, 0.01), ("lstm", 2, 0.1), ("lstm", 1, 0.01), ("lstm", 1, 0.1)}
+    set_grid(monkeypatch, (2, 1), (0.01, 0.1))
+    cells = evaluate.run_grid(_tiny_grid_dataset(), seed=0, hidden_size=4)
+    assert [(c.kind, c.epochs, c.lr) for c in cells] == [
+        (kind, epochs, lr) for kind in models.KINDS for epochs in (2, 1) for lr in (0.01, 0.1)]
     for c in cells:
         assert not c.failed
         assert 0.0 <= c.accuracy <= 1.0
@@ -236,33 +240,32 @@ def test_grid_cardinality_and_schema(monkeypatch):
 
 def test_grid_deterministic_across_runs_and_workers(monkeypatch):
     ds = _tiny_grid_dataset()
-    kwargs = dict(kinds=("lstm", "cnn"), lrs=(0.01,), epochs_grid=(1,),
-                  seed=0, hidden_size=4)
+    set_grid(monkeypatch, (1,), (0.01,))
     use_cores(monkeypatch, 1)
-    a = evaluate.run_grid(ds, **kwargs)
+    a = evaluate.run_grid(ds, seed=0, hidden_size=4)
     use_cores(monkeypatch, 2)
-    b = evaluate.run_grid(ds, **kwargs)
+    b = evaluate.run_grid(ds, seed=0, hidden_size=4)
     assert a == b
 
 
 def test_grid_marks_failed_cell_and_continues(monkeypatch):
     use_cores(monkeypatch, 1)
-    ds = _tiny_grid_dataset()
-    cells = evaluate.run_grid(ds, kinds=("lstm", "bogus"), lrs=(0.01,),
-                              epochs_grid=(1,), seed=0, hidden_size=4)
-    by_kind = {c.kind: c for c in cells}
-    assert not by_kind["lstm"].failed
-    assert by_kind["bogus"].failed
-    assert by_kind["bogus"].accuracy is None
-    assert "ModelError" in by_kind["bogus"].error
+    set_grid(monkeypatch, (1, 0), (0.01,))  # 0 epochs: ModelSpec raises ModelError
+    cells = evaluate.run_grid(_tiny_grid_dataset(), seed=0, hidden_size=4)
+    by_epochs = {(c.kind, c.epochs): c for c in cells}
+    for kind in models.KINDS:
+        assert not by_epochs[kind, 1].failed
+        assert by_epochs[kind, 0].failed
+        assert by_epochs[kind, 0].accuracy is None
+        assert "ModelError" in by_epochs[kind, 0].error
 
 
 @pytest.mark.parametrize("kind", models.KINDS)
 def test_grid_cell_scores_equal_a_fresh_prediction_on_the_test_split(kind, monkeypatch):
     use_cores(monkeypatch, 1)
+    set_grid(monkeypatch, (2,), (0.1,))
     ds = _tiny_grid_dataset()
-    cell, = evaluate.run_grid(ds, kinds=(kind,), lrs=(0.1,), epochs_grid=(2,), seed=0,
-                              hidden_size=4)
+    cell = {c.kind: c for c in evaluate.run_grid(ds, seed=0, hidden_size=4)}[kind]
     train_ds, test_ds = evaluate.split(ds, evaluate.SplitSpec(seed=0))
     spec = models.ModelSpec(kind=kind, timesteps=9, n_features=4, hidden_size=4, lr0=0.1,
                             epochs=2, seed=0)

@@ -56,6 +56,19 @@ def test_feature_dataset_roundtrip_exact(tmp_path):
         assert a == b  # bitwise on values, label and lineage equal
 
 
+def test_a_32_subcarrier_dataset_roundtrips_with_an_empty_lineage(tmp_path):
+    # the generator used to record a "subcarrier_count:32" lineage entry, which
+    # the sample types' 64-column rule needed to accept the width
+    ds = synth.generate_dataset(synth.GeneratorConfig(seed=42, samples_per_class=2,
+                                                      n_packets=20, n_subcarriers=32))
+    storage.save_dataset(ds, tmp_path / "raw")
+    loaded = storage.load_dataset(tmp_path / "raw")
+    assert {r["n_subcarriers"] for r in storage.read_manifest(tmp_path / "raw")} == {"32"}
+    assert loaded.samples == ds.samples  # bitwise on frames, label, id and lineage
+    assert {s.lineage for s in loaded.samples} == {()}
+    assert loaded.samples[0].frames.shape == (20, 32)
+
+
 def test_complex_files_have_128_columns(tmp_path):
     ds = small_raw_dataset(per_class=1)
     storage.save_dataset(ds, tmp_path / "raw")
