@@ -118,9 +118,10 @@ def filter_coefficients_apply(coeffs: FilterCoeffs, values: np.ndarray) -> np.nd
     The b taps give v in shifted multiply-adds over the whole array.  Then,
     ceil(log2 n) times, both sides of a(z^s) y = v (z the one-step delay,
     s = 1 first) are multiplied by a(-z^s), which leaves a polynomial in
-    z^2s; once s >= n the recursion reaches no row, and y = v.  Only
-    elementwise float64 arithmetic: a column's result is the same in any
-    layout.
+    z^2s; once s >= n the recursion reaches no row, and y = v.  Passes
+    update y in place and copy the rows they read only when more than one
+    tap reaches a row (never at order 1).  Only elementwise float64
+    arithmetic: a column's result is the same in any layout.
     """
     values = np.asarray(values, dtype=np.float64)
     b, a = coeffs.b, coeffs.a
@@ -131,8 +132,9 @@ def filter_coefficients_apply(coeffs: FilterCoeffs, values: np.ndarray) -> np.nd
     lag = 1
     while lag < n:
         a_neg = a * (-1.0) ** np.arange(a.size)
-        v = y[:n - lag].copy()
-        for j in range(1, min(a.size, (n - 1) // lag + 1)):  # the taps with j * lag < n
+        taps = range(1, min(a.size, (n - 1) // lag + 1))  # the taps with j * lag < n
+        v = y[:n - lag] if len(taps) == 1 else y[:n - lag].copy()
+        for j in taps:
             y[j * lag:] += a_neg[j] * v[:n - j * lag]
         a = np.convolve(a, a_neg)[::2]
         lag *= 2

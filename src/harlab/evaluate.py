@@ -217,10 +217,14 @@ def run_grid(dataset: Dataset, seed: int = 42, hidden_size: int = 50) -> list[Gr
 
     Cells are independent and seeded, so results do not depend on the
     core count (one job per cell, see ordered_map); failed cells are
-    marked and the run continues.
+    marked and the run continues.  Samples are checked against the first
+    (models.check_samples) before any cell starts.
     """
     train_ds, test_ds = split(dataset, SplitSpec(seed=seed))
     timesteps, n_features = train_ds.samples[0].values.shape
+    first = models.ModelSpec(kind="lstm", timesteps=timesteps, n_features=n_features)
+    for name, ds in (("train", train_ds), ("test", test_ds)):
+        models.check_samples([s.values for s in ds.samples], first, name)
 
     def run_cell(cell_key: tuple[str, int, float]) -> GridCell:
         kind, epochs, lr = cell_key

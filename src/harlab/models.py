@@ -63,8 +63,11 @@ class ModelSpec:
             raise ModelError(f"n_classes must be {N_CLASSES}, got {self.n_classes}")
         for name in ("timesteps", "n_features", "hidden_size", "kernel_size", "pool_size",
                      "epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ModelError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ModelError(f"{name} must be >= 1, got {value}")
         if self.kind != "lstm" and (len(self.conv_filters) != 2 or min(self.conv_filters) < 1):
             raise ModelError(f"kind {self.kind!r} needs two conv filter counts >= 1, "
                              f"got {self.conv_filters}")
@@ -141,9 +144,10 @@ def build(spec: ModelSpec) -> Network:
     return Network(spec, layers)
 
 
-def check_weight_shapes(spec: ModelSpec, shapes: dict[str, tuple]) -> None:
+def check_weight_shapes(spec: ModelSpec, shapes: dict[str, tuple]) -> dict[str, tuple]:
     """Raise ModelError unless `shapes` (block name -> shape) are those of
-    build(spec)'s params(); allocates nothing of the spec's size."""
+    build(spec)'s params(), which it returns in that order; allocates
+    nothing of the spec's size."""
     expected = {f"{name}.{param}": shape for name, cls, args in _layer_plan(spec)
                 for param, shape in cls.shapes(*args).items()}
     for name in sorted(set(shapes) | set(expected)):
@@ -151,6 +155,7 @@ def check_weight_shapes(spec: ModelSpec, shapes: dict[str, tuple]) -> None:
             raise ModelError(f"weight block {name!r}: file has "
                              f"{shapes.get(name, 'no block')}, spec needs "
                              f"{expected.get(name, 'no block')}")
+    return expected
 
 
 @dataclass

@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import math
 import os
 from pathlib import Path
 
@@ -383,18 +384,19 @@ def load_model(path: Path | str) -> models.TrainedModel:
         spec_doc["conv_filters"] = tuple(spec_doc.get("conv_filters", ()))
         spec = models.ModelSpec(**spec_doc)
         blocks = doc["weights"]
-        # Judged by their shapes before build allocates arrays of the spec's sizes.
-        models.check_weight_shapes(
+        # Judged by their shapes and values before build allocates arrays of the spec's sizes.
+        shapes = models.check_weight_shapes(
             spec, {name: tuple(block["shape"]) for name, block in blocks.items()})
+        data = {name: np.array(blocks[name]["data"], dtype=np.float64) for name in shapes}
+        for name, shape in shapes.items():
+            if data[name].size != math.prod(shape):
+                raise models.ModelError(f"weight block {name!r} has {data[name].size} values, "
+                                        f"shape {shape} needs {math.prod(shape)}")
+            if not np.isfinite(data[name]).all():
+                raise models.ModelError(f"weight block {name!r} holds non-finite values")
         net = models.build(spec)
         for name, param in net.params().items():
-            data = np.array(blocks[name]["data"], dtype=np.float64)
-            if data.size != param.size:
-                raise models.ModelError(f"weight block {name!r} has {data.size} values, "
-                                        f"shape {param.shape} needs {param.size}")
-            if not np.isfinite(data).all():
-                raise models.ModelError(f"weight block {name!r} holds non-finite values")
-            param[...] = data.reshape(param.shape)
+            param[...] = data[name].reshape(param.shape)
         history = [models.EpochStats(**h) for h in doc.get("history", [])]
         mean = np.array(doc["input"]["mean"], dtype=np.float64)
         scale = np.array(doc["input"]["scale"], dtype=np.float64)

@@ -8,8 +8,9 @@ signature, plus circularly-symmetric complex Gaussian noise:
 
 The dynamic path is mostly phase-aligned with the static channel (small
 per-subcarrier offsets), so the amplitude trace of every subcarrier
-follows the class profile.  (seed, class, index) fully determines a
-sample; see rng for the stream derivation.
+follows the class profile.  The noise, one standard-normal draw of (real,
+imaginary) pairs, is scaled and added in place.  (seed, class, index)
+fully determines a sample; see rng for the stream derivation.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .core import ActivityClass, CsiSample, Dataset
 from .rng import make_rng
 
 SAMPLE_RATE_HZ = 400.0
+MIN_SNR_DB = -3000.0  # noise power 1e300 x the static power: still a finite float
 
 # Dynamic-path gain amplitudes, relative to the unit mean static amplitude.
 BREATH_AMP = 0.2
@@ -80,9 +82,8 @@ class GeneratorConfig:
             raise GeneratorError(
                 "need 0 < breath_hz < walk_envelope_hz < walk_fringe_hz < "
                 f"{nyquist} Hz (Nyquist)")
-        # +inf is the documented noise-off switch; NaN and -inf are rejected.
-        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
-            raise GeneratorError(f"snr_db must be a real value or +inf, got {self.snr_db}")
+        if not self.snr_db >= MIN_SNR_DB:  # NaN fails; +inf is the noise-off switch
+            raise GeneratorError(f"snr_db must be >= {MIN_SNR_DB} or +inf, got {self.snr_db}")
         if self.transient_width_s <= 0:
             raise GeneratorError("transient_width_s must be > 0")
 
@@ -184,14 +185,16 @@ def synthesize_frames(cfg: GeneratorConfig, channel: ChannelRealization,
                       rng: np.random.Generator | None = None) -> np.ndarray:
     """Compose frames from a channel realization, adding noise unless snr is +inf."""
     ray = np.exp(1j * (np.angle(channel.static) + channel.phase_offsets))
-    frames = channel.static[None, :] + channel.profile[:, None] * ray[None, :]
+    frames = channel.profile[:, None] * ray[None, :]
+    frames += channel.static
     if math.isfinite(cfg.snr_db):
         if rng is None:
             raise GeneratorError("finite snr_db requires an rng for the noise draw")
         p_static = float(np.mean(np.abs(channel.static) ** 2))
         p_noise = p_static * 10.0 ** (-cfg.snr_db / 10.0)
         z = rng.standard_normal((cfg.n_packets, cfg.n_subcarriers, 2))
-        frames = frames + math.sqrt(p_noise / 2.0) * (z[..., 0] + 1j * z[..., 1])
+        z *= math.sqrt(p_noise / 2.0)
+        frames += z.view(np.complex128)[..., 0]  # (real, imag) pairs as complex
     return frames
 
 

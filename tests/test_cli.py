@@ -142,6 +142,15 @@ def test_generate_rejects_bad_flag_values(tmp_path, capsys):
     assert not (tmp_path / "d").exists()  # validated before any write
 
 
+def test_generate_with_an_snr_below_the_floor_exits_2_before_any_write(tmp_path, capsys):
+    # used to end in an OverflowError traceback from a pool worker
+    code = run_cli("generate", "--out", tmp_path / "d", "--samples-per-class", 1,
+                   "--snr-db", -4000)
+    assert code == 2
+    assert capsys.readouterr().err == "error: snr_db must be >= -3000.0 or +inf, got -4000.0\n"
+    assert not (tmp_path / "d").exists()
+
+
 # ---------------------------------------------------------------------------
 # preprocess / train / evaluate chain
 
@@ -403,6 +412,44 @@ def test_evaluate_model_file_whose_spec_is_far_beyond_memory_exits_1(
     assert err.count("\n") == 1
 
 
+def test_evaluate_model_file_of_a_huge_spec_with_empty_blocks_exits_1(
+        tmp_path, tiny_dataset, tiny_model, capsys):
+    # the value counts were checked after build, so allocating the 29.1 TiB
+    # recurrent weights ended in a numpy MemoryError traceback
+    h = 10**6
+    doc = json.loads(tiny_model.read_text())
+    doc["spec"]["hidden_size"] = h
+    shapes = {"lstm.W": [4 * h, 64], "lstm.U": [4 * h, h], "lstm.b": [4 * h],
+              "dense.w": [h, 7], "dense.b": [7]}
+    assert sorted(shapes) == sorted(doc["weights"])
+    doc["weights"] = {name: {"shape": shape, "data": []} for name, shape in shapes.items()}
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(doc))
+    code = run_cli("evaluate", "--model-file", model_file, "--dataset", tiny_dataset,
+                   "--out", tmp_path / "eval")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"I/O error: {model_file}: malformed model file (weight block 'lstm.W' has 0 "
+        "values, shape (4000000, 64) needs 256000000)\n")
+
+
+@pytest.mark.parametrize("key, value", [("timesteps", float("nan")), ("batch_size", 2.5),
+                                        ("batch_size", float("inf"))])
+def test_evaluate_model_file_with_a_size_that_is_not_an_integer_exits_1(
+        tmp_path, tiny_dataset, tiny_model, capsys, key, value):
+    # nan timesteps ended in a ValueError traceback from infer_decimation, a
+    # fractional batch_size in a TypeError traceback from predict_probs
+    doc = json.loads(tiny_model.read_text())
+    doc["spec"][key] = value
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(doc))
+    code = run_cli("evaluate", "--model-file", model_file, "--dataset", tiny_dataset,
+                   "--out", tmp_path / "eval")
+    assert code == 1
+    assert capsys.readouterr().err == (f"I/O error: {model_file}: malformed model file "
+                                       f"({key} must be an integer, got {value!r})\n")
+
+
 def test_evaluate_with_a_model_of_another_feature_count_exits_2(
         tmp_path, tiny_dataset, tiny_pre, capsys):
     # a 10-feature model on a 64-feature root used to end in a broadcast
@@ -419,9 +466,9 @@ def test_evaluate_with_a_model_of_another_feature_count_exits_2(
     assert capsys.readouterr().err == "error: input shape (20, 64) != model input (20, 10)\n"
 
 
-def test_a_32_subcarrier_row_preprocesses_and_fails_train_with_exit_2(tmp_path, capsys):
-    # a sample of another width and an empty lineage used to end both commands
-    # in a "ValueError: expected 64 subcarriers" traceback
+def root_with_a_32_subcarrier_first_row(tmp_path) -> Path:
+    """A raw 2-per-class root of 120-packet samples whose first sample,
+    empty-0000, keeps only its first 32 subcarriers."""
     data = tmp_path / "raw"
     cfg = synth.GeneratorConfig(seed=5, samples_per_class=2, n_packets=120)
     storage.save_dataset(synth.generate_dataset(cfg), data)
@@ -439,6 +486,13 @@ def test_a_32_subcarrier_row_preprocesses_and_fails_train_with_exit_2(tmp_path, 
         writer = csv.DictWriter(fh, storage.MANIFEST_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
+    return data
+
+
+def test_a_32_subcarrier_row_preprocesses_and_fails_train_with_exit_2(tmp_path, capsys):
+    # a sample of another width and an empty lineage used to end both commands
+    # in a "ValueError: expected 64 subcarriers" traceback
+    data = root_with_a_32_subcarrier_first_row(tmp_path)
     assert run_cli("preprocess", "--dataset", data, "--out", tmp_path / "pre") == 0
     assert storage.read_manifest(tmp_path / "pre")[0]["n_subcarriers"] == "32"
     capsys.readouterr()
@@ -447,6 +501,18 @@ def test_a_32_subcarrier_row_preprocesses_and_fails_train_with_exit_2(tmp_path, 
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if not line.startswith("INFO ")] == [
         "error: input shape (10, 64) != model input (10, 32)"]
+
+
+def test_grid_on_samples_of_mixed_width_exits_2_before_any_cell(tmp_path, capsys):
+    # used to mark all 12 cells failed and exit 0 with an empty grid.csv
+    data = root_with_a_32_subcarrier_first_row(tmp_path)
+    capsys.readouterr()
+    assert run_cli("grid", "--dataset", data, "--decimate", 12, "--hidden", 4,
+                   "--out", tmp_path / "grid") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if not line.startswith("INFO ")] == [
+        "error: input shape (10, 32) != model input (10, 64)"]  # empty-0000 is a test sample
+    assert not (tmp_path / "grid" / "grid.csv").exists()
 
 
 def test_non_finite_input_fails_train_and_evaluate_with_exit_2(
@@ -1091,6 +1157,61 @@ def test_evaluate_on_a_root_of_any_shape_and_coverage_ends_in_an_exit_code(
     else:
         assert len(lines) == 1, lines
         assert lines[0].startswith("error: " if code == 2 else "I/O error: "), lines
+
+
+# ---------------------------------------------------------------------------
+# fuzz: evaluate with a mutated model file
+
+# Keys of the fuzz model's file at which every mutation below is malformed:
+# a spec field with a default that equals the trained value, the history
+# and whole weight data lists (a nested list of the right count loads) are
+# left out.
+MODEL_PATHS = [("format_version",), ("spec",), ("spec", "kind"), ("spec", "timesteps"),
+               ("spec", "hidden_size"), ("weights",), ("weights", "lstm.W"),
+               ("weights", "lstm.U", "shape"), ("weights", "dense.b", "data", 3),
+               ("input",), ("input", "mean"), ("input", "scale", 0)]
+# None drops the key, an integer nests the value in that many lists, and a
+# string is the JSON text put in its place.
+MODEL_OPS = st.one_of(
+    st.none(), st.integers(1, 10**5),
+    st.sampled_from(["null", '"x"', "[]", "{}", "[0]", "[-1, 64]", "1" + "0" * 400,
+                     "-1" + "0" * 400, "NaN", "Infinity", "-Infinity"]))
+
+
+def mutated_model(text: str, path, op) -> str:
+    doc = json.loads(text)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if op is None:
+        del node[last]
+        return json.dumps(doc)
+    if isinstance(op, int):  # written as text: json.dumps recurses
+        op = "[" * op + json.dumps(node[last]) + "]" * op
+    node[last] = "@mutated@"
+    return json.dumps(doc).replace('"@mutated@"', op)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@example(path=("spec", "timesteps"), op="NaN")
+@example(path=("spec", "hidden_size"), op=None)
+@example(path=("weights", "lstm.U", "shape"), op="[-1, 64]")
+@example(path=("input", "mean"), op=10**5)
+@given(path=st.sampled_from(MODEL_PATHS), op=MODEL_OPS)
+def test_evaluate_with_a_mutated_model_file_ends_in_an_exit_code(fuzz_root, path, op):
+    root, model_file = fuzz_root
+    with tempfile.TemporaryDirectory() as tmp:
+        mutant = Path(tmp) / "model.json"
+        mutant.write_text(mutated_model(model_file.read_text(), path, op))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("evaluate", "--model-file", mutant, "--dataset", root,
+                           "--out", Path(tmp) / "eval")
+    lines = [line for line in err.getvalue().splitlines() if not line.startswith("INFO ")]
+    assert code in (1, 2)
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: " if code == 2 else "I/O error: "), lines
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,52 @@ def test_filter_result_is_independent_of_columns_and_memory_order(order):
     for col in range(x.shape[1]):
         alone = dsp.filter_coefficients_apply(coeffs, x[:, col:col + 1])
         assert alone.tobytes() == got[:, col:col + 1].tobytes()
+
+
+def copy_per_pass_filter(coeffs, values):
+    """The doubling filter with one copy of the rows read in every pass,
+    whatever the tap count: the bytes the in-place passes must keep."""
+    values = np.asarray(values, dtype=np.float64)
+    b, a = coeffs.b, coeffs.a
+    n = values.shape[0]
+    y = b[0] * values
+    for i in range(1, min(b.size, n)):
+        y[i:] += b[i] * values[:n - i]
+    lag = 1
+    while lag < n:
+        a_neg = a * (-1.0) ** np.arange(a.size)
+        v = y[:n - lag].copy()
+        for j in range(1, min(a.size, (n - 1) // lag + 1)):
+            y[j * lag:] += a_neg[j] * v[:n - j * lag]
+        a = np.convolve(a, a_neg)[::2]
+        lag *= 2
+    return y
+
+
+@pytest.mark.parametrize("order, cutoff", [(order, cutoff) for order in range(1, 9)
+                                           for cutoff in (0.05, 0.3)] + [(60, 0.5)])
+def test_filter_bytes_equal_the_copy_per_pass_loop(order, cutoff):
+    coeffs = dsp.butter_design(order, cutoff)
+    rng = make_rng(29, "filt-copy", order, str(cutoff))
+    for n in (1, 2, 3, 7, 64, 1201):
+        x = rng.standard_normal((n, 5)) + 1.0
+        got = dsp.filter_coefficients_apply(coeffs, x)
+        assert got.tobytes() == copy_per_pass_filter(coeffs, x).tobytes(), f"n={n}"
+
+
+@pytest.mark.parametrize("order, cutoff", [(1, 0.05), (4, 0.05), (60, 0.5)])
+def test_filter_peak_memory_is_at_most_about_three_inputs(order, cutoff):
+    # the output, one copy of the rows a pass reads and one tap's product;
+    # a product per tap held at once reached 116 inputs at order 60
+    coeffs = dsp.butter_design(order, cutoff)
+    x = make_rng(31, "filt-memory").standard_normal((1200, 64))
+    tracemalloc.start()
+    try:
+        dsp.filter_coefficients_apply(coeffs, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * x.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -49,6 +51,19 @@ def test_config_rejects_nan_and_neg_inf_snr():
         small_cfg(snr_db=-math.inf)
     # +inf is the documented noise-off switch
     small_cfg(snr_db=math.inf)
+
+
+def test_config_rejects_an_snr_below_the_floor():
+    # -4000 dB used to overflow 10 ** (-snr_db / 10) in a pool worker
+    with pytest.raises(synth.GeneratorError, match=r"^snr_db must be >= -3000.0 or \+inf"):
+        small_cfg(snr_db=-3000.5)
+
+
+def test_snr_at_the_floor_gives_finite_frames():
+    cfg = small_cfg(snr_db=synth.MIN_SNR_DB, n_packets=8, n_subcarriers=4)
+    frames = synth.generate_sample(cfg, ActivityClass.WALK_FORWARD, 0).frames
+    assert np.isfinite(frames).all()
+    assert np.abs(frames).max() > 1e140
 
 
 def test_config_rejects_nonpositive_counts():
@@ -153,6 +168,38 @@ def test_class_profiles_have_documented_shapes():
     leaning = synth.class_profile(cfg, ActivityClass.LEANING, t)
     assert leaning.max() > 0.9 * synth.BUMP_AMP
     assert abs(leaning[0]) < 1e-6 and abs(leaning[-1]) < 1e-3  # returns to baseline
+
+
+# sha256 of the frames of sample 0 of every class, in class order, at seed
+# 42 and the default sizes; recorded before the noise was added in place.
+FRAME_DIGESTS = {
+    20.0: "b82cbf52ebccb9fe19c83a5680b72f69658f161591e99ea25106cad5bbe57a8f",
+    0.0: "286192943fff19837fcb6b4601100af4a57aa5a173a676acc8b7c5238cc470f7",
+    -10.0: "c651e73f5fc572d26fc08a0cf4095f1a189245ddbfa9cc8e8ad6c34bcb8d1a35",
+    math.inf: "4e75490bb888797aa5951b1baf5ad16a5bb367d1854596603db8a6c5a56dd146",
+}
+
+
+@pytest.mark.parametrize("snr_db", sorted(FRAME_DIGESTS))
+def test_frames_keep_their_recorded_bytes(snr_db):
+    cfg = small_cfg(samples_per_class=1, snr_db=snr_db)
+    digest = hashlib.sha256()
+    for cls in ActivityClass:
+        digest.update(synth.generate_sample(cfg, cls, 0).frames.tobytes())
+    assert digest.hexdigest() == FRAME_DIGESTS[snr_db]
+
+
+def test_sample_peak_memory_is_about_two_frames():
+    # the frames and the normal draw of the same size, no complex temporaries
+    cfg = small_cfg()
+    synth.generate_sample(cfg, ActivityClass.WALK_FORWARD, 0)  # warm up
+    tracemalloc.start()
+    try:
+        frames = synth.generate_sample(cfg, ActivityClass.WALK_FORWARD, 1).frames
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * frames.nbytes
 
 
 # ---------------------------------------------------------------------------
