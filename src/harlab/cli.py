@@ -26,22 +26,19 @@ class UsageError(ValueError):
     """Invalid flag combination discovered after argparse."""
 
 
-def _setup_logging(out_dir: Path | None) -> None:
+def _start(out_text: str | None) -> Path | None:
+    """Make the command's --out directory, if it has one, and log to stderr
+    and to <out>/harlab.log there; returns the directory."""
+    out = None if out_text is None else Path(out_text)
     level = os.environ.get("HARLAB_LOG", "INFO").upper()
     handlers: list[logging.Handler] = [logging.StreamHandler(sys.stderr)]
     handlers[-1].setFormatter(logging.Formatter("%(levelname)s %(message)s"))
-    if out_dir is not None:
-        file_handler = logging.FileHandler(out_dir / "harlab.log")
-        file_handler.setFormatter(
-            logging.Formatter("%(asctime)s %(levelname)s %(message)s"))
-        handlers.append(file_handler)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        handlers.append(logging.FileHandler(out / "harlab.log"))
+        handlers[-1].setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(message)s"))
     logging.basicConfig(level=getattr(logging, level, logging.INFO),
                         handlers=handlers, force=True)
-
-
-def _ensure_out(path_text: str) -> Path:
-    out = Path(path_text)
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -78,8 +75,7 @@ def cmd_generate(args) -> int:
     from .core import ActivityClass
     cfg = synth.GeneratorConfig(seed=args.seed, samples_per_class=args.samples_per_class,
                                 snr_db=args.snr_db)
-    out = _ensure_out(args.out)
-    _setup_logging(out)
+    out = _start(args.out)
     keys = [(cls, i) for cls in ActivityClass for i in range(cfg.samples_per_class)]
 
     def make(key):
@@ -97,8 +93,7 @@ def cmd_generate(args) -> int:
 def cmd_preprocess(args) -> int:
     from . import dsp, evaluate, storage
     stages = dsp.parse_stages(args.stages)
-    out = _ensure_out(args.out)
-    _setup_logging(out)
+    out = _start(args.out)
     root = Path(args.dataset)
     rows = storage.read_manifest(root)
     fitted = [s for s in stages if s.needs_fit]
@@ -132,8 +127,7 @@ def cmd_train(args) -> int:
                             batch_size=args.batch_size, seed=args.seed)
     if args.decimate < 1:
         raise UsageError(f"--decimate must be >= 1, got {args.decimate}")
-    out = _ensure_out(args.out)
-    _setup_logging(out)
+    out = _start(args.out)
     root = Path(args.dataset)
     dataset = _feature_dataset(root, storage.read_manifest(root), args.decimate)
     timesteps, n_features = dataset.samples[0].values.shape
@@ -143,21 +137,19 @@ def cmd_train(args) -> int:
     log.info("training %s on %d samples (%d validation)", spec.kind,
              len(train_ds), len(val_ds))
     trained = models.train(models.build(spec), train_ds.samples, val_ds.samples)
-    model_path = Path(args.out_model) if args.out_model else out / "model.json"
-    storage.save_model(trained, model_path)
+    storage.save_model(trained, out / "model.json")
     storage.write_history_csv(trained.history, out / "history.csv")
     storage.save_experiment_config(out / "config", model=spec, split=split_spec)
     last = trained.history[-1]
     print(f"trained {spec.kind}: train_acc={last.train_acc:.4f} "
-          f"val_acc={last.val_acc:.4f} -> {model_path}")
+          f"val_acc={last.val_acc:.4f} -> {out / 'model.json'}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     from . import evaluate, models, reporting, storage
     from .core import class_from_name
-    out = _ensure_out(args.out)
-    _setup_logging(out)
+    out = _start(args.out)
     model = storage.load_model(args.model_file)
     root = Path(args.dataset)
     rows = storage.read_manifest(root)
@@ -182,11 +174,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    from . import evaluate, storage
+    from . import evaluate, models, storage
     if args.decimate < 1:
         raise UsageError(f"--decimate must be >= 1, got {args.decimate}")
-    out = _ensure_out(args.out)
-    _setup_logging(out)
+    models.ModelSpec(kind="lstm", hidden_size=args.hidden)  # rejects --hidden before any write
+    out = _start(args.out)
     root = Path(args.dataset)
     dataset = _feature_dataset(root, storage.read_manifest(root), args.decimate)
     cells = evaluate.run_grid(dataset, seed=args.seed, hidden_size=args.hidden)
@@ -201,15 +193,14 @@ def cmd_grid(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     from . import gradcheck
-    _setup_logging(None)
-    results = gradcheck.run_standard_checks(seed=args.seed)
+    _start(None)
+    results = gradcheck.run_standard_checks()
     width = max(len(r.name) for r in results)
-    all_ok = True
     for r in results:
         status = "pass" if r.passed else "FAIL"
         print(f"{r.name:<{width}}  max_rel_err={r.max_rel_error:.3e}  "
               f"tol={r.tolerance:.0e}  {status}")
-        all_ok &= r.passed
+    all_ok = all(r.passed for r in results)
     print("gradient check:", "all passed" if all_ok else "FAILED")
     return EXIT_OK if all_ok else EXIT_IO
 
@@ -217,8 +208,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_report(args) -> int:
     from . import reporting, storage
     run_dir = Path(args.run_dir)
-    out = _ensure_out(args.out)
-    _setup_logging(out)
+    out = _start(args.out)
     sections = ["# harlab run report", ""]
     metrics_path = run_dir / "metrics.csv"
     if metrics_path.exists():
@@ -277,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep every k-th packet (default 12; 1 = full length)")
     p.add_argument("--seed", type=int, default=42, help="training + split seed (default 42)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--out-model", default=None,
-                   help="model file path (default <out>/model.json)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a trained model on the test split")
@@ -300,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck",
                        help="verify every backward pass against finite differences")
-    p.add_argument("--seed", type=int, default=0, help="check seed (default 0)")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("report", help="render report.md from a run directory")

@@ -5,6 +5,7 @@ so they can be shared freely across threads.
 """
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 
@@ -42,9 +43,27 @@ def class_from_name(name: str) -> ActivityClass:
         raise ValueError(f"unknown activity class name: {name!r}") from None
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _init_sample(sample, matrix: str, dtype) -> None:
+    """Coerce a sample's `matrix` field to a read-only, non-empty 2-D array
+    of `dtype`, its label to an ActivityClass and its lineage to a tuple."""
+    arr = np.asarray(getattr(sample, matrix), dtype=dtype)
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise ValueError(f"{matrix} must be a non-empty 2-D matrix, got shape {arr.shape}")
     arr.setflags(write=False)
-    return arr
+    object.__setattr__(sample, matrix, arr)
+    object.__setattr__(sample, "label", ActivityClass(sample.label))
+    object.__setattr__(sample, "lineage", tuple(sample.lineage))
+
+
+def _equal(a, b, matrix: str):
+    """a == b for samples: bitwise on the `matrix` field, since determinism
+    checks need exact equality, and by value on the other fields."""
+    if not isinstance(b, type(a)):
+        return NotImplemented
+    x, y = getattr(a, matrix), getattr(b, matrix)
+    return (all(getattr(a, f.name) == getattr(b, f.name)
+                for f in dataclasses.fields(a) if f.name != matrix)
+            and x.shape == y.shape and x.tobytes() == y.tobytes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,22 +76,10 @@ class CsiSample:
     lineage: tuple[str, ...] = ()
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.complex128)
-        if frames.ndim != 2 or 0 in frames.shape:
-            raise ValueError(f"frames must be a non-empty 2-D matrix, got shape {frames.shape}")
-        object.__setattr__(self, "frames", _freeze(frames))
-        object.__setattr__(self, "label", ActivityClass(self.label))
-        object.__setattr__(self, "lineage", tuple(self.lineage))
+        _init_sample(self, "frames", np.complex128)
 
     def __eq__(self, other) -> bool:
-        # Bitwise on frames: equality must be exact for determinism checks.
-        if not isinstance(other, CsiSample):
-            return NotImplemented
-        return (self.label == other.label
-                and self.sample_id == other.sample_id
-                and self.lineage == other.lineage
-                and self.frames.shape == other.frames.shape
-                and self.frames.tobytes() == other.frames.tobytes())
+        return _equal(self, other, "frames")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,23 +91,13 @@ class FeatureTensor:
     lineage: tuple[str, ...] = ()
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or 0 in values.shape:
-            raise ValueError(f"values must be a non-empty 2-D matrix, got shape {values.shape}")
-        object.__setattr__(self, "values", _freeze(values))
-        object.__setattr__(self, "label", ActivityClass(self.label))
-        object.__setattr__(self, "lineage", tuple(self.lineage))
+        _init_sample(self, "values", np.float64)
 
     def with_values(self, values: np.ndarray, stage: str) -> "FeatureTensor":
         return FeatureTensor(values, self.label, self.lineage + (stage,))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, FeatureTensor):
-            return NotImplemented
-        return (self.label == other.label
-                and self.lineage == other.lineage
-                and self.values.shape == other.values.shape
-                and self.values.tobytes() == other.values.tobytes())
+        return _equal(self, other, "values")
 
 
 Sample = CsiSample | FeatureTensor

@@ -135,11 +135,8 @@ def compute_metrics(true_labels, pred_labels, losses) -> MetricsReport:
 def evaluate_model(model: models.TrainedModel, tensors) -> MetricsReport:
     """Predict a sample list, unstacked, and compute its metrics report.
     A sample of another shape than the model's input or with a non-finite
-    value raises ModelError naming the "test" split (models.check_samples)."""
-    tensors = list(tensors)
-    xs = [t.values for t in tensors]
-    models.check_samples(xs, model.spec, "test")
-    y = np.array([t.label for t in tensors], dtype=np.int64)
+    value raises ModelError naming the "test" split (models.split_inputs)."""
+    xs, y = models.split_inputs(tensors, model.spec, "test")
     probs = model.predict_probs(xs)
     return compute_metrics(y, probs.argmax(axis=1), nn.sample_losses(probs, y))
 
@@ -217,14 +214,15 @@ def run_grid(dataset: Dataset, seed: int = 42, hidden_size: int = 50) -> list[Gr
 
     Cells are independent and seeded, so results do not depend on the
     core count (one job per cell, see ordered_map); failed cells are
-    marked and the run continues.  Samples are checked against the first
-    (models.check_samples) before any cell starts.
+    marked and the run continues.  hidden_size, and the samples against
+    the first (models.split_inputs), are checked before any cell starts.
     """
     train_ds, test_ds = split(dataset, SplitSpec(seed=seed))
     timesteps, n_features = train_ds.samples[0].values.shape
-    first = models.ModelSpec(kind="lstm", timesteps=timesteps, n_features=n_features)
+    first = models.ModelSpec(kind="lstm", timesteps=timesteps, n_features=n_features,
+                             hidden_size=hidden_size)
     for name, ds in (("train", train_ds), ("test", test_ds)):
-        models.check_samples([s.values for s in ds.samples], first, name)
+        models.split_inputs(ds.samples, first, name)
 
     def run_cell(cell_key: tuple[str, int, float]) -> GridCell:
         kind, epochs, lr = cell_key

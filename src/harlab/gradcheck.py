@@ -17,6 +17,7 @@ from .rng import make_rng
 FD_STEP = 1e-5
 TOL_LINEAR = 1e-5
 TOL_NONLINEAR = 1e-4
+SEED = 0  # of every check's weights, inputs and dropout mask
 
 
 @dataclass(frozen=True)
@@ -75,11 +76,11 @@ def _projection_check(name: str, layer, x: np.ndarray, proj: np.ndarray,
 
 
 def _cross_entropy_check(name: str, net: models.Network, x: np.ndarray,
-                         labels: np.ndarray, seed: int) -> CheckResult:
+                         labels: np.ndarray) -> CheckResult:
     """A network's parameter gradients under mean cross-entropy of its
     train-mode softmax output, the dropout mask frozen by reseeding per call."""
     def forward():
-        return net.forward(x, train=True, rng=make_rng(seed, "gradcheck", "dropmask"))
+        return net.forward(x, train=True, rng=make_rng(SEED, "gradcheck", "dropmask"))
 
     probs = forward()
     net.zero_grads()
@@ -89,23 +90,23 @@ def _cross_entropy_check(name: str, net: models.Network, x: np.ndarray,
     return CheckResult(name, worst, TOL_NONLINEAR)
 
 
-def check_dense(seed: int = 0) -> CheckResult:
-    rng = make_rng(seed, "gradcheck", "dense", "none")
+def check_dense() -> CheckResult:
+    rng = make_rng(SEED, "gradcheck", "dense", "none")
     layer = nn.Dense.init(rng, 4, 3)
     x = rng.standard_normal((5, 4))
     return _projection_check("dense[none]", layer, x, rng.standard_normal((5, 3)), TOL_LINEAR)
 
 
-def check_lstm(seed: int = 0) -> CheckResult:
-    rng = make_rng(seed, "gradcheck", "lstm")
+def check_lstm() -> CheckResult:
+    rng = make_rng(SEED, "gradcheck", "lstm")
     layer = nn.Lstm.init(rng, 5, 4)
     x = rng.standard_normal((2, 7, 5))
     return _projection_check("lstm", layer, x, rng.standard_normal((2, 7, 4)), TOL_NONLINEAR)
 
 
-def check_conv_pool_dense(seed: int = 0) -> CheckResult:
+def check_conv_pool_dense() -> CheckResult:
     """conv1d -> maxpool -> flatten -> dense, as a Network without a spec."""
-    rng = make_rng(seed, "gradcheck", "convstack")
+    rng = make_rng(SEED, "gradcheck", "convstack")
     conv = nn.Conv1d.init(rng, 3, 4, 3)
     x = rng.standard_normal((4, 12, 3))
     t_pool = (12 - 3 + 1) // 3
@@ -113,18 +114,18 @@ def check_conv_pool_dense(seed: int = 0) -> CheckResult:
                                 ("flatten", nn.Flatten()),
                                 ("dense", nn.Dense.init(rng, t_pool * 4, 7))])
     return _cross_entropy_check("conv1d+maxpool+dense+softmax+ce", net, x,
-                                rng.integers(0, 7, 4), seed)
+                                rng.integers(0, 7, 4))
 
 
-def check_dropout(seed: int = 0) -> CheckResult:
+def check_dropout() -> CheckResult:
     """Train-mode dropout with the mask frozen by reseeding per call."""
-    rng = make_rng(seed, "gradcheck", "dropout")
+    rng = make_rng(SEED, "gradcheck", "dropout")
     layer = nn.Dropout(0.2)
     x = rng.standard_normal((6, 5))
     proj = rng.standard_normal((6, 5))
 
     def loss():
-        out = layer.forward(x, train=True, rng=make_rng(seed, "gradcheck", "dropmask"))
+        out = layer.forward(x, train=True, rng=make_rng(SEED, "gradcheck", "dropmask"))
         return float(np.sum(out * proj))
 
     loss()
@@ -133,25 +134,18 @@ def check_dropout(seed: int = 0) -> CheckResult:
     return CheckResult("dropout[train]", max_relative_error(analytic, numeric), TOL_LINEAR)
 
 
-def check_architecture(kind: str, seed: int = 0) -> CheckResult:
+def check_architecture(kind: str) -> CheckResult:
     spec = models.ModelSpec(kind=kind, timesteps=9, n_features=5, hidden_size=4,
                             conv_filters=(4, 3) if kind != "lstm" else (),
-                            seed=seed)
+                            seed=SEED)
     net = models.build(spec)
-    rng = make_rng(seed, "gradcheck", "arch", kind)
+    rng = make_rng(SEED, "gradcheck", "arch", kind)
     x = rng.standard_normal((3, spec.timesteps, spec.n_features))
     return _cross_entropy_check(f"architecture[{kind}]", net, x,
-                                rng.integers(0, spec.n_classes, 3), seed)
+                                rng.integers(0, spec.n_classes, 3))
 
 
-def run_standard_checks(seed: int = 0) -> list[CheckResult]:
+def run_standard_checks() -> list[CheckResult]:
     """Every layer and every full architecture at toy sizes."""
-    results = [
-        check_dense(seed),
-        check_lstm(seed),
-        check_conv_pool_dense(seed),
-        check_dropout(seed),
-    ]
-    for kind in ("lstm", "cnn", "lstm_cnn"):
-        results.append(check_architecture(kind, seed))
-    return results
+    return ([check_dense(), check_lstm(), check_conv_pool_dense(), check_dropout()]
+            + [check_architecture(kind) for kind in models.KINDS])

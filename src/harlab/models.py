@@ -35,6 +35,11 @@ class ModelError(ValueError):
     """Raised on invalid model specifications or shape mismatches."""
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer, and not a bool (a JSON true or false)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture and training hyperparameters for one classifier."""
@@ -62,18 +67,19 @@ class ModelSpec:
         if self.n_classes != N_CLASSES:
             raise ModelError(f"n_classes must be {N_CLASSES}, got {self.n_classes}")
         for name in ("timesteps", "n_features", "hidden_size", "kernel_size", "pool_size",
-                     "epochs", "batch_size"):
+                     "epochs", "batch_size", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if not _is_int(value):
                 raise ModelError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
+            if value < 1 and name != "seed":
                 raise ModelError(f"{name} must be >= 1, got {value}")
-        if self.kind != "lstm" and (len(self.conv_filters) != 2 or min(self.conv_filters) < 1):
+        if self.kind != "lstm" and (len(self.conv_filters) != 2 or not all(
+                _is_int(f) and f >= 1 for f in self.conv_filters)):
             raise ModelError(f"kind {self.kind!r} needs two conv filter counts >= 1, "
                              f"got {self.conv_filters}")
-        if not 0.0 <= self.dropout < 1.0:
+        if isinstance(self.dropout, bool) or not 0.0 <= self.dropout < 1.0:
             raise ModelError("dropout must be in [0, 1)")
-        if not (math.isfinite(self.lr0) and self.lr0 > 0):
+        if isinstance(self.lr0, bool) or not (math.isfinite(self.lr0) and self.lr0 > 0):
             raise ModelError(f"lr0 must be finite and > 0, got {self.lr0}")
 
     @property
@@ -146,12 +152,13 @@ def build(spec: ModelSpec) -> Network:
 
 def check_weight_shapes(spec: ModelSpec, shapes: dict[str, tuple]) -> dict[str, tuple]:
     """Raise ModelError unless `shapes` (block name -> shape) are those of
-    build(spec)'s params(), which it returns in that order; allocates
-    nothing of the spec's size."""
+    build(spec)'s params(), which it returns in that order, as integers
+    (so a float or bool dimension is a mismatch); allocates nothing of the
+    spec's size."""
     expected = {f"{name}.{param}": shape for name, cls, args in _layer_plan(spec)
                 for param, shape in cls.shapes(*args).items()}
     for name in sorted(set(shapes) | set(expected)):
-        if shapes.get(name) != expected.get(name):
+        if shapes.get(name) != expected.get(name) or not all(map(_is_int, shapes[name])):
             raise ModelError(f"weight block {name!r}: file has "
                              f"{shapes.get(name, 'no block')}, spec needs "
                              f"{expected.get(name, 'no block')}")
@@ -185,6 +192,13 @@ class TrainedModel:
     def weights(self) -> dict[str, np.ndarray]:
         return self.network.params()
 
+    def _standardised(self, xs) -> np.ndarray:
+        """The [T, F] arrays xs stacked as one float64 array, standardised."""
+        x = np.array(xs, dtype=np.float64)
+        x -= self.input_mean
+        x /= self.input_scale
+        return x
+
     def predict_probs(self, x) -> np.ndarray:
         """Eval-mode probabilities [n, n_classes] of raw inputs x, an
         [n, T, F] array or a sequence of n [T, F] arrays.
@@ -199,10 +213,8 @@ class TrainedModel:
         step = self.spec.batch_size
         probs = np.empty((len(x), self.spec.n_classes))
         for start in range(0, len(x), step):
-            xb = np.array(x[start:start + step], dtype=np.float64)
-            xb -= self.input_mean
-            xb /= self.input_scale
-            probs[start:start + step] = self.network.forward(xb)
+            probs[start:start + step] = self.network.forward(
+                self._standardised(x[start:start + step]))
         return probs
 
 
@@ -235,15 +247,6 @@ def _fit_standardisation(xs) -> tuple[np.ndarray, np.ndarray]:
     return mean, scale
 
 
-def _split_samples(data, name: str) -> tuple[list[np.ndarray], np.ndarray]:
-    """The [T, F] sample arrays, kept as they are, and int labels of one
-    split, an iterable of FeatureTensor; an empty split raises ModelError."""
-    tensors = list(data)
-    if not tensors:
-        raise ModelError(f"empty {name} split")
-    return [t.values for t in tensors], np.array([t.label for t in tensors], dtype=np.int64)
-
-
 def check_samples(xs, spec: ModelSpec, name: str) -> None:
     """Raise ModelError at the first of the arrays xs whose shape is not
     spec.input_shape or that holds a non-finite value, which is named by
@@ -258,6 +261,18 @@ def check_samples(xs, spec: ModelSpec, name: str) -> None:
                              f"at sample {i}, step {step}, feature {feature}")
 
 
+def split_inputs(samples, spec: ModelSpec, name: str) -> tuple[list[np.ndarray], np.ndarray]:
+    """The [T, F] arrays, kept as they are, and int labels of the split
+    `name`, an iterable of FeatureTensor.  An empty split, or arrays that
+    check_samples rejects, raise ModelError."""
+    tensors = list(samples)
+    if not tensors:
+        raise ModelError(f"empty {name} split")
+    xs = [t.values for t in tensors]
+    check_samples(xs, spec, name)
+    return xs, np.array([t.label for t in tensors], dtype=np.int64)
+
+
 def train(net: Network, train_set, val_set) -> TrainedModel:
     """Mini-batch Adam training with seeded shuffling and dropout.
 
@@ -268,30 +283,25 @@ def train(net: Network, train_set, val_set) -> TrainedModel:
     the training split only; the returned model keeps both vectors and
     applies them in predict_probs.  History records one row per epoch.  A
     sample of another shape than spec.input_shape, or a non-finite input
-    value, raises ModelError before anything is fitted (check_samples); a
+    value, raises ModelError before anything is fitted (split_inputs); a
     training batch or validation pass whose probabilities are not finite
     raises ModelError naming the epoch and the batch or "validation".
     """
     spec = net.spec
-    x_train, y_train = _split_samples(train_set, "train")
-    x_val, y_val = _split_samples(val_set, "validation")
-    check_samples(x_train, spec, "train")
-    check_samples(x_val, spec, "validation")
+    x_train, y_train = split_inputs(train_set, spec, "train")
+    x_val, y_val = split_inputs(val_set, spec, "validation")
     shuffle_rng = make_rng(spec.seed, "shuffle")
     dropout_rng = make_rng(spec.seed, "dropout")
     state = nn.AdamState(lr0=spec.lr0)
     n = len(x_train)
-    mean, scale = _fit_standardisation(x_train)
-    model = TrainedModel(spec, net, mean, scale)
+    model = TrainedModel(spec, net, *_fit_standardisation(x_train))
     for epoch in range(1, spec.epochs + 1):
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
         hit_sum = 0.0
         for batch, start in enumerate(range(0, n, spec.batch_size), start=1):
             idx = order[start:start + spec.batch_size]
-            xb, yb = np.stack([x_train[i] for i in idx]), y_train[idx]
-            xb -= mean
-            xb /= scale
+            xb, yb = model._standardised([x_train[i] for i in idx]), y_train[idx]
             probs = net.forward(xb, train=True, rng=dropout_rng)
             try:
                 loss = nn.cross_entropy(probs, yb)

@@ -375,7 +375,7 @@ def load_model(path: Path | str) -> models.TrainedModel:
         raise StorageError(f"{path}: model file holds a JSON {type(doc).__name__}, "
                            "not an object")
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise StorageError(
             f"{path}: unsupported format_version {version!r} "
             f"(this build reads {MODEL_FORMAT_VERSION})")
@@ -445,14 +445,16 @@ def save_experiment_config(path: Path | str, generator=None, model=None, split=N
 # ---------------------------------------------------------------------------
 # Report CSVs
 
-def write_metrics_csv(report: MetricsReport, path: Path | str) -> None:
+def _write_table(path: Path | str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["accuracy", "macro_precision", "macro_recall",
-                         "macro_f1", "mean_loss"])
-        writer.writerow([fmt(report.accuracy), fmt(report.macro_precision),
-                         fmt(report.macro_recall), fmt(report.macro_f1),
-                         fmt(report.mean_loss)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_metrics_csv(report: MetricsReport, path: Path | str) -> None:
+    fields = ["accuracy", "macro_precision", "macro_recall", "macro_f1", "mean_loss"]
+    _write_table(path, fields, [[fmt(getattr(report, f)) for f in fields]])
 
 
 def read_metrics_csv(path: Path | str) -> dict[str, float]:
@@ -468,33 +470,23 @@ def read_metrics_csv(path: Path | str) -> dict[str, float]:
 
 
 def write_confusion_csv(matrix: np.ndarray, path: Path | str, normalized: bool) -> None:
-    names = [c.class_name for c in ActivityClass]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["true_class"] + names)
-        for cls, row in zip(ActivityClass, matrix):
-            values = [fmt(v) if normalized else str(int(v)) for v in row]
-            writer.writerow([cls.class_name] + values)
+    _write_table(path, ["true_class"] + [c.class_name for c in ActivityClass],
+                 ([cls.class_name] + [fmt(v) if normalized else str(int(v)) for v in row]
+                  for cls, row in zip(ActivityClass, matrix)))
 
 
 def write_history_csv(history, path: Path | str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "train_acc", "val_loss", "val_acc"])
-        for i, h in enumerate(history, start=1):
-            writer.writerow([str(i), fmt(h.train_loss), fmt(h.train_acc),
-                             fmt(h.val_loss), fmt(h.val_acc)])
+    _write_table(path, ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"],
+                 ([str(i), fmt(h.train_loss), fmt(h.train_acc), fmt(h.val_loss),
+                   fmt(h.val_acc)] for i, h in enumerate(history, start=1)))
 
 
 def write_grid_csv(cells: list[GridCell], path: Path | str) -> None:
     """Long-format grid table; failed cells leave accuracy/loss empty."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "epochs", "lr", "accuracy", "mean_loss"])
-        for c in cells:
-            writer.writerow([c.kind, str(c.epochs), fmt(c.lr),
-                             "" if c.accuracy is None else fmt(c.accuracy),
-                             "" if c.mean_loss is None else fmt(c.mean_loss)])
+    _write_table(path, ["model", "epochs", "lr", "accuracy", "mean_loss"],
+                 ([c.kind, str(c.epochs), fmt(c.lr),
+                   "" if c.accuracy is None else fmt(c.accuracy),
+                   "" if c.mean_loss is None else fmt(c.mean_loss)] for c in cells))
 
 
 def read_grid_csv(path: Path | str) -> list[GridCell]:

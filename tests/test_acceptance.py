@@ -30,7 +30,7 @@ def _report(n, name):
 
 def test_criterion_1_gradient_correctness():
     start = time.monotonic()
-    results = gradcheck.run_standard_checks(seed=0)
+    results = gradcheck.run_standard_checks()
     elapsed = time.monotonic() - start
     names = {r.name for r in results}
     assert {"dense[none]", "lstm", "conv1d+maxpool+dense+softmax+ce",

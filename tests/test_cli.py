@@ -255,6 +255,39 @@ def test_decimate_below_1_exits_2_before_any_write(tmp_path, tiny_dataset, capsy
     assert not (tmp_path / "run").exists()
 
 
+def test_grid_with_zero_hidden_size_exits_2_before_any_write(tmp_path, tiny_dataset, capsys):
+    # grid used to run, mark all 12 cells failed, write a grid.csv of empty
+    # scores and exit 0
+    code = run_cli("grid", "--dataset", tiny_dataset, "--hidden", 0, "--decimate", 60,
+                   "--out", tmp_path / "run")
+    assert code == 2
+    assert capsys.readouterr().err == "error: hidden_size must be >= 1, got 0\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_every_command_writes_only_its_log_and_outputs_under_out(tmp_path, monkeypatch):
+    monkeypatch.setattr(evaluate, "GRID_EPOCHS", (1,))
+    monkeypatch.setattr(evaluate, "GRID_LRS", (0.01,))
+    monkeypatch.chdir(tmp_path)
+    steps = [
+        ("raw", ["generate", "--samples-per-class", 2]),
+        ("pre", ["preprocess", "--dataset", "raw"]),
+        ("run", ["train", "--model", "lstm", "--dataset", "raw", "--epochs", 1,
+                 "--hidden", 4, "--decimate", 60]),
+        ("eval", ["evaluate", "--model-file", "run/model.json", "--dataset", "raw"]),
+        ("grid", ["grid", "--dataset", "pre", "--hidden", 4, "--decimate", 60]),
+        ("report", ["report", "--run-dir", "eval"]),
+    ]
+    trees = {}
+    for out, argv in steps:
+        assert run_cli(*argv, "--out", out) == 0
+        assert sorted(os.listdir()) == sorted([*trees, out])
+        assert (Path(out) / "harlab.log").is_file()
+        for root, tree in trees.items():  # nothing written outside this --out
+            assert tree_bytes(Path(root), exclude=()) == tree, (out, root)
+        trees[out] = tree_bytes(Path(out), exclude=())
+
+
 def test_train_rejects_unknown_model_kind(tmp_path, tiny_dataset, capsys):
     with pytest.raises(SystemExit) as err:
         run_cli("train", "--model", "bogus", "--dataset", tiny_dataset,
@@ -381,7 +414,7 @@ def test_train_with_an_lr_that_is_not_finite_and_positive_exits_2(
     assert not (tmp_path / "run").exists()  # validated before any write
 
 
-@pytest.mark.parametrize("lr0", [-0.5, float("nan")])
+@pytest.mark.parametrize("lr0", [-0.5, float("nan"), True])  # True used to load as 1
 def test_evaluate_model_file_with_an_lr0_that_is_not_finite_and_positive_exits_1(
         tmp_path, tiny_dataset, tiny_model, capsys, lr0):
     doc = json.loads(tiny_model.read_text())
@@ -434,11 +467,14 @@ def test_evaluate_model_file_of_a_huge_spec_with_empty_blocks_exits_1(
 
 
 @pytest.mark.parametrize("key, value", [("timesteps", float("nan")), ("batch_size", 2.5),
-                                        ("batch_size", float("inf"))])
+                                        ("batch_size", float("inf")), ("timesteps", True),
+                                        ("hidden_size", True), ("seed", True), ("seed", 2.5)])
 def test_evaluate_model_file_with_a_size_that_is_not_an_integer_exits_1(
         tmp_path, tiny_dataset, tiny_model, capsys, key, value):
     # nan timesteps ended in a ValueError traceback from infer_decimation, a
-    # fractional batch_size in a TypeError traceback from predict_probs
+    # fractional batch_size in a TypeError traceback from predict_probs, and a
+    # fractional seed in one naming `&`; a JSON true loaded as 1, so true
+    # timesteps scored a 1-step model and exited 0
     doc = json.loads(tiny_model.read_text())
     doc["spec"][key] = value
     model_file = tmp_path / "model.json"
@@ -448,6 +484,35 @@ def test_evaluate_model_file_with_a_size_that_is_not_an_integer_exits_1(
     assert code == 1
     assert capsys.readouterr().err == (f"I/O error: {model_file}: malformed model file "
                                        f"({key} must be an integer, got {value!r})\n")
+
+
+def set_every_shape_to_floats(doc):
+    for block in doc["weights"].values():
+        block["shape"] = [float(n) for n in block["shape"]]
+
+
+# Each of these loaded and scored, because a bool passed as an int and a
+# float shape compared equal to an integer one.
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(format_version=True),
+     "unsupported format_version True (this build reads 1)"),
+    (lambda doc: doc.update(format_version=1.0),
+     "unsupported format_version 1.0 (this build reads 1)"),
+    (lambda doc: doc["spec"].update(dropout=False),
+     "malformed model file (dropout must be in [0, 1))"),
+    (set_every_shape_to_floats,
+     "malformed model file (weight block 'dense.b': file has (7.0,), spec needs (7,))"),
+], ids=["version-true", "version-float", "dropout-false", "float-shapes"])
+def test_evaluate_model_file_with_a_json_bool_or_float_shape_exits_1(
+        tmp_path, tiny_dataset, tiny_model, capsys, edit, message):
+    doc = json.loads(tiny_model.read_text())
+    edit(doc)
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(doc))
+    code = run_cli("evaluate", "--model-file", model_file, "--dataset", tiny_dataset,
+                   "--out", tmp_path / "eval")
+    assert code == 1
+    assert capsys.readouterr().err == f"I/O error: {model_file}: {message}\n"
 
 
 def test_evaluate_with_a_model_of_another_feature_count_exits_2(
@@ -1217,11 +1282,20 @@ def test_evaluate_with_a_mutated_model_file_ends_in_an_exit_code(fuzz_root, path
 # ---------------------------------------------------------------------------
 # gradcheck
 
+GRADCHECKS = [("dense[none]", "1e-05"), ("lstm", "1e-04"),
+              ("conv1d+maxpool+dense+softmax+ce", "1e-04"), ("dropout[train]", "1e-05"),
+              ("architecture[lstm]", "1e-04"), ("architecture[cnn]", "1e-04"),
+              ("architecture[lstm_cnn]", "1e-04")]
+
+
 def test_gradcheck_passes_on_fresh_checkout(capsys):
     assert run_cli("gradcheck") == 0
-    out = capsys.readouterr().out
-    assert "all passed" in out
-    assert "max_rel_err" in out
+    *checks, last = capsys.readouterr().out.splitlines()
+    # the error values depend on the BLAS build, so only their format is pinned
+    assert [re.fullmatch(r"(\S+ +)max_rel_err=\d\.\d{3}e[-+]\d\d  tol=(\S+)  (\S+)",
+                         line).groups() for line in checks] == [
+        (f"{name:<31}  ", tol, "pass") for name, tol in GRADCHECKS]
+    assert last == "gradient check: all passed"
 
 
 def test_gradcheck_detects_broken_backward(monkeypatch, capsys):

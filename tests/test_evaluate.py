@@ -260,6 +260,16 @@ def test_grid_marks_failed_cell_and_continues(monkeypatch):
         assert "ModelError" in by_epochs[kind, 0].error
 
 
+def test_grid_with_zero_hidden_size_raises_before_any_cell(monkeypatch):
+    # every cell used to fail on its own spec, and the grid returned 12 failed cells
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(models, "train", no_cell)
+    with pytest.raises(models.ModelError, match="^hidden_size must be >= 1, got 0$"):
+        evaluate.run_grid(_tiny_grid_dataset(), seed=0, hidden_size=0)
+
+
 @pytest.mark.parametrize("kind", models.KINDS)
 def test_grid_cell_scores_equal_a_fresh_prediction_on_the_test_split(kind, monkeypatch):
     use_cores(monkeypatch, 1)
