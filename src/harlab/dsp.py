@@ -340,8 +340,20 @@ def fit_stages(stages, samples) -> None:
         tensors = map(stage.apply, tensors)
 
 
-def _stage_param(stage: str, params: dict, key: str, convert, default=None):
-    text = params.pop(key) if default is None else params.pop(key, default)
+# Stage name -> (class, {key: (type, default)} in stage-string order); None: required.
+STAGE_KINDS = {
+    "amplitude": (AmplitudeStage, {}),
+    "impute_mean": (ImputeMeanStage, {}),
+    "butterworth": (ButterworthStage, {"order": (int, 1), "cutoff": (float, 0.05)}),
+    "pca": (PcaStage, {"n_components": (int, None)}),
+    "select_k_best": (SelectKBestStage, {"k": (int, None)}),
+}
+
+
+def _stage_param(stage: str, params: dict, key: str, convert, default):
+    if default is None and key not in params:
+        raise DspError(f"stage {stage!r} missing parameter {key!r}")
+    text = params.pop(key, default)
     try:
         return convert(text)
     except ValueError:
@@ -353,8 +365,7 @@ def parse_stages(text: str) -> list[Stage]:
     """Parse a stage list like "amplitude;impute_mean;butterworth:order=1,cutoff=0.05".
 
     Stages are ';'-separated; parameters follow ':' as comma-separated
-    key=value pairs.  Known stages: amplitude, impute_mean, butterworth
-    (order, cutoff), pca (n_components), select_k_best (k).
+    key=value pairs.  STAGE_KINDS lists the known stages and their keys.
     """
     stages: list[Stage] = []
     for chunk in text.split(";"):
@@ -364,28 +375,15 @@ def parse_stages(text: str) -> list[Stage]:
         name, _, params_text = chunk.partition(":")
         name = name.strip()
         params = {}
-        if params_text:
-            for pair in params_text.split(","):
-                key, _, value = pair.partition("=")
-                if not _:
-                    raise DspError(f"malformed stage parameter {pair!r} in {chunk!r}")
-                params[key.strip()] = value.strip()
-        try:
-            if name == "amplitude":
-                stages.append(AmplitudeStage())
-            elif name == "impute_mean":
-                stages.append(ImputeMeanStage())
-            elif name == "butterworth":
-                stages.append(ButterworthStage(_stage_param(name, params, "order", int, 1),
-                                               _stage_param(name, params, "cutoff", float, 0.05)))
-            elif name == "pca":
-                stages.append(PcaStage(_stage_param(name, params, "n_components", int)))
-            elif name == "select_k_best":
-                stages.append(SelectKBestStage(_stage_param(name, params, "k", int)))
-            else:
-                raise DspError(f"unknown stage {name!r}")
-        except KeyError as exc:
-            raise DspError(f"stage {name!r} missing parameter {exc}") from None
+        for pair in params_text.split(",") if params_text else ():
+            key, _, value = pair.partition("=")
+            if not _:
+                raise DspError(f"malformed stage parameter {pair!r} in {chunk!r}")
+            params[key.strip()] = value.strip()
+        if name not in STAGE_KINDS:
+            raise DspError(f"unknown stage {name!r}")
+        cls, keys = STAGE_KINDS[name]
+        stages.append(cls(*(_stage_param(name, params, key, *spec) for key, spec in keys.items())))
         if params:
             raise DspError(f"stage {name!r} got unknown parameters {sorted(params)}")
     if not stages:
@@ -396,12 +394,7 @@ def parse_stages(text: str) -> list[Stage]:
 def stages_to_text(stages) -> str:
     parts = []
     for s in stages:
-        if isinstance(s, ButterworthStage):
-            parts.append(f"butterworth:order={s.order},cutoff={float(s.cutoff)!r}")
-        elif isinstance(s, PcaStage):
-            parts.append(f"pca:n_components={s.n_components}")
-        elif isinstance(s, SelectKBestStage):
-            parts.append(f"select_k_best:k={s.k}")
-        else:
-            parts.append(s.name)
+        name, keys = next((n, k) for n, (cls, k) in STAGE_KINDS.items() if isinstance(s, cls))
+        params = [f"{key}={convert(getattr(s, key))!r}" for key, (convert, _) in keys.items()]
+        parts.append(f"{name}:{','.join(params)}" if params else name)
     return ";".join(parts)

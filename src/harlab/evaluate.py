@@ -110,17 +110,13 @@ def compute_metrics(true_labels, pred_labels, losses) -> MetricsReport:
         raise EvalError(f"labels must lie in 0..{N_CLASSES - 1}")
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(confusion, (true_arr, pred_arr), 1)
-    diag = np.diag(confusion).astype(np.float64)
-    row_sums = confusion.sum(axis=1).astype(np.float64)
-    col_sums = confusion.sum(axis=0).astype(np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        precision = np.where(col_sums > 0, diag / col_sums, 0.0)
-        recall = np.where(row_sums > 0, diag / row_sums, 0.0)
-        pr = precision + recall
-        f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1.0), 0.0)
-        normalized = np.where(row_sums[:, None] > 0,
-                              confusion / np.where(row_sums[:, None] > 0, row_sums[:, None], 1.0),
-                              0.0)
+    # A zero row or column sum has a zero diagonal entry: dividing it by 1 gives 0/0 := 0.
+    diag = np.diag(confusion)
+    row_sums = np.maximum(confusion.sum(axis=1), 1)
+    precision, recall = diag / np.maximum(confusion.sum(axis=0), 1), diag / row_sums
+    pr = precision + recall
+    f1 = np.divide(2.0 * precision * recall, pr, out=np.zeros_like(pr), where=pr > 0)
+    normalized = confusion / row_sums[:, None]
     return MetricsReport(
         accuracy=float(diag.sum() / true_arr.size),
         macro_precision=float(precision.mean()),

@@ -161,7 +161,7 @@ class Lstm:
         # is the gate cache, [T, 4h, batch], which the loop turns into gate
         # values.  OpenBLAS runs it faster on a contiguous [T, d, batch] copy.
         np.matmul(self.W, np.ascontiguousarray(x.transpose(1, 2, 0)), out=gates)
-        gates += self.b[:, None]
+        gates.reshape(T, -1)[...] += np.repeat(self.b, batch)  # one contiguous row add
         cs[0] = 0.0  # cs[t]: cell state before step t
         hs = np.empty((T + 1, h, batch))  # hs[t]: hidden state before step t
         hs[0] = 0.0

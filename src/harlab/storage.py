@@ -270,10 +270,10 @@ def save_dataset(dataset: Dataset, root: Path | str) -> None:
 
 
 def read_manifest(root: Path | str) -> list[dict]:
-    """The manifest rows of a dataset root, in canonical sample order.  A
-    row with fewer or more cells than the header, an unknown class or a
-    non-integer sample shape raises StorageError naming its line; a byte
-    that is not UTF-8 or a CSV syntax error, naming the file."""
+    """The manifest rows of a dataset root, in canonical sample order.  A row
+    with fewer or more cells than the header, an unknown class, a non-integer
+    shape or a path out of the root raises StorageError naming its line; a
+    byte that is not UTF-8 or a CSV syntax error, naming the file."""
     manifest = Path(root) / MANIFEST_NAME
     if not manifest.exists():
         raise StorageError(f"manifest.csv not found in {root}")
@@ -292,6 +292,8 @@ def read_manifest(root: Path | str) -> list[dict]:
                     for field in ("n_packets", "n_subcarriers"):
                         if not str(row[field]).isdecimal():
                             raise ValueError(f"{field} {row[field]!r} is not an integer")
+                    if Path(rel := row["relative_path"]).is_absolute() or ".." in Path(rel).parts:
+                        raise ValueError(f"relative_path {rel!r} leaves the dataset root")
                 except ValueError as exc:
                     raise StorageError(f"{manifest}:{reader.line_num}: {exc}") from None
                 rows.append(row)

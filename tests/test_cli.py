@@ -1,3 +1,5 @@
+import argparse
+import ast
 import contextlib
 import csv
 import importlib
@@ -658,10 +660,13 @@ def test_loading_commands_read_the_manifest_once(tmp_path, tiny_dataset, monkeyp
 
 @pytest.mark.parametrize("field, value", [
     ("class_name", "Sitting"), ("n_packets", "1200.0"), ("n_subcarriers", ""),
-    ("cells", "fewer"), ("cells", "more")])
+    ("cells", "fewer"), ("cells", "more"),
+    ("relative_path", "../outside/stolen.csv"), ("relative_path", "{tmp}/outside/stolen.csv")])
 def test_malformed_manifest_row_exits_1_naming_its_line(
         tmp_path, tiny_dataset, capsys, field, value):
-    # field "cells" drops the row's last cell or appends one more
+    # field "cells" drops the row's last cell or appends one more; a
+    # relative_path leaving the root names a whole sample file copied out of it
+    value = value.format(tmp=tmp_path)
     run_dir = tmp_path / "run"
     assert run_cli("train", "--model", "lstm", "--dataset", tiny_dataset, "--epochs", 1,
                    "--hidden", 4, "--decimate", 60, "--out", run_dir) == 0
@@ -673,6 +678,9 @@ def test_malformed_manifest_row_exits_1_naming_its_line(
     column = rows[0].index
     line_no = 1 + next(i for i, r in enumerate(rows) if r[column("class_name")] == "sitting")
     cells = rows[line_no - 1]
+    if field == "relative_path":
+        (tmp_path / "outside").mkdir()
+        shutil.copy(data / cells[column(field)], tmp_path / "outside" / "stolen.csv")
     if field == "cells":
         rows[line_no - 1] = cells[:-1] if value == "fewer" else cells + ["x"]
     else:
@@ -1335,3 +1343,32 @@ def test_every_harlab_name_in_the_readme_exists():
     missing = [f"harlab.{module}.{name}" for module, name in names
                if not hasattr(importlib.import_module(f"harlab.{module}"), name)]
     assert missing == []
+
+
+def test_every_harlab_name_the_benchmark_uses_exists():
+    # bench/ runs outside tier-1, so a rename or deletion it depends on
+    # would otherwise show only when the benchmark runs
+    owners = {"dsp": dsp, "evaluate": evaluate, "models": models, "storage": storage,
+              "synth": synth, "Dataset": Dataset, "FeatureTensor": FeatureTensor}
+    used = set()
+    for script in ("run.py", "train_worker.py"):
+        tree = ast.parse((Path(__file__).parents[1] / "bench" / script).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("harlab"):
+                used.update((node.module, alias.name) for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in owners):
+                used.add((node.value.id, node.attr))
+    assert {owner for owner, _ in used} >= {"harlab", "harlab.core", "dsp", "Dataset"}
+    missing = [f"{owner}.{name}" for owner, name in sorted(used)
+               if not hasattr(owners.get(owner) or importlib.import_module(owner), name)]
+    assert missing == []
+
+
+def test_preprocess_default_stages_are_dsp_default_stages():
+    # cli spells the default out, since it loads no numpy before parse_args
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    stages = next(a for a in sub.choices["preprocess"]._actions if a.dest == "stages")
+    assert stages.default == dsp.stages_to_text(dsp.default_stages())
+    assert f"(default: {stages.default})" in stages.help

@@ -197,6 +197,44 @@ def test_metrics_relabeling_permutation_invariance():
     assert rep.accuracy == base.accuracy
 
 
+def brute_force_metrics(true, pred):
+    """Macro precision, recall and F1 and the row-normalized confusion by
+    counting pairs class by class, with 0/0 taken as 0."""
+    classes = range(len(ActivityClass))
+    pairs = list(zip(true.tolist(), pred.tolist()))
+    precision, recall, f1, normalized = [], [], [], []
+    for c in classes:
+        hits = sum(t == c and p == c for t, p in pairs)
+        n_pred = sum(p == c for _, p in pairs)
+        n_true = sum(t == c for t, _ in pairs)
+        precision.append(hits / n_pred if n_pred else 0.0)
+        recall.append(hits / n_true if n_true else 0.0)
+        pr = precision[-1] + recall[-1]
+        f1.append(2.0 * precision[-1] * recall[-1] / pr if pr else 0.0)
+        normalized.append([sum(t == c and p == k for t, p in pairs) / n_true if n_true else 0.0
+                           for k in classes])
+    # np.mean, so that the macro averages add the per-class values in the same order
+    return np.mean(precision), np.mean(recall), np.mean(f1), np.array(normalized)
+
+
+def test_metrics_equal_a_brute_force_per_class_count():
+    rng = make_rng(5, "metrics-brute-force")
+    empty_true = empty_pred = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 30))
+        true = rng.choice(rng.permutation(7)[:rng.integers(1, 8)], n)
+        pred = rng.choice(rng.permutation(7)[:rng.integers(1, 8)], n)
+        if rng.random() < 0.3:
+            pred = np.where(rng.random(n) < 0.8, true, pred)
+        empty_true += len(set(true.tolist())) < 7
+        empty_pred += len(set(pred.tolist())) < 7
+        rep = evaluate.compute_metrics(true, pred, np.zeros(n))
+        precision, recall, f1, normalized = brute_force_metrics(true, pred)
+        assert (rep.macro_precision, rep.macro_recall, rep.macro_f1) == (precision, recall, f1)
+        assert rep.confusion_normalized.tobytes() == normalized.tobytes()
+    assert empty_true > 100 and empty_pred > 100
+
+
 def test_metrics_length_mismatch():
     with pytest.raises(evaluate.EvalError):
         evaluate.compute_metrics([0, 1], [0], [0.0, 0.0])
