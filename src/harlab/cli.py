@@ -208,21 +208,20 @@ def cmd_gradcheck(args) -> int:
 def cmd_report(args) -> int:
     from . import reporting, storage
     run_dir = Path(args.run_dir)
+    metrics_path, grid_path = run_dir / "metrics.csv", run_dir / "grid.csv"
+    if not (metrics_path.exists() or grid_path.exists()):
+        raise UsageError(f"nothing to report: no metrics.csv or grid.csv in {run_dir}")
     out = _start(args.out)
     sections = ["# harlab run report", ""]
-    metrics_path = run_dir / "metrics.csv"
     if metrics_path.exists():
         row = storage.read_metrics_csv(metrics_path)
         sections += ["## test metrics", "",
                      "| " + " | ".join(row.keys()) + " |",
                      "|" + "---|" * len(row),
                      "| " + " | ".join(f"{v:.4f}" for v in row.values()) + " |", ""]
-    grid_path = run_dir / "grid.csv"
     if grid_path.exists():
         cells = storage.read_grid_csv(grid_path)
         sections += ["## learning rate vs. epochs", "", reporting.grid_markdown(cells)]
-    if len(sections) <= 2:
-        raise UsageError(f"nothing to report: no metrics.csv or grid.csv in {run_dir}")
     (out / "report.md").write_text("\n".join(sections))
     print(f"wrote {out / 'report.md'}")
     return EXIT_OK

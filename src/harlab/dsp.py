@@ -1,8 +1,10 @@
-"""Preprocessing chain: amplitude, imputation, IIR low-pass filtering,
-PCA, and ANOVA-F feature selection, as composable pipeline stages.
+"""Preprocessing chain: amplitude first, then imputation, IIR low-pass
+filtering, PCA, and ANOVA-F feature selection as composable stages.
 
-Every stage is pure given its fitted parameters.  Fitted stages (PCA,
-feature selection) must be fit on training data only before use.
+run_pipeline and fit_stages take the amplitude of each raw sample
+themselves; a stage list holds only what comes after it.  Every stage is
+pure given its fitted parameters.  Fitted stages (PCA, feature
+selection) must be fit on training data only before use.
 """
 from __future__ import annotations
 
@@ -217,22 +219,12 @@ def select_k_best(scores: np.ndarray, k: int) -> FeatureSelection:
 # Pipeline stages
 
 class Stage:
-    """A named transform of FeatureTensor -> FeatureTensor (the amplitude
-    stage alone takes the raw CsiSample); a stage with needs_fit learns it
-    from training tensors in fit() (see fit_stages)."""
+    """A named transform apply(FeatureTensor) -> FeatureTensor of a
+    sample's amplitudes or of an earlier stage's output; a stage with
+    needs_fit learns it from training tensors in fit() (see fit_stages)."""
 
     name: str
     needs_fit = False
-
-    def apply(self, x: FeatureTensor) -> FeatureTensor:
-        raise NotImplementedError
-
-
-class AmplitudeStage(Stage):
-    name = "amplitude"
-
-    def apply(self, sample: CsiSample) -> FeatureTensor:
-        return amplitude(sample)
 
 
 class ImputeMeanStage(Stage):
@@ -243,7 +235,7 @@ class ImputeMeanStage(Stage):
 
 
 class ButterworthStage(Stage):
-    def __init__(self, order: int = 1, cutoff: float = 0.05):
+    def __init__(self, order: int, cutoff: float):
         self.order = order
         self.cutoff = cutoff
         self.coeffs = butter_design(order, cutoff)
@@ -302,38 +294,24 @@ class SelectKBestStage(Stage):
 
 
 def default_stages() -> list[Stage]:
-    """The default deep-learning input chain: amplitude, impute, low-pass."""
-    return [AmplitudeStage(), ImputeMeanStage(), ButterworthStage(1, 0.05)]
-
-
-def _checked_chain(stages) -> list[Stage]:
-    """The stage list; amplitude must come first and only there."""
-    stages = list(stages)
-    if not stages or not isinstance(stages[0], AmplitudeStage):
-        raise DspError("pipeline must start with the amplitude stage")
-    if any(isinstance(s, AmplitudeStage) for s in stages[1:]):
-        raise DspError("amplitude stage may only appear first")
-    return stages
+    """The default deep-learning input chain after amplitude: impute, low-pass."""
+    return [ImputeMeanStage(), ButterworthStage(1, 0.05)]
 
 
 def run_pipeline(sample: CsiSample, stages) -> FeatureTensor:
-    """Apply an ordered stage list to one raw sample.
-
-    The first stage must be the amplitude stage (it consumes the complex
-    frames); amplitude may not appear again later.
-    """
-    x = sample
-    for stage in _checked_chain(stages):
+    """The amplitude of one raw sample, then each stage in list order."""
+    x = amplitude(sample)
+    for stage in stages:
         x = stage.apply(x)
     return x
 
 
 def fit_stages(stages, samples) -> None:
-    """Fit each needs_fit stage, in chain order, on the raw samples as
-    transformed by every stage before it.  Pass the training split only,
-    so nothing leaks from held-out data."""
-    tensors = samples
-    for stage in _checked_chain(stages):
+    """Fit each needs_fit stage, in chain order, on the amplitudes of the
+    raw samples as transformed by every stage before it.  Pass the
+    training split only, so nothing leaks from held-out data."""
+    tensors = map(amplitude, samples)
+    for stage in stages:
         if stage.needs_fit:
             tensors = list(tensors)
             stage.fit(tensors)
@@ -342,7 +320,6 @@ def fit_stages(stages, samples) -> None:
 
 # Stage name -> (class, {key: (type, default)} in stage-string order); None: required.
 STAGE_KINDS = {
-    "amplitude": (AmplitudeStage, {}),
     "impute_mean": (ImputeMeanStage, {}),
     "butterworth": (ButterworthStage, {"order": (int, 1), "cutoff": (float, 0.05)}),
     "pca": (PcaStage, {"n_components": (int, None)}),
@@ -362,16 +339,19 @@ def _stage_param(stage: str, params: dict, key: str, convert, default):
 
 
 def parse_stages(text: str) -> list[Stage]:
-    """Parse a stage list like "amplitude;impute_mean;butterworth:order=1,cutoff=0.05".
+    """Parse a stage list like "amplitude;impute_mean;butterworth:order=1,cutoff=0.05"
+    into the stages after amplitude.
 
-    Stages are ';'-separated; parameters follow ':' as comma-separated
-    key=value pairs.  STAGE_KINDS lists the known stages and their keys.
+    Stages are ';'-separated; the first is exactly "amplitude" and it does
+    not come again.  Parameters follow ':' as comma-separated key=value
+    pairs.  STAGE_KINDS lists the other stages and their keys.
     """
+    chunks = [chunk.strip() for chunk in text.split(";") if chunk.strip()]
+    first = chunks[0] if chunks else ""
+    if first != "amplitude":
+        raise DspError(f"a stage list starts with amplitude, got {first!r}")
     stages: list[Stage] = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in chunks[1:]:
         name, _, params_text = chunk.partition(":")
         name = name.strip()
         params = {}
@@ -381,18 +361,18 @@ def parse_stages(text: str) -> list[Stage]:
                 raise DspError(f"malformed stage parameter {pair!r} in {chunk!r}")
             params[key.strip()] = value.strip()
         if name not in STAGE_KINDS:
-            raise DspError(f"unknown stage {name!r}")
+            raise DspError("amplitude comes only first in a stage list" if name == "amplitude"
+                           else f"unknown stage {name!r}")
         cls, keys = STAGE_KINDS[name]
         stages.append(cls(*(_stage_param(name, params, key, *spec) for key, spec in keys.items())))
         if params:
             raise DspError(f"stage {name!r} got unknown parameters {sorted(params)}")
-    if not stages:
-        raise DspError("empty stage list")
     return stages
 
 
 def stages_to_text(stages) -> str:
-    parts = []
+    """The stage string of amplitude and then `stages`; parse_stages reads it back."""
+    parts = ["amplitude"]
     for s in stages:
         name, keys = next((n, k) for n, (cls, k) in STAGE_KINDS.items() if isinstance(s, cls))
         params = [f"{key}={convert(getattr(s, key))!r}" for key, (convert, _) in keys.items()]

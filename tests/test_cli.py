@@ -240,6 +240,17 @@ def test_report_on_a_malformed_csv_exits_1_with_one_line(tmp_path, capsys, name,
     assert err.startswith(f"I/O error: {run_dir / name}: ") and err.count("\n") == 1
 
 
+def test_report_with_nothing_to_report_exits_2_before_any_write(tmp_path, capsys):
+    # used to make --out and an empty harlab.log before finding nothing to report
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    code = run_cli("report", "--run-dir", run_dir, "--out", tmp_path / "report")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: nothing to report: no metrics.csv or grid.csv in {run_dir}\n")
+    assert not (tmp_path / "report").exists()
+
+
 def test_train_directly_on_raw_dataset(tmp_path, tiny_dataset):
     run_dir = tmp_path / "run-raw"
     assert run_cli("train", "--model", "cnn", "--dataset", tiny_dataset,
@@ -320,6 +331,22 @@ def test_preprocess_rejects_unknown_stage(tmp_path, tiny_dataset, capsys):
     code = run_cli("preprocess", "--dataset", tiny_dataset,
                    "--out", tmp_path / "x", "--stages", "amplitude;stft")
     assert code == 2
+
+
+@pytest.mark.parametrize("stages, message", [
+    ("impute_mean", "a stage list starts with amplitude, got 'impute_mean'"),
+    ("amplitude;amplitude", "amplitude comes only first in a stage list"),
+], ids=["no_amplitude", "amplitude_twice"])
+def test_preprocess_with_a_misordered_chain_into_an_existing_root_writes_nothing(
+        tmp_path, tiny_dataset, tiny_pre, capsys, stages, message):
+    # the order was checked per sample in the pool, after the root's manifest was deleted
+    out = tmp_path / "pre"
+    shutil.copytree(tiny_pre, out)
+    before = tree_bytes(out, exclude=())
+    code = run_cli("preprocess", "--dataset", tiny_dataset, "--out", out, "--stages", stages)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert tree_bytes(out, exclude=()) == before
 
 
 @pytest.mark.parametrize("stage, key, value, kind", [

@@ -519,37 +519,39 @@ def test_fit_stages_fits_mid_chain_stages_on_the_training_split_only():
     stages = dsp.parse_stages(
         "amplitude;impute_mean;pca:n_components=6;butterworth;select_k_best:k=2")
     dsp.fit_stages(stages, train)
-    pca = dsp.PcaStage(6).fit([dsp.run_pipeline(s, stages[:2]) for s in train])
-    assert np.array_equal(stages[2].model.mean, pca.model.mean)
-    assert np.array_equal(stages[2].model.components, pca.model.components)
-    every = dsp.PcaStage(6).fit([dsp.run_pipeline(s, stages[:2]) for s in train + held_out])
-    assert not np.array_equal(stages[2].model.mean, every.model.mean)
-    selected = dsp.SelectKBestStage(2).fit([dsp.run_pipeline(s, stages[:4]) for s in train])
-    assert np.array_equal(stages[4].selection.scores, selected.selection.scores)
-    assert stages[4].selection.selected == selected.selection.selected
+    pca = dsp.PcaStage(6).fit([dsp.run_pipeline(s, stages[:1]) for s in train])
+    assert np.array_equal(stages[1].model.mean, pca.model.mean)
+    assert np.array_equal(stages[1].model.components, pca.model.components)
+    every = dsp.PcaStage(6).fit([dsp.run_pipeline(s, stages[:1]) for s in train + held_out])
+    assert not np.array_equal(stages[1].model.mean, every.model.mean)
+    selected = dsp.SelectKBestStage(2).fit([dsp.run_pipeline(s, stages[:3]) for s in train])
+    assert np.array_equal(stages[3].selection.scores, selected.selection.scores)
+    assert stages[3].selection.selected == selected.selection.selected
     assert dsp.run_pipeline(held_out[0], stages).values.shape == (30, 2)
 
 
 def test_pipeline_amplitude_only_equals_amplitude():
     rng = make_rng(15, "pipe-amp")
     sample = _raw_sample(rng)
-    assert dsp.run_pipeline(sample, [dsp.AmplitudeStage()]) == dsp.amplitude(sample)
+    assert dsp.run_pipeline(sample, []) == dsp.amplitude(sample)
 
 
 def test_pipeline_rejects_bad_stage_order():
-    rng = make_rng(16, "pipe-order")
-    sample = _raw_sample(rng)
-    with pytest.raises(dsp.DspError):
-        dsp.run_pipeline(sample, [dsp.ImputeMeanStage()])
-    with pytest.raises(dsp.DspError):
-        dsp.run_pipeline(sample, [dsp.AmplitudeStage(), dsp.AmplitudeStage()])
+    with pytest.raises(dsp.DspError, match="^a stage list starts with amplitude, "
+                                           "got 'impute_mean'$"):
+        dsp.parse_stages("impute_mean")
+    with pytest.raises(dsp.DspError, match="^amplitude comes only first in a stage list$"):
+        dsp.parse_stages("amplitude;amplitude")
+    with pytest.raises(dsp.DspError, match="^a stage list starts with amplitude, "
+                                           "got 'amplitude:'$"):
+        dsp.parse_stages("amplitude:;impute_mean")
 
 
 def test_pipeline_rejects_unfitted_stage():
     rng = make_rng(17, "pipe-unfit")
     sample = _raw_sample(rng)
     with pytest.raises(dsp.DspError, match="has not been fit"):
-        dsp.run_pipeline(sample, [dsp.AmplitudeStage(), dsp.PcaStage(5)])
+        dsp.run_pipeline(sample, [dsp.PcaStage(5)])
 
 
 def test_select_stage_keeps_best_columns():
@@ -568,25 +570,26 @@ def test_select_stage_keeps_best_columns():
 def test_parse_stages_roundtrip():
     text = "amplitude;impute_mean;butterworth:order=1,cutoff=0.05;pca:n_components=10"
     stages = dsp.parse_stages(text)
-    assert [type(s) for s in stages] == [dsp.AmplitudeStage, dsp.ImputeMeanStage,
-                                         dsp.ButterworthStage, dsp.PcaStage]
+    assert [type(s) for s in stages] == [dsp.ImputeMeanStage, dsp.ButterworthStage,
+                                         dsp.PcaStage]
     assert dsp.stages_to_text(stages) == text
 
 
 @pytest.mark.parametrize("cutoff", [0.05, 0.0123456789, 1 / 3, 0.1 + 0.2])
 def test_stages_to_text_round_trips_the_butterworth_coefficients(cutoff):
     stage = dsp.ButterworthStage(2, cutoff)
-    back = dsp.parse_stages(dsp.stages_to_text([dsp.AmplitudeStage(), stage]))[1]
+    back = dsp.parse_stages(dsp.stages_to_text([stage]))[0]
     assert back.cutoff == cutoff
     assert back.coeffs.b.tobytes() == stage.coeffs.b.tobytes()
     assert back.coeffs.a.tobytes() == stage.coeffs.a.tobytes()
 
 
 def test_parse_stages_rejects_unknown():
-    with pytest.raises(dsp.DspError):
+    with pytest.raises(dsp.DspError, match="^unknown stage 'stft'$"):
         dsp.parse_stages("amplitude;stft")
-    with pytest.raises(dsp.DspError):
-        dsp.parse_stages("butterworth:order=1,window=3")
+    with pytest.raises(dsp.DspError,
+                       match=r"^stage 'butterworth' got unknown parameters \['window'\]$"):
+        dsp.parse_stages("amplitude;butterworth:order=1,window=3")
 
 
 STAGE_KEYS = {"amplitude": [], "impute_mean": [], "butterworth": ["order", "cutoff"],
@@ -602,8 +605,9 @@ def stage_token(name):
     return pairs.map(lambda p: f"{name}:{','.join(p)}" if p else name)
 
 
+# "amplitude" first, as every valid string starts; the @examples below cover the other heads.
 STAGE_STRINGS = st.lists(st.sampled_from(sorted(STAGE_KEYS)).flatmap(stage_token),
-                         max_size=4).map(";".join)
+                         max_size=4).map(lambda parts: ";".join(["amplitude", *parts]))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -612,6 +616,11 @@ STAGE_STRINGS = st.lists(st.sampled_from(sorted(STAGE_KEYS)).flatmap(stage_token
 @example("amplitude;butterworth:order=100,cutoff=0.5")
 @example("amplitude;pca:n_components=inf")
 @example("amplitude;butterworth:order")
+@example("impute_mean")
+@example("amplitude;amplitude")
+@example("")
+@example("amplitude")
+@example("amplitude:")
 @given(text=STAGE_STRINGS)
 def test_a_stage_string_parses_or_raises_dsp_error(text):
     try:
