@@ -43,20 +43,11 @@ def _start(out_text: str | None) -> Path | None:
 
 
 def _feature_dataset(root: Path, rows: list[dict], decimate_k: int, positions=None):
-    """The samples of manifest `rows` (only those at `positions`, if given)
-    as model inputs, read on the sample pool: raw complex roots, judged on
-    all `rows`, get the default preprocessing chain applied on the fly,
-    then each sample is decimated.  Rows that mix raw and preprocessed
-    samples raise StorageError."""
+    """Model inputs from manifest `rows` (those at `positions`, if given), read
+    on the sample pool: the default chain runs on a raw root, then decimation."""
     from . import dsp, models, storage
-    if not rows:
-        raise storage.StorageError(f"{root}: dataset has no samples")
     stages = None
-    is_complex = {r["is_complex"] == "1" for r in rows}
-    if len(is_complex) > 1:
-        raise storage.StorageError(f"{root}: manifest mixes raw (is_complex 1) and "
-                                   "preprocessed (is_complex 0) samples")
-    if is_complex == {True}:
+    if rows[0]["is_complex"] == "1":  # read_manifest rejects a root that mixes
         log.info("raw complex dataset: applying default preprocessing chain")
         stages = dsp.default_stages()
 
@@ -93,9 +84,11 @@ def cmd_generate(args) -> int:
 def cmd_preprocess(args) -> int:
     from . import dsp, evaluate, storage
     stages = dsp.parse_stages(args.stages)
-    out = _start(args.out)
     root = Path(args.dataset)
     rows = storage.read_manifest(root)
+    if rows[0]["is_complex"] != "1":  # amplitude's own error, before --out is touched
+        dsp.amplitude(storage.read_sample(root, rows[0]))
+    out = _start(args.out)
     fitted = [s for s in stages if s.needs_fit]
     raw = None
     if fitted:
@@ -127,9 +120,9 @@ def cmd_train(args) -> int:
                             batch_size=args.batch_size, seed=args.seed)
     if args.decimate < 1:
         raise UsageError(f"--decimate must be >= 1, got {args.decimate}")
+    rows = storage.read_manifest(root := Path(args.dataset))
     out = _start(args.out)
-    root = Path(args.dataset)
-    dataset = _feature_dataset(root, storage.read_manifest(root), args.decimate)
+    dataset = _feature_dataset(root, rows, args.decimate)
     timesteps, n_features = dataset.samples[0].values.shape
     spec = replace(spec, timesteps=timesteps, n_features=n_features)
     split_spec = evaluate.SplitSpec(seed=args.seed)
@@ -149,12 +142,10 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     from . import evaluate, models, reporting, storage
     from .core import class_from_name
-    out = _start(args.out)
     model = storage.load_model(args.model_file)
     root = Path(args.dataset)
     rows = storage.read_manifest(root)
-    if not rows:
-        raise storage.StorageError(f"{root}: dataset has no samples")
+    out = _start(args.out)
     # Every stage keeps the packet count, so the manifest fixes the factor.
     k = models.infer_decimation(int(rows[0]["n_packets"]), model.spec.timesteps)
     _, test_idx = evaluate.split_indices([class_from_name(r["class_name"]) for r in rows],
@@ -178,9 +169,9 @@ def cmd_grid(args) -> int:
     if args.decimate < 1:
         raise UsageError(f"--decimate must be >= 1, got {args.decimate}")
     models.ModelSpec(kind="lstm", hidden_size=args.hidden)  # rejects --hidden before any write
+    rows = storage.read_manifest(root := Path(args.dataset))
     out = _start(args.out)
-    root = Path(args.dataset)
-    dataset = _feature_dataset(root, storage.read_manifest(root), args.decimate)
+    dataset = _feature_dataset(root, rows, args.decimate)
     cells = evaluate.run_grid(dataset, seed=args.seed, hidden_size=args.hidden)
     storage.write_grid_csv(cells, out / "grid.csv")
     failed = [c for c in cells if c.failed]

@@ -273,7 +273,8 @@ def read_manifest(root: Path | str) -> list[dict]:
     """The manifest rows of a dataset root, in canonical sample order.  A row
     with fewer or more cells than the header, an unknown class, a non-integer
     shape or a path out of the root raises StorageError naming its line; a
-    byte that is not UTF-8 or a CSV syntax error, naming the file."""
+    byte that is not UTF-8 or a CSV syntax error, naming the file; no rows,
+    or raw (is_complex 1) rows beside others, naming the root."""
     manifest = Path(root) / MANIFEST_NAME
     if not manifest.exists():
         raise StorageError(f"manifest.csv not found in {root}")
@@ -299,6 +300,11 @@ def read_manifest(root: Path | str) -> list[dict]:
                 rows.append(row)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise StorageError(f"{manifest}: {exc}") from None
+    if not rows:
+        raise StorageError(f"{root}: dataset has no samples")
+    if len({r["is_complex"] == "1" for r in rows}) > 1:
+        raise StorageError(f"{root}: manifest mixes raw (is_complex 1) and "
+                           "preprocessed (is_complex 0) samples")
     # Canonical order regardless of manifest row order.
     rows.sort(key=lambda r: (int(class_from_name(r["class_name"])), r["sample_id"]))
     return rows

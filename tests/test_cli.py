@@ -392,20 +392,17 @@ def test_evaluate_malformed_model_file_exits_1(tmp_path, tiny_dataset, capsys):
     assert "missing key 'spec'" in capsys.readouterr().err
 
 
-def test_train_on_empty_dataset_exits_1(tmp_path, capsys):
-    storage.DatasetWriter(tmp_path / "empty", seed=1).close()  # header-only manifest
-    code = run_cli("train", "--model", "lstm", "--dataset", tmp_path / "empty",
-                   "--out", tmp_path / "run")
+@pytest.mark.parametrize("command", ["preprocess", "train", "evaluate", "grid"])
+def test_empty_root_exits_1_before_any_write(tmp_path, tiny_model, capsys, command):
+    # preprocess used to exit 0 and write an empty root
+    empty = tmp_path / "empty"
+    storage.DatasetWriter(empty, seed=1).close()  # header-only manifest
+    flags = {"train": ["--model", "lstm"], "evaluate": ["--model-file", tiny_model]}
+    code = run_cli(command, *flags.get(command, []), "--dataset", empty,
+                   "--out", tmp_path / "out")
     assert code == 1
-    assert "dataset has no samples" in capsys.readouterr().err
-
-
-def test_evaluate_on_empty_dataset_exits_1(tmp_path, tiny_model, capsys):
-    storage.DatasetWriter(tmp_path / "empty", seed=1).close()  # header-only manifest
-    code = run_cli("evaluate", "--model-file", tiny_model, "--dataset", tmp_path / "empty",
-                   "--out", tmp_path / "eval")
-    assert code == 1
-    assert "dataset has no samples" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"I/O error: {empty}: dataset has no samples\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_with_zero_hidden_size_exits_2(tmp_path, tiny_dataset, capsys):
@@ -727,12 +724,17 @@ def test_malformed_manifest_row_exits_1_naming_its_line(
 
 
 def test_preprocess_of_a_preprocessed_root_exits_2_naming_its_lineage(
-        tmp_path, tiny_pre, capsys):
+        tmp_path, tiny_dataset, tiny_pre, capsys):
+    # amplitude used to raise in the pool, after the --out root's manifest was deleted
+    out = tmp_path / "again"
+    shutil.copytree(tiny_dataset, out)
+    before = tree_bytes(out, exclude=())
     capsys.readouterr()
-    assert run_cli("preprocess", "--dataset", tiny_pre, "--out", tmp_path / "again") == 2
+    assert run_cli("preprocess", "--dataset", tiny_pre, "--out", out) == 2
     err = capsys.readouterr().err
     assert err == ("error: amplitude needs a raw CSI sample; this one is already preprocessed "
                    "(lineage amplitude|impute_mean|butterworth(order=1,cutoff=0.05))\n")
+    assert tree_bytes(out, exclude=()) == before
 
 
 def test_root_of_raw_and_preprocessed_rows_exits_1_naming_it(
@@ -754,7 +756,8 @@ def test_root_of_raw_and_preprocessed_rows_exits_1_naming_it(
         writer.writeheader()
         writer.writerows(lines)
     capsys.readouterr()
-    for argv in (["train", "--model", "lstm", "--dataset", data, "--epochs", 1,
+    for argv in (["preprocess", "--dataset", data, "--out", tmp_path / "pre"],
+                 ["train", "--model", "lstm", "--dataset", data, "--epochs", 1,
                   "--hidden", 4, "--decimate", 60, "--out", tmp_path / "run"],
                  ["evaluate", "--model-file", tiny_model, "--dataset", data,
                   "--out", tmp_path / "eval"],
@@ -763,6 +766,7 @@ def test_root_of_raw_and_preprocessed_rows_exits_1_naming_it(
         assert capsys.readouterr().err == (
             f"I/O error: {data}: manifest mixes raw (is_complex 1) and "
             "preprocessed (is_complex 0) samples\n"), argv[0]
+        assert not Path(argv[-1]).exists(), argv[0]
 
 
 @pytest.mark.parametrize("victim", ["manifest", "model"])
