@@ -272,9 +272,9 @@ def save_dataset(dataset: Dataset, root: Path | str) -> None:
 def read_manifest(root: Path | str) -> list[dict]:
     """The manifest rows of a dataset root, in canonical sample order.  A row
     with fewer or more cells than the header, an unknown class, a non-integer
-    shape or a path out of the root raises StorageError naming its line; a
-    byte that is not UTF-8 or a CSV syntax error, naming the file; no rows,
-    or raw (is_complex 1) rows beside others, naming the root."""
+    shape or seed or a path out of the root raises StorageError naming its
+    line; a byte that is not UTF-8 or a CSV syntax error, naming the file; no
+    rows, or raw (is_complex 1) rows beside others, naming the root."""
     manifest = Path(root) / MANIFEST_NAME
     if not manifest.exists():
         raise StorageError(f"manifest.csv not found in {root}")
@@ -293,6 +293,8 @@ def read_manifest(root: Path | str) -> list[dict]:
                     for field in ("n_packets", "n_subcarriers"):
                         if not str(row[field]).isdecimal():
                             raise ValueError(f"{field} {row[field]!r} is not an integer")
+                    if row["seed"] and not row["seed"].removeprefix("-").isdecimal():
+                        raise ValueError(f"seed {row['seed']!r} is not an integer")
                     if Path(rel := row["relative_path"]).is_absolute() or ".." in Path(rel).parts:
                         raise ValueError(f"relative_path {rel!r} leaves the dataset root")
                 except ValueError as exc:
@@ -473,7 +475,7 @@ def read_metrics_csv(path: Path | str) -> dict[str, float]:
         if row is None:
             raise ValueError("no metrics row")
         return {key: float(value) for key, value in row.items()}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, csv.Error) as exc:
         raise StorageError(f"{path}: malformed metrics file ({exc})") from None
 
 
@@ -498,10 +500,14 @@ def write_grid_csv(cells: list[GridCell], path: Path | str) -> None:
 
 
 def read_grid_csv(path: Path | str) -> list[GridCell]:
+    """The cells of a write_grid_csv file; a row fills both of accuracy and
+    mean_loss, or neither for a failed cell."""
     cells = []
     try:
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
+                if bool(row["accuracy"]) != bool(row["mean_loss"]):
+                    raise ValueError("a row fills only one of accuracy and mean_loss")
                 cells.append(GridCell(
                     kind=row["model"], epochs=int(row["epochs"]), lr=float(row["lr"]),
                     accuracy=float(row["accuracy"]) if row["accuracy"] else None,
@@ -509,6 +515,6 @@ def read_grid_csv(path: Path | str) -> list[GridCell]:
                     error="marked failed" if not row["accuracy"] else None))
         if not cells:
             raise ValueError("no grid rows")
-    except (KeyError, TypeError, ValueError) as exc:  # KeyError: a missing column
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:  # KeyError: a missing column
         raise StorageError(f"{path}: malformed grid file ({type(exc).__name__}: {exc})") from None
     return cells

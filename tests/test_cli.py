@@ -230,7 +230,15 @@ def test_report_markdown_of_a_metrics_and_a_grid_file(tmp_path):
                     "abc,0.5,0.5,0.5,0.5\r\n"),
     ("grid.csv", "model,epochs,lr,accuracy,mean_loss\r\nlstm,x,0.01,0.9,0.3\r\n"),
     ("grid.csv", "model,epochs,lr,accuracy,mean_loss\r\n"),
-], ids=["empty_metrics", "non_numeric_accuracy", "non_integer_epochs", "header_only_grid"])
+    ("grid.csv", "model,epochs,lr,accuracy,mean_loss\r\nlstm,20,0.01,0.9,\r\n"),
+    ("grid.csv", "model,epochs,lr,accuracy,mean_loss\r\nlstm,20,0.01,,0.3\r\n"),
+    ("metrics.csv", "accuracy,macro_precision,macro_recall,macro_f1,mean_loss\r\n"
+                    + "0" * 200_000 + ",0.5,0.5,0.5,0.5\r\n"),
+    ("grid.csv", "model,epochs,lr,accuracy,mean_loss\r\n" + "x" * 200_000
+                 + ",20,0.01,0.9,0.3\r\n"),
+], ids=["empty_metrics", "non_numeric_accuracy", "non_integer_epochs", "header_only_grid",
+        "accuracy_without_loss", "loss_without_accuracy", "metrics_cell_over_csv_limit",
+        "grid_cell_over_csv_limit"])
 def test_report_on_a_malformed_csv_exits_1_with_one_line(tmp_path, capsys, name, text):
     run_dir = tmp_path / "run"
     run_dir.mkdir()
@@ -685,7 +693,8 @@ def test_loading_commands_read_the_manifest_once(tmp_path, tiny_dataset, monkeyp
 @pytest.mark.parametrize("field, value", [
     ("class_name", "Sitting"), ("n_packets", "1200.0"), ("n_subcarriers", ""),
     ("cells", "fewer"), ("cells", "more"),
-    ("relative_path", "../outside/stolen.csv"), ("relative_path", "{tmp}/outside/stolen.csv")])
+    ("relative_path", "../outside/stolen.csv"), ("relative_path", "{tmp}/outside/stolen.csv"),
+    ("seed", "x")])
 def test_malformed_manifest_row_exits_1_naming_its_line(
         tmp_path, tiny_dataset, capsys, field, value):
     # field "cells" drops the row's last cell or appends one more; a
@@ -1148,23 +1157,31 @@ CELL_VALUES = st.one_of(
     st.sampled_from(["", "0", "1", "2", "-1", "64", "128", "120", "1200", "9" * 30,
                      "walk_forward", "samples/empty", "amplitude", "a|b"]),
     st.text(max_size=6))
-MANIFEST_MUTATIONS = st.one_of(
-    st.tuples(st.sampled_from(["insert", "replace"]), st.integers(0, 10**6),
-              st.integers(0, 255)),
-    st.tuples(st.just("cell"), st.integers(0, 10**6), st.sampled_from(storage.MANIFEST_FIELDS),
-              CELL_VALUES),
-    st.tuples(st.sampled_from(["drop", "duplicate"]), st.integers(0, 10**6)))
 
 
-def mutated(manifest: bytes, mutation) -> bytes:
-    """manifest with one byte inserted or replaced, one cell set, or one row
-    dropped or duplicated; positions wrap around."""
+def csv_mutations(columns):
+    """Mutations for `mutated` of a CSV file with header `columns`."""
+    return st.one_of(
+        st.tuples(st.sampled_from(["insert", "replace"]), st.integers(0, 10**6),
+                  st.integers(0, 255)),
+        st.tuples(st.just("cell"), st.integers(0, 10**6), st.sampled_from(columns),
+                  CELL_VALUES),
+        st.tuples(st.sampled_from(["drop", "duplicate"]), st.integers(0, 10**6)))
+
+
+MANIFEST_MUTATIONS = csv_mutations(storage.MANIFEST_FIELDS)
+
+
+def mutated(data: bytes, mutation) -> bytes:
+    """The bytes of a CSV file with a header and at least one row, with one
+    byte inserted or replaced, one cell set, or one row dropped or
+    duplicated; positions wrap around."""
     op, at, *arg = mutation
     if op in ("insert", "replace"):
-        at %= len(manifest)
-        return manifest[:at] + bytes([arg[0]]) + manifest[at + (op == "replace"):]
-    rows = list(csv.reader(io.StringIO(manifest.decode(), newline="")))
-    i = 1 + at % (len(rows) - 1)  # a sample row, not the header
+        at %= len(data)
+        return data[:at] + bytes([arg[0]]) + data[at + (op == "replace"):]
+    rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+    i = 1 + at % (len(rows) - 1)  # a data row, not the header
     if op == "cell":
         rows[i][rows[0].index(arg[0])] = arg[1]
     elif op == "drop":
@@ -1197,6 +1214,40 @@ def test_evaluate_on_a_mutated_manifest_ends_in_an_exit_code(fuzz_root, mutation
     if code:
         last = err.getvalue().split("\n")[-2]  # not splitlines: a path may hold a \x1c
         assert last.startswith("error: " if code == 2 else "I/O error: "), last
+
+
+# ---------------------------------------------------------------------------
+# fuzz: report on a mutated metrics.csv or grid.csv
+
+REPORT_COLUMNS = {"metrics.csv": ["accuracy", "macro_precision", "macro_recall", "macro_f1",
+                                  "mean_loss"],
+                  "grid.csv": ["model", "epochs", "lr", "accuracy", "mean_loss"]}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(("grid.csv", ("cell", 0, "mean_loss", "")))
+@given(target=st.sampled_from(sorted(REPORT_COLUMNS)).flatmap(
+    lambda name: st.tuples(st.just(name), csv_mutations(REPORT_COLUMNS[name]))))
+def test_report_on_a_mutated_metrics_or_grid_file_ends_in_an_exit_code(target):
+    name, mutation = target
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp) / "run"
+        run_dir.mkdir()
+        storage.write_metrics_csv(evaluate.compute_metrics([0, 1, 2, 3], [0, 1, 1, 3],
+                                                           [0.1, 0.2, 0.3, 0.25]),
+                                  run_dir / "metrics.csv")
+        storage.write_grid_csv([evaluate.GridCell("lstm", 20, 0.1, 1 / 3, 0.7),
+                                evaluate.GridCell("cnn", 20, 0.1, None, None, "diverged")],
+                               run_dir / "grid.csv")
+        path = run_dir / name
+        path.write_bytes(mutated(path.read_bytes(), mutation))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("report", "--run-dir", run_dir, "--out", Path(tmp) / "report")
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+        assert err.getvalue().startswith("error: " if code == 2 else "I/O error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -1378,11 +1429,13 @@ def test_every_harlab_name_in_the_readme_exists():
 
 def test_every_harlab_name_the_benchmark_uses_exists():
     # bench/ runs outside tier-1, so a rename or deletion it depends on
-    # would otherwise show only when the benchmark runs
-    owners = {"dsp": dsp, "evaluate": evaluate, "models": models, "storage": storage,
-              "synth": synth, "Dataset": Dataset, "FeatureTensor": FeatureTensor}
+    # would otherwise show only when the benchmark runs; a traced run fails
+    # at Tracer.install on a missing attribute such as storage.DatasetWriter
+    owners = {"dsp": dsp, "evaluate": evaluate, "models": models, "nn": nn,
+              "storage": storage, "synth": synth, "Dataset": Dataset,
+              "FeatureTensor": FeatureTensor}
     used = set()
-    for script in ("run.py", "train_worker.py"):
+    for script in ("run.py", "train_worker.py", "tracer.py"):
         tree = ast.parse((Path(__file__).parents[1] / "bench" / script).read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module.startswith("harlab"):
@@ -1390,7 +1443,7 @@ def test_every_harlab_name_the_benchmark_uses_exists():
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in owners):
                 used.add((node.value.id, node.attr))
-    assert {owner for owner, _ in used} >= {"harlab", "harlab.core", "dsp", "Dataset"}
+    assert {owner for owner, _ in used} >= {"harlab", "harlab.core", "dsp", "Dataset", "nn"}
     missing = [f"{owner}.{name}" for owner, name in sorted(used)
                if not hasattr(owners.get(owner) or importlib.import_module(owner), name)]
     assert missing == []
