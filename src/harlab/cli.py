@@ -42,9 +42,9 @@ def _start(out_text: str | None) -> Path | None:
     return out
 
 
-def _feature_dataset(root: Path, rows: list[dict], decimate_k: int, positions=None):
-    """Model inputs from manifest `rows` (those at `positions`, if given), read
-    on the sample pool: the default chain runs on a raw root, then decimation."""
+def _feature_dataset(root: Path, rows: list[dict], decimate_k: int):
+    """Model inputs from manifest `rows`, read on the sample pool: the
+    default chain runs on a raw root, then decimation."""
     from . import dsp, models, storage
     stages = None
     if rows[0]["is_complex"] == "1":  # read_manifest rejects a root that mixes
@@ -56,8 +56,6 @@ def _feature_dataset(root: Path, rows: list[dict], decimate_k: int, positions=No
             sample = dsp.run_pipeline(sample, stages)
         return models.decimate(sample, decimate_k)
 
-    if positions is not None:
-        rows = [rows[i] for i in positions]
     return storage.read_dataset(root, rows, prepare)
 
 
@@ -89,7 +87,7 @@ def cmd_preprocess(args) -> int:
     if rows[0]["is_complex"] != "1":  # amplitude's own error, before --out is touched
         dsp.amplitude(storage.read_sample(root, rows[0]))
     out = _start(args.out)
-    fitted = [s for s in stages if s.needs_fit]
+    fitted = [s for s in stages if hasattr(s, "fit")]
     raw = None
     if fitted:
         # Fit on the training portion only, then transform the samples read for it.
@@ -150,12 +148,11 @@ def cmd_evaluate(args) -> int:
     k = models.infer_decimation(int(rows[0]["n_packets"]), model.spec.timesteps)
     _, test_idx = evaluate.split_indices([class_from_name(r["class_name"]) for r in rows],
                                          evaluate.SplitSpec(seed=args.split_seed))
-    test_ds = _feature_dataset(root, rows, k, test_idx)
+    test_ds = _feature_dataset(root, [rows[i] for i in test_idx], k)
     report = evaluate.evaluate_model(model, test_ds.samples)
     storage.write_metrics_csv(report, out / "metrics.csv")
-    storage.write_confusion_csv(report.confusion, out / "confusion.csv", normalized=False)
-    storage.write_confusion_csv(report.confusion_normalized,
-                                out / "confusion_normalized.csv", normalized=True)
+    storage.write_confusion_csv(report.confusion, out / "confusion.csv")
+    storage.write_confusion_csv(report.confusion_normalized, out / "confusion_normalized.csv")
     if args.svg:
         (out / "confusion.svg").write_text(
             reporting.confusion_svg(report.confusion_normalized))

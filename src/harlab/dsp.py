@@ -220,11 +220,10 @@ def select_k_best(scores: np.ndarray, k: int) -> FeatureSelection:
 
 class Stage:
     """A named transform apply(FeatureTensor) -> FeatureTensor of a
-    sample's amplitudes or of an earlier stage's output; a stage with
-    needs_fit learns it from training tensors in fit() (see fit_stages)."""
+    sample's amplitudes or of an earlier stage's output; a stage with a
+    fit() method learns it from training tensors (see fit_stages)."""
 
     name: str
-    needs_fit = False
 
 
 class ImputeMeanStage(Stage):
@@ -248,8 +247,6 @@ class ButterworthStage(Stage):
 class PcaStage(Stage):
     """Feature-axis PCA projection; fit on training rows only."""
 
-    needs_fit = True
-
     def __init__(self, n_components: int):
         if n_components < 1:
             raise DspError(f"pca n_components must be >= 1, got {n_components}")
@@ -270,8 +267,6 @@ class PcaStage(Stage):
 
 class SelectKBestStage(Stage):
     """Keep the k feature columns with the best ANOVA-F scores."""
-
-    needs_fit = True
 
     def __init__(self, k: int):
         if k < 1:
@@ -307,12 +302,12 @@ def run_pipeline(sample: CsiSample, stages) -> FeatureTensor:
 
 
 def fit_stages(stages, samples) -> None:
-    """Fit each needs_fit stage, in chain order, on the amplitudes of the
+    """Fit each stage that has fit(), in chain order, on the amplitudes of the
     raw samples as transformed by every stage before it.  Pass the
     training split only, so nothing leaks from held-out data."""
     tensors = map(amplitude, samples)
     for stage in stages:
-        if stage.needs_fit:
+        if hasattr(stage, "fit"):
             tensors = list(tensors)
             stage.fit(tensors)
         tensors = map(stage.apply, tensors)

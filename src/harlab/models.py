@@ -343,8 +343,6 @@ def decimate_all(tensors, k: int) -> list[FeatureTensor]:
 
 def infer_decimation(data_timesteps: int, model_timesteps: int) -> int:
     """Factor k with ceil(data/k) == model timesteps, if one exists."""
-    if data_timesteps == model_timesteps:
-        return 1
     if data_timesteps < model_timesteps:
         raise ModelError(
             f"data has {data_timesteps} timesteps but the model wants {model_timesteps}")

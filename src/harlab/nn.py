@@ -338,17 +338,16 @@ class MaxPool1d(ParamFree):
             raise ShapeError(f"sequence length {T} shorter than pool {self.pool}")
         t_out = T // self.pool
         xr = x[:, :t_out * self.pool].reshape(batch, t_out, self.pool, c)
-        if not train:
-            self._argmax = self._x_shape = None
-            return xr.max(axis=2)
-        # The max and its first index in one pass over the pool positions:
-        # `>` keeps the first of equal values, as argmax does, and is much
-        # cheaper than argmax over the short middle axis.
+        # The max, and in train mode its first index, in one pass over the
+        # pool positions: `>` keeps the first of equal values, as argmax
+        # does, and is much cheaper than argmax over the short middle axis.
         best = xr[:, :, 0].copy()
-        self._argmax, self._x_shape = np.zeros(best.shape, dtype=np.intp), x.shape
+        self._argmax = np.zeros(best.shape, dtype=np.intp) if train else None
+        self._x_shape = x.shape if train else None
         for j in range(1, self.pool):
             v = xr[:, :, j]
-            np.copyto(self._argmax, j, where=v > best)
+            if train:
+                np.copyto(self._argmax, j, where=v > best)
             np.maximum(best, v, out=best)
         return best
 

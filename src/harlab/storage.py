@@ -233,10 +233,8 @@ class DatasetWriter:
 
     def close(self) -> None:
         try:
-            with _replace_on_success(self.root / MANIFEST_NAME) as fh:
-                writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)
-                writer.writeheader()
-                writer.writerows(self._rows)
+            _write_table(self.root / MANIFEST_NAME, MANIFEST_FIELDS,
+                         ([row[f] for f in MANIFEST_FIELDS] for row in self._rows))
         finally:
             self._lock.unlink(missing_ok=True)
 
@@ -455,8 +453,9 @@ def save_experiment_config(path: Path | str, generator=None, model=None, split=N
 # ---------------------------------------------------------------------------
 # Report CSVs
 
-def _write_table(path: Path | str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+def _write_table(path: Path | str, header, rows) -> None:
+    """A CSV of `header` then `rows`, replacing `path` atomically and durably."""
+    with _replace_on_success(Path(path)) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -479,10 +478,12 @@ def read_metrics_csv(path: Path | str) -> dict[str, float]:
         raise StorageError(f"{path}: malformed metrics file ({exc})") from None
 
 
-def write_confusion_csv(matrix: np.ndarray, path: Path | str, normalized: bool) -> None:
+def write_confusion_csv(matrix: np.ndarray, path: Path | str) -> None:
+    """One row per true class.  Cells keep the matrix's type: an integer
+    matrix writes integers, a float matrix shortest round-trip decimals."""
     _write_table(path, ["true_class"] + [c.class_name for c in ActivityClass],
-                 ([cls.class_name] + [fmt(v) if normalized else str(int(v)) for v in row]
-                  for cls, row in zip(ActivityClass, matrix)))
+                 ([cls.class_name] + [str(v) for v in row]
+                  for cls, row in zip(ActivityClass, np.asarray(matrix).tolist())))
 
 
 def write_history_csv(history, path: Path | str) -> None:

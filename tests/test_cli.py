@@ -666,9 +666,8 @@ def test_evaluate_outputs_equal_the_library_oracle(
     oracle = tmp_path / "oracle"
     oracle.mkdir()
     storage.write_metrics_csv(report, oracle / "metrics.csv")
-    storage.write_confusion_csv(report.confusion, oracle / "confusion.csv", normalized=False)
-    storage.write_confusion_csv(report.confusion_normalized,
-                                oracle / "confusion_normalized.csv", normalized=True)
+    storage.write_confusion_csv(report.confusion, oracle / "confusion.csv")
+    storage.write_confusion_csv(report.confusion_normalized, oracle / "confusion_normalized.csv")
     assert tree_bytes(out) == tree_bytes(oracle)
 
 

@@ -213,6 +213,20 @@ def test_maxpool_train_mode_routes_each_gradient_to_the_first_maximum():
     assert y.tobytes() == layer.forward(x).tobytes()  # train and eval mode agree
 
 
+@pytest.mark.parametrize("pool", [2, 3, 4])
+def test_maxpool_eval_forward_is_bitwise_its_train_forward(pool):
+    # at the CNN head's shape, with ties between equal values, between +0.0
+    # and -0.0, and a NaN, which both modes must propagate
+    rng = make_rng(pool, "pool-eval")
+    x = rng.integers(-2, 3, (32, 96, 32)).astype(np.float64)
+    x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
+    x[0, 0, 0] = np.nan
+    layer = nn.MaxPool1d(pool)
+    y = layer.forward(x, train=True)
+    assert np.isnan(y[0, 0, 0]) and np.signbit(y[y == 0]).any()
+    assert layer.forward(x).tobytes() == y.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # dropout
 

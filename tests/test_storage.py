@@ -5,6 +5,7 @@ import os
 import re
 import shutil
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -209,11 +210,16 @@ def test_small_files_replace_atomically(tmp_path, monkeypatch):
     storage.save_dataset(small_feature_dataset(per_class=1), tmp_path / "d")
     trained, _ = _tiny_trained()
     storage.save_model(trained, tmp_path / "d" / "model.json")
+    storage.write_history_csv(trained.history, tmp_path / "d" / "history.csv")
     before = {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir() if p.is_file()}
-    assert sorted(before) == ["manifest.csv", "model.json"]  # no lock, no temp files
+    assert sorted(before) == ["history.csv", "manifest.csv", "model.json"]  # no lock, no temp
 
     def crash(*args, **kwargs):
         raise OSError("disk full")
+
+    def crash_after_header(fh):
+        writer = real_writer(fh)
+        return types.SimpleNamespace(writerow=writer.writerow, writerows=crash)
 
     def crash_after_first_chunk(self, o, _one_shot=False):
         chunks = iter(real_iterencode(self, o, _one_shot))
@@ -221,18 +227,21 @@ def test_small_files_replace_atomically(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     # A crash while rewriting leaves the old file whole and no temp file; the
-    # model crash comes after the first chunk of JSON is encoded.  A dataset
-    # rewrite removes the old manifest before its first sample file, so its
-    # crash leaves no manifest at all.
+    # model crash comes after the first chunk of JSON is encoded, a table's
+    # after its header row.  A dataset rewrite removes the old manifest
+    # before its first sample file, so its crash leaves no manifest at all.
     real_iterencode = json.JSONEncoder.iterencode
     monkeypatch.setattr(json.JSONEncoder, "iterencode", crash_after_first_chunk)
     with pytest.raises(OSError, match="disk full"):
         storage.save_model(trained, tmp_path / "d" / "model.json")
-    monkeypatch.setattr(csv.DictWriter, "writeheader", crash)
+    real_writer = csv.writer
+    monkeypatch.setattr(csv, "writer", crash_after_header)
+    with pytest.raises(OSError, match="disk full"):
+        storage.write_history_csv(trained.history, tmp_path / "d" / "history.csv")
     with pytest.raises(OSError, match="disk full"):
         storage.save_dataset(small_feature_dataset(per_class=2), tmp_path / "d")
     after = {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir() if p.is_file()}
-    assert after == {"model.json": before["model.json"]}
+    assert after == {name: before[name] for name in ("history.csv", "model.json")}
 
 
 # ---------------------------------------------------------------------------
