@@ -84,8 +84,8 @@ def cmd_preprocess(args) -> int:
     stages = dsp.parse_stages(args.stages)
     root = Path(args.dataset)
     rows = storage.read_manifest(root)
-    if rows[0]["is_complex"] != "1":  # amplitude's own error, before --out is touched
-        dsp.amplitude(storage.read_sample(root, rows[0]))
+    if rows[0]["is_complex"] != "1":  # read_manifest rejects a root that mixes
+        raise dsp.not_raw_error(rows[0]["lineage"])
     out = _start(args.out)
     fitted = [s for s in stages if hasattr(s, "fit")]
     raw = None
@@ -298,6 +298,9 @@ def main(argv=None) -> int:
 
     from . import dsp, evaluate, models, storage, synth
     try:
+        if "dataset" in args and Path(args.out).resolve() == Path(args.dataset).resolve():
+            raise UsageError(f"--out {args.out} is the --dataset root; "
+                             "write to another directory")
         return args.func(args)
     except (UsageError, dsp.DspError, models.ModelError,
             evaluate.EvalError, synth.GeneratorError) as exc:
@@ -308,6 +311,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except BrokenProcessPool as exc:
         print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

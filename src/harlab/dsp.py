@@ -63,11 +63,18 @@ class FeatureSelection:
     selected: tuple[int, ...]
 
 
+def not_raw_error(lineage: str) -> DspError:
+    """The error for a sample that amplitude cannot take because it is
+    already preprocessed; `lineage` is its steps joined by '|', as in the
+    manifest's `lineage` cell."""
+    return DspError("amplitude needs a raw CSI sample; this one is already "
+                    f"preprocessed (lineage {lineage})")
+
+
 def amplitude(sample: CsiSample) -> FeatureTensor:
     """Per-entry modulus of the complex CSI frames."""
     if not isinstance(sample, CsiSample):
-        raise DspError("amplitude needs a raw CSI sample; this one is already "
-                       f"preprocessed (lineage {'|'.join(sample.lineage)})")
+        raise not_raw_error("|".join(sample.lineage))
     return FeatureTensor(np.abs(sample.frames), sample.label, sample.lineage + ("amplitude",))
 
 

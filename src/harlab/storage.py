@@ -258,9 +258,22 @@ def write_dataset(root: Path | str, items, make, seed: int | None = None) -> Non
             writer.record(row)
 
 
+def _check_whole(root: Path | str, raw: list[bool]) -> None:
+    """read_manifest's rule for a whole root, given whether each sample is
+    raw: at least one sample, and all raw or none."""
+    if not raw:
+        raise StorageError(f"{root}: dataset has no samples")
+    if len(set(raw)) > 1:
+        raise StorageError(f"{root}: manifest mixes raw (is_complex 1) and "
+                           "preprocessed (is_complex 0) samples")
+
+
 def save_dataset(dataset: Dataset, root: Path | str) -> None:
-    """Write manifest.csv plus one CSV per sample under samples/<class>/."""
+    """Write manifest.csv plus one CSV per sample under samples/<class>/.
+    A dataset that read_manifest would reject, with no samples or with raw
+    samples beside preprocessed ones, raises before anything is written."""
     samples = dataset.samples
+    _check_whole(root, [isinstance(s, CsiSample) for s in samples])
     new_ids = iter(arrival_ids(s.label.class_name for s in samples
                                if not isinstance(s, CsiSample)))
     ids = [s.sample_id if isinstance(s, CsiSample) else next(new_ids) for s in samples]
@@ -300,11 +313,7 @@ def read_manifest(root: Path | str) -> list[dict]:
                 rows.append(row)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise StorageError(f"{manifest}: {exc}") from None
-    if not rows:
-        raise StorageError(f"{root}: dataset has no samples")
-    if len({r["is_complex"] == "1" for r in rows}) > 1:
-        raise StorageError(f"{root}: manifest mixes raw (is_complex 1) and "
-                           "preprocessed (is_complex 0) samples")
+    _check_whole(root, [r["is_complex"] == "1" for r in rows])
     # Canonical order regardless of manifest row order.
     rows.sort(key=lambda r: (int(class_from_name(r["class_name"])), r["sample_id"]))
     return rows

@@ -733,16 +733,41 @@ def test_malformed_manifest_row_exits_1_naming_its_line(
 
 def test_preprocess_of_a_preprocessed_root_exits_2_naming_its_lineage(
         tmp_path, tiny_dataset, tiny_pre, capsys):
-    # amplitude used to raise in the pool, after the --out root's manifest was deleted
+    # amplitude used to raise in the pool, after the --out root's manifest was
+    # deleted; then the check read the first sample file, so a root missing
+    # it exited 1 with "missing sample file"
+    pre_missing_first = tmp_path / "pre"
+    shutil.copytree(tiny_pre, pre_missing_first)
+    (pre_missing_first / storage.read_manifest(tiny_pre)[0]["relative_path"]).unlink()
     out = tmp_path / "again"
     shutil.copytree(tiny_dataset, out)
     before = tree_bytes(out, exclude=())
+    for pre in (tiny_pre, pre_missing_first):
+        capsys.readouterr()
+        assert run_cli("preprocess", "--dataset", pre, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: amplitude needs a raw CSI sample; this one is already "
+                       "preprocessed (lineage amplitude|impute_mean|"
+                       "butterworth(order=1,cutoff=0.05))\n"), pre
+        assert tree_bytes(out, exclude=()) == before
+
+
+@pytest.mark.parametrize("command", ["preprocess", "train", "evaluate", "grid"])
+def test_out_that_is_the_dataset_root_exits_2_before_any_write(
+        tmp_path, tiny_dataset, tiny_model, capsys, command):
+    # preprocess wrote its amplitudes over the raw sample files and exited 0;
+    # train overwrote the root's config, the generator's record
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dataset, data)
+    before = tree_bytes(data, exclude=())
+    out = data / "samples" / ".."  # the same directory, spelled another way
+    flags = {"train": ["--model", "lstm", "--decimate", 60],
+             "evaluate": ["--model-file", tiny_model], "grid": ["--decimate", 60]}
     capsys.readouterr()
-    assert run_cli("preprocess", "--dataset", tiny_pre, "--out", out) == 2
-    err = capsys.readouterr().err
-    assert err == ("error: amplitude needs a raw CSI sample; this one is already preprocessed "
-                   "(lineage amplitude|impute_mean|butterworth(order=1,cutoff=0.05))\n")
-    assert tree_bytes(out, exclude=()) == before
+    assert run_cli(command, *flags.get(command, []), "--dataset", data, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"error: --out {out} is the --dataset root; write to another directory\n")
+    assert tree_bytes(data, exclude=()) == before
 
 
 def test_root_of_raw_and_preprocessed_rows_exits_1_naming_it(
@@ -1063,6 +1088,20 @@ def test_worker_that_dies_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
     assert not (out / ".lock").exists()
 
 
+def test_out_of_memory_exits_1_with_one_line(tmp_path, tiny_dataset, monkeypatch, capsys):
+    # train --hidden 100000 ended in a numpy _ArrayMemoryError traceback
+    def too_big(spec):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr(models, "build", too_big)
+    capsys.readouterr()
+    assert run_cli("train", "--model", "lstm", "--dataset", tiny_dataset, "--epochs", 1,
+                   "--hidden", 4, "--decimate", 60, "--out", tmp_path / "run") == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if not line.startswith("INFO ")] == [
+        "error: out of memory: Unable to allocate 298. GiB for an array"]
+
+
 def test_lock_of_a_dead_writer_is_taken_over(tmp_path):
     fresh, root = tmp_path / "fresh", tmp_path / "d"
     assert run_cli("generate", "--seed", 4, "--samples-per-class", 1, "--out", fresh) == 0
@@ -1270,7 +1309,8 @@ def pairing_model(tmp_path_factory):
 
 def pairing_root(root, raw, n_packets, n_features, counts):
     """A root written by save_dataset: counts[c] samples of class c, raw
-    complex captures or preprocessed tensors, all n_packets x n_features."""
+    complex captures or preprocessed tensors, all n_packets x n_features;
+    with every count 0, which save_dataset refuses, a header-only manifest."""
     rng = make_rng(0, "pairing-root")
     samples = []
     for cls, count in zip(ActivityClass, counts):
@@ -1281,7 +1321,10 @@ def pairing_root(root, raw, n_packets, n_features, counts):
                                          f"{cls.class_name}-{i:04d}"))
             else:
                 samples.append(FeatureTensor(values[..., 0], cls, ("amplitude",)))
-    storage.save_dataset(Dataset.from_samples(samples, seed=0), root)
+    if samples:
+        storage.save_dataset(Dataset.from_samples(samples, seed=0), root)
+    else:
+        storage.DatasetWriter(root, seed=0).close()
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -1430,11 +1473,11 @@ def test_every_harlab_name_the_benchmark_uses_exists():
     # bench/ runs outside tier-1, so a rename or deletion it depends on
     # would otherwise show only when the benchmark runs; a traced run fails
     # at Tracer.install on a missing attribute such as storage.DatasetWriter
-    owners = {"dsp": dsp, "evaluate": evaluate, "models": models, "nn": nn,
+    owners = {"cli": cli, "dsp": dsp, "evaluate": evaluate, "models": models, "nn": nn,
               "storage": storage, "synth": synth, "Dataset": Dataset,
               "FeatureTensor": FeatureTensor}
     used = set()
-    for script in ("run.py", "train_worker.py", "tracer.py"):
+    for script in ("run.py", "train_worker.py", "tracer.py", "traced_cli.py"):
         tree = ast.parse((Path(__file__).parents[1] / "bench" / script).read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module.startswith("harlab"):
@@ -1442,7 +1485,8 @@ def test_every_harlab_name_the_benchmark_uses_exists():
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in owners):
                 used.add((node.value.id, node.attr))
-    assert {owner for owner, _ in used} >= {"harlab", "harlab.core", "dsp", "Dataset", "nn"}
+    assert {owner for owner, _ in used} >= {"harlab", "harlab.core", "cli", "dsp", "Dataset",
+                                            "nn"}
     missing = [f"{owner}.{name}" for owner, name in sorted(used)
                if not hasattr(owners.get(owner) or importlib.import_module(owner), name)]
     assert missing == []

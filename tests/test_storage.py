@@ -141,6 +141,22 @@ def test_manifest_order_independence(tmp_path):
     assert labels == sorted(labels)
 
 
+@pytest.mark.parametrize("samples, error", [
+    ("mixed", "manifest mixes raw (is_complex 1) and preprocessed (is_complex 0) samples"),
+    ("none", "dataset has no samples")], ids=["mixed", "none"])
+def test_save_dataset_that_no_reader_loads_raises_before_any_write(tmp_path, samples, error):
+    # a mixed dataset used to be written whole, and then load_dataset rejected it
+    root = tmp_path / "d"
+    storage.save_dataset(small_feature_dataset(per_class=1), root)
+    before = {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    dataset = Dataset.from_samples(
+        small_raw_dataset(per_class=1).samples[:2] + small_feature_dataset(per_class=1).samples
+        if samples == "mixed" else [], seed=3)
+    with pytest.raises(storage.StorageError, match=re.escape(f"{root}: {error}")):
+        storage.save_dataset(dataset, root)
+    assert {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()} == before
+
+
 def test_writer_lock_excludes_second_writer(tmp_path):
     w = storage.DatasetWriter(tmp_path / "d", seed=1)
     try:
