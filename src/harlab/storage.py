@@ -10,6 +10,7 @@ import collections
 import contextlib
 import csv
 import dataclasses
+import fcntl
 import itertools
 import json
 import logging
@@ -164,10 +165,15 @@ def write_sample(root: Path, sample: Sample, sample_id: str) -> dict:
 
 
 class DatasetWriter:
-    """Holds a dataset root's `.lock`, which names the writer's pid, while
-    its sample files are written, then writes manifest.csv from the rows
-    `record`ed, in that order.  It removes an old manifest.csv durably first,
-    so a rewrite that fails or is killed leaves a root that no reader loads.
+    """Holds a dataset root's lock while its sample files are written, then
+    writes manifest.csv from the rows `record`ed, in that order.  It removes
+    an old manifest.csv durably first, so a rewrite that fails or is killed
+    leaves a root that no reader loads.
+
+    The lock is an flock(2) on the root's `.lock`, which names the holder's
+    pid for other writers' errors.  The kernel drops it when the writer and
+    the pool workers it forked have exited, however they exit; taking it
+    removes the temp files a killed writer left.
 
     As a context manager it closes on a clean exit and aborts, writing no
     manifest, when the block raises.
@@ -178,46 +184,31 @@ class DatasetWriter:
         self.seed = seed
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = self.root / ".lock"
+        self._fh = open(self._lock, "a")  # "a" does not truncate: a holder's pid stays
         try:
-            fd = os.open(self._lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            fd = self._take_over_dead_lock()
-        with os.fdopen(fd, "w") as fh:
-            fh.write(f"{os.getpid()}\n")
+            fcntl.flock(self._fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # not a file its last holder unlinked between our open and our flock
+            held = os.stat(self._lock).st_ino == os.fstat(self._fh.fileno()).st_ino
+        except (BlockingIOError, FileNotFoundError):
+            held = False
+        if not held:
+            self._fh.close()
+            owner = "unknown"
+            with contextlib.suppress(OSError):
+                owner = self._lock.read_bytes().decode(errors="replace").strip() or owner
+            raise StorageError(
+                f"dataset root is locked by another writer (pid {owner}): {self._lock}")
+        self._fh.truncate(0)
+        self._fh.write(f"{os.getpid()}\n")
+        self._fh.flush()
+        with contextlib.suppress(OSError):  # no live writer owns them now
+            for tmp in self.root.rglob(".*.tmp"):
+                tmp.unlink()
         self._rows: list[dict] = []
         manifest = self.root / MANIFEST_NAME
         if manifest.exists():  # a fresh root has none, and no entry to sync
             manifest.unlink()
             _sync_dir(self.root)
-
-    def _take_over_dead_lock(self) -> int:
-        """Replace a lock whose pid is not alive, and remove its writer's temp
-        files.  Only the writer that renames aside the very file judged dead
-        takes it over; a live, unreadable or unsignalable pid still blocks."""
-        owner = "unknown"
-        try:
-            with open(self._lock, "rb") as fh:  # held open, so no new lock reuses its inode
-                owner = fh.read().decode().strip() or owner
-                try:
-                    os.kill(max(int(owner), 0), 0)  # pid 0 is our group: a lock naming none blocks
-                except ProcessLookupError:
-                    aside = self._lock.with_name(f"{self._lock.name}.{os.getpid()}")
-                    os.rename(self._lock, aside)
-                    if os.stat(aside).st_ino != os.fstat(fh.fileno()).st_ino:
-                        os.rename(aside, self._lock)  # a racing writer's new lock: put it back
-                        raise
-                    os.unlink(aside)
-                    fd = os.open(self._lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                    log.warning("took over the lock of dead writer pid %s: %s", owner, self._lock)
-                    with contextlib.suppress(OSError):  # what its writes left half done
-                        for tmp in self.root.rglob(".*.tmp"):
-                            tmp.unlink()
-                    return fd
-        except (OSError, ValueError, OverflowError):
-            pass  # gone, unreadable, alive, not ours to signal, or taken by a racing writer
-        raise StorageError(
-            f"dataset root is locked by another writer (pid {owner}): {self._lock}; "
-            "if that process is gone, delete the lock file")
 
     def record(self, row: dict) -> None:
         self._rows.append({**row, "seed": "" if self.seed is None else str(self.seed)})
@@ -229,14 +220,18 @@ class DatasetWriter:
         if exc_type is None:
             self.close()
         else:
-            self._lock.unlink(missing_ok=True)
+            self._unlock()
 
     def close(self) -> None:
         try:
             _write_table(self.root / MANIFEST_NAME, MANIFEST_FIELDS,
                          ([row[f] for f in MANIFEST_FIELDS] for row in self._rows))
         finally:
-            self._lock.unlink(missing_ok=True)
+            self._unlock()
+
+    def _unlock(self) -> None:
+        self._lock.unlink(missing_ok=True)
+        self._fh.close()
 
 
 def arrival_ids(class_names) -> list[str]:

@@ -1111,8 +1111,41 @@ def test_lock_of_a_dead_writer_is_taken_over(tmp_path):
     (root / ".lock").write_text(f"{child.pid}\n")
     assert run_cli("generate", "--seed", 4, "--samples-per-class", 1, "--out", root) == 0
     assert tree_bytes(root) == tree_bytes(fresh)
-    log = (root / "harlab.log").read_text()
-    assert f"WARNING took over the lock of dead writer pid {child.pid}" in log
+
+
+@pytest.mark.parametrize("owner", ["empty", "pid 1", "parent pid"])
+def test_lock_file_naming_no_holder_does_not_block_generate(tmp_path, owner):
+    # an empty lock is what a writer killed before it wrote its pid leaves; a
+    # live pid that holds no lock is what pid reuse (after a reboot, say) gives
+    fresh, root = tmp_path / "fresh", tmp_path / "d"
+    assert run_cli("generate", "--seed", 4, "--samples-per-class", 1, "--out", fresh) == 0
+    root.mkdir()
+    (root / ".lock").write_text({"empty": "", "pid 1": "1\n",
+                                 "parent pid": f"{os.getppid()}\n"}[owner])
+    assert run_cli("generate", "--seed", 4, "--samples-per-class", 1, "--out", root) == 0
+    assert tree_bytes(root) == tree_bytes(fresh)
+
+
+def test_writer_in_another_process_blocks_generate_naming_its_pid(tmp_path, capsys):
+    root = tmp_path / "d"
+    holder = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from harlab import storage; "
+         "w = storage.DatasetWriter(sys.argv[1]); print(flush=True); sys.stdin.read()",
+         str(root)], env=harlab_env(), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    try:
+        assert holder.stdout.readline() == "\n"  # it holds the lock
+        capsys.readouterr()
+        assert run_cli("generate", "--samples-per-class", 1, "--out", root) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if not line.startswith("INFO ")] == [
+            f"I/O error: dataset root is locked by another writer (pid {holder.pid}): "
+            f"{root / '.lock'}"]
+    finally:
+        holder.stdin.close()
+        assert holder.wait(timeout=60) == 0
+    # its lock went with it, though its .lock file stays
+    assert (root / ".lock").read_text() == f"{holder.pid}\n"
+    assert run_cli("generate", "--samples-per-class", 1, "--out", root) == 0
 
 
 def test_generate_after_a_killed_generate_succeeds(tmp_path):

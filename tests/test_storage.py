@@ -1,9 +1,11 @@
 import csv
+import fcntl
 import hashlib
 import json
 import os
 import re
 import shutil
+import stat
 import tempfile
 import types
 from pathlib import Path
@@ -180,33 +182,41 @@ def test_lock_file_names_its_writer(tmp_path):
 
 
 @pytest.mark.parametrize("owner", ["", "not a pid", "0", "-1", "9" * 30, "\xff"])
-def test_lock_naming_no_dead_pid_still_blocks(tmp_path, owner):
-    # only a lock that names a pid no process holds is taken over
+def test_lock_file_that_no_process_holds_is_taken(tmp_path, owner):
+    # only an flock blocks; what the file says does not
     (tmp_path / "d").mkdir()
     (tmp_path / "d" / ".lock").write_text(owner, encoding="latin-1")
-    with pytest.raises(storage.StorageError, match="locked by another writer"):
-        storage.DatasetWriter(tmp_path / "d", seed=1)
-    assert (tmp_path / "d" / ".lock").read_text(encoding="latin-1") == owner
+    with storage.DatasetWriter(tmp_path / "d", seed=1):
+        assert (tmp_path / "d" / ".lock").read_text() == f"{os.getpid()}\n"
+    assert [p.name for p in (tmp_path / "d").iterdir()] == ["manifest.csv"]
 
 
-def test_writer_that_loses_a_lock_take_over_race_restores_the_winners_lock(
+def test_writer_whose_flock_follows_an_unlink_and_recreate_leaves_the_new_lock(
         tmp_path, monkeypatch):
     root = tmp_path / "d"
-    root.mkdir()
-    (root / ".lock").write_text("123456789\n")
+    real_flock = fcntl.flock
 
-    def dead_after_another_writer_took_over(pid, sig):
-        # between this writer's read of the dead pid and its rename, a
-        # racing writer replaces the lock with its own
+    def flock_after_the_holder_recreated_the_lock(fd, operation):
+        # between this writer's open and its flock, the holder closes (unlinking
+        # the file this writer opened) and another writer makes a new lock
         (root / ".lock").unlink()
-        (root / ".lock").write_text(f"{os.getpid()}\n")
-        raise ProcessLookupError
+        (root / ".lock").write_text("123\n")
+        return real_flock(fd, operation)
 
-    monkeypatch.setattr(os, "kill", dead_after_another_writer_took_over)
-    with pytest.raises(storage.StorageError, match="locked by another writer"):
+    monkeypatch.setattr(fcntl, "flock", flock_after_the_holder_recreated_the_lock)
+    with pytest.raises(storage.StorageError, match=re.escape("locked by another writer (pid 123)")):
         storage.DatasetWriter(root, seed=1)
     assert [p.name for p in root.iterdir()] == [".lock"]
-    assert (root / ".lock").read_text() == f"{os.getpid()}\n"
+    assert (root / ".lock").read_text() == "123\n"
+
+
+def test_lock_file_mode_is_that_of_any_new_file(tmp_path):
+    with storage.DatasetWriter(tmp_path / "d", seed=1):
+        with open(tmp_path / "d" / "plain", "w"):
+            pass
+        modes = [stat.S_IMODE(os.stat(tmp_path / "d" / name).st_mode)
+                 for name in (".lock", "plain")]
+    assert modes[0] == modes[1]
 
 
 def test_writer_block_that_raises_leaves_no_lock_and_no_manifest(tmp_path):
