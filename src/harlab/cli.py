@@ -154,8 +154,8 @@ def cmd_evaluate(args) -> int:
     storage.write_confusion_csv(report.confusion, out / "confusion.csv")
     storage.write_confusion_csv(report.confusion_normalized, out / "confusion_normalized.csv")
     if args.svg:
-        (out / "confusion.svg").write_text(
-            reporting.confusion_svg(report.confusion_normalized))
+        with storage._replace_on_success(out / "confusion.svg") as fh:
+            fh.write(reporting.confusion_svg(report.confusion_normalized))
     print(f"accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f} "
           f"mean_loss={report.mean_loss:.4f} on {len(test_ds)} test samples")
     return EXIT_OK
@@ -210,7 +210,8 @@ def cmd_report(args) -> int:
     if grid_path.exists():
         cells = storage.read_grid_csv(grid_path)
         sections += ["## learning rate vs. epochs", "", reporting.grid_markdown(cells)]
-    (out / "report.md").write_text("\n".join(sections))
+    with storage._replace_on_success(out / "report.md") as fh:
+        fh.write("\n".join(sections))
     print(f"wrote {out / 'report.md'}")
     return EXIT_OK
 

@@ -451,7 +451,8 @@ def save_experiment_config(path: Path | str, generator=None, model=None, split=N
         lines.append(f"pipeline.stages = {dsp.stages_to_text(stages)}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with _replace_on_success(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,21 @@ def test_help_and_flag_errors_load_no_numpy_and_no_pipeline(argv, code):
     assert {m for m in loaded if m.partition(".")[0] == "harlab"} <= {"harlab", "harlab.cli"}
 
 
+def test_harlab_imports_only_the_standard_library_and_numpy():
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.level == 0 else []  # relative: harlab's own
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top in ("numpy", "harlab"), (
+                    f"{path.name} imports {name}")
+
+
 # ---------------------------------------------------------------------------
 # generate
 

@@ -4,8 +4,11 @@ import hashlib
 import json
 import os
 import re
+import resource
 import shutil
 import stat
+import subprocess
+import sys
 import tempfile
 import types
 from pathlib import Path
@@ -268,6 +271,43 @@ def test_small_files_replace_atomically(tmp_path, monkeypatch):
         storage.save_dataset(small_feature_dataset(per_class=2), tmp_path / "d")
     after = {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir() if p.is_file()}
     assert after == {name: before[name] for name in ("history.csv", "model.json")}
+
+
+def file_size_limited(limit, code, *args):
+    """Run Python `code` in a child whose files cannot grow past `limit` bytes
+    (ulimit -f): a write beyond it fails with EFBIG, as on a full disk."""
+    def limit_file_size():
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(storage.__file__).parents[1])},
+        preexec_fn=limit_file_size, timeout=120)
+
+
+def test_text_files_replace_atomically(tmp_path):
+    # A rewrite of confusion.svg, report.md or config that fails part way
+    # leaves the old file whole and no temp file.
+    data, run = tmp_path / "data", tmp_path / "run"
+    storage.save_dataset(small_raw_dataset(per_class=3), data)
+    evaluate_argv = ["evaluate", "--model-file", run / "model.json", "--svg",
+                     "--dataset", data, "--out", run]
+    for argv in (["train", "--model", "lstm", "--epochs", 1, "--hidden", 4, "--decimate", 1,
+                  "--dataset", data, "--out", run],
+                 evaluate_argv, ["report", "--run-dir", run, "--out", run]):
+        assert cli.main([str(a) for a in argv]) == 0
+    before = {p.name: p.read_bytes() for p in run.iterdir() if p.name != "harlab.log"}
+    run_cli = "import sys; from harlab import cli; sys.exit(cli.main(sys.argv[1:]))"
+    children = {
+        "confusion.svg": file_size_limited(4096, run_cli, *evaluate_argv),
+        "report.md": file_size_limited(64, run_cli, "report", "--run-dir", run, "--out", run),
+        "config": file_size_limited(
+            64, "import sys; from harlab import storage, synth; storage.save_experiment_config("
+                "sys.argv[1], generator=synth.GeneratorConfig())", run / "config")}
+    for name, child in children.items():
+        assert child.returncode == 1 and "File too large" in child.stderr, (name, child.stderr)
+    assert {p.name: p.read_bytes() for p in run.iterdir() if p.name != "harlab.log"} == before
 
 
 # ---------------------------------------------------------------------------
