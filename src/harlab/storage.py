@@ -13,7 +13,6 @@ import dataclasses
 import fcntl
 import itertools
 import json
-import logging
 import math
 import os
 from pathlib import Path
@@ -24,8 +23,6 @@ from . import dsp, models
 from .core import (ActivityClass, CsiSample, Dataset, FeatureTensor, Sample,
                    class_from_name)
 from .evaluate import GridCell, MetricsReport, ordered_map
-
-log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_FIELDS = ("sample_id", "class_name", "relative_path", "seed",
@@ -173,7 +170,8 @@ class DatasetWriter:
     The lock is an flock(2) on the root's `.lock`, which names the holder's
     pid for other writers' errors.  The kernel drops it when the writer and
     the pool workers it forked have exited, however they exit; taking it
-    removes the temp files a killed writer left.
+    removes the temp files a killed writer left beside the manifest and
+    the sample files (not those of a root nested inside this one).
 
     As a context manager it closes on a clean exit and aborts, writing no
     manifest, when the block raises.
@@ -201,8 +199,9 @@ class DatasetWriter:
         self._fh.truncate(0)
         self._fh.write(f"{os.getpid()}\n")
         self._fh.flush()
-        with contextlib.suppress(OSError):  # no live writer owns them now
-            for tmp in self.root.rglob(".*.tmp"):
+        with contextlib.suppress(OSError):  # a killed writer's: no live one owns them now
+            for tmp in [*self.root.glob(f".{MANIFEST_NAME}.*.tmp"),
+                        *self.root.glob("samples/*/.*.tmp")]:
                 tmp.unlink()
         self._rows: list[dict] = []
         manifest = self.root / MANIFEST_NAME

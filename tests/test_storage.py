@@ -213,6 +213,19 @@ def test_writer_whose_flock_follows_an_unlink_and_recreate_leaves_the_new_lock(
     assert (root / ".lock").read_text() == "123\n"
 
 
+def test_taking_a_lock_removes_only_this_roots_temp_files(tmp_path):
+    root = tmp_path / "d"
+    killed = [root / ".manifest.csv.99.tmp",
+              root / "samples" / "sitting" / ".sitting-0000.csv.99.tmp"]
+    # a live writer's, in a root nested inside this one
+    nested = root / "inner" / "samples" / "sitting" / ".sitting-0000.csv.98.tmp"
+    for path in [*killed, nested]:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("0.5,")
+    storage.DatasetWriter(root, seed=1).close()
+    assert [path.exists() for path in [*killed, nested]] == [False, False, True]
+
+
 def test_lock_file_mode_is_that_of_any_new_file(tmp_path):
     with storage.DatasetWriter(tmp_path / "d", seed=1):
         with open(tmp_path / "d" / "plain", "w"):
