@@ -228,11 +228,10 @@ def test_taking_a_lock_removes_only_this_roots_temp_files(tmp_path):
 
 def test_lock_file_mode_is_that_of_any_new_file(tmp_path):
     with storage.DatasetWriter(tmp_path / "d", seed=1):
-        with open(tmp_path / "d" / "plain", "w"):
-            pass
-        modes = [stat.S_IMODE(os.stat(tmp_path / "d" / name).st_mode)
-                 for name in (".lock", "plain")]
-    assert modes[0] == modes[1]
+        (tmp_path / "d" / "plain").write_text("")
+        lock_mode, plain_mode = (stat.S_IMODE(os.stat(tmp_path / "d" / name).st_mode)
+                                 for name in (".lock", "plain"))
+    assert lock_mode == plain_mode
 
 
 def test_writer_block_that_raises_leaves_no_lock_and_no_manifest(tmp_path):
