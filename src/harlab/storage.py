@@ -55,16 +55,12 @@ def _replace_on_success(path: Path, durable: bool = True):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-    if durable:
-        _sync_dir(path.parent)  # make the rename itself durable
-
-
-def _sync_dir(path: Path) -> None:
-    dir_fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    if durable:  # make the rename itself durable
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +135,11 @@ def _raise_first_defect(path: Path, n_cols: int, n_rows: int):
 
 
 def write_sample(root: Path, sample: Sample, sample_id: str) -> dict:
-    """Write one sample file under `root` and return its manifest row (all
-    but the dataset seed, which DatasetWriter.record fills in).  The file
-    gets its name only once it is whole; it is not synced to disk."""
+    """Write samples/<class>/<sample_id>.csv under `root`, whose lock a
+    DatasetWriter holds in this process or in the writer that forked it,
+    and return its manifest row (all but the dataset seed, which
+    DatasetWriter.record fills in).  The file gets its name only once it is
+    whole; it is not synced to disk."""
     rel = Path("samples") / sample.label.class_name / f"{sample_id}.csv"
     path = root / rel
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -167,11 +165,12 @@ class DatasetWriter:
     an old manifest.csv durably first, so a rewrite that fails or is killed
     leaves a root that no reader loads.
 
-    The lock is an flock(2) on the root's `.lock`, which names the holder's
-    pid for other writers' errors.  The kernel drops it when the writer and
-    the pool workers it forked have exited, however they exit; taking it
-    removes the temp files a killed writer left beside the manifest and
-    the sample files (not those of a root nested inside this one).
+    The lock is an flock(2) on the root directory itself, so it adds no
+    file to the root.  The pool workers the writer forks inherit it, and
+    the kernel drops it when the writer and they have exited, however they
+    exit.  Taking it removes what a killed writer left: the temp files
+    beside the manifest and the sample files (not those of a root nested
+    inside this one), and the `.lock` file of an earlier harlab.
 
     As a context manager it closes on a clean exit and aborts, writing no
     manifest, when the block raises.
@@ -181,33 +180,25 @@ class DatasetWriter:
         self.root = Path(root)
         self.seed = seed
         self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = self.root / ".lock"
-        self._fh = open(self._lock, "a")  # "a" does not truncate: a holder's pid stays
+        self._fd = os.open(self.root, os.O_RDONLY)
         try:
-            fcntl.flock(self._fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            # not a file its last holder unlinked between our open and our flock
-            held = os.stat(self._lock).st_ino == os.fstat(self._fh.fileno()).st_ino
-        except (BlockingIOError, FileNotFoundError):
-            held = False
-        if not held:
-            self._fh.close()
-            owner = "unknown"
-            with contextlib.suppress(OSError):
-                owner = self._lock.read_bytes().decode(errors="replace").strip() or owner
-            raise StorageError(
-                f"dataset root is locked by another writer (pid {owner}): {self._lock}")
-        self._fh.truncate(0)
-        self._fh.write(f"{os.getpid()}\n")
-        self._fh.flush()
-        with contextlib.suppress(OSError):  # a killed writer's: no live one owns them now
-            for tmp in [*self.root.glob(f".{MANIFEST_NAME}.*.tmp"),
-                        *self.root.glob("samples/*/.*.tmp")]:
-                tmp.unlink()
+            try:
+                fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise StorageError(
+                    f"dataset root is locked by another writer: {self.root}") from None
+            with contextlib.suppress(OSError):  # no live writer owns them now
+                for stale in [*self.root.glob(".lock"), *self.root.glob(f".{MANIFEST_NAME}.*.tmp"),
+                              *self.root.glob("samples/*/.*.tmp")]:
+                    stale.unlink()
+            manifest = self.root / MANIFEST_NAME
+            if manifest.exists():  # a fresh root has none, and no entry to sync
+                manifest.unlink()
+                os.fsync(self._fd)
+        except BaseException:
+            os.close(self._fd)
+            raise
         self._rows: list[dict] = []
-        manifest = self.root / MANIFEST_NAME
-        if manifest.exists():  # a fresh root has none, and no entry to sync
-            manifest.unlink()
-            _sync_dir(self.root)
 
     def record(self, row: dict) -> None:
         self._rows.append({**row, "seed": "" if self.seed is None else str(self.seed)})
@@ -219,18 +210,14 @@ class DatasetWriter:
         if exc_type is None:
             self.close()
         else:
-            self._unlock()
+            os.close(self._fd)
 
     def close(self) -> None:
         try:
             _write_table(self.root / MANIFEST_NAME, MANIFEST_FIELDS,
                          ([row[f] for f in MANIFEST_FIELDS] for row in self._rows))
         finally:
-            self._unlock()
-
-    def _unlock(self) -> None:
-        self._lock.unlink(missing_ok=True)
-        self._fh.close()
+            os.close(self._fd)
 
 
 def arrival_ids(class_names) -> list[str]:

@@ -1,12 +1,12 @@
 import csv
-import fcntl
 import hashlib
 import json
 import os
 import re
 import resource
+import select
 import shutil
-import stat
+import signal
 import subprocess
 import sys
 import tempfile
@@ -173,11 +173,46 @@ def test_writer_lock_excludes_second_writer(tmp_path):
     storage.DatasetWriter(tmp_path / "d", seed=1).close()
 
 
-def test_lock_file_names_its_writer(tmp_path):
+@pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="needs pidfd_open to await a non-child")
+def test_killed_writers_forked_child_holds_the_root_until_it_exits(tmp_path):
+    # what a killed writer's pool worker does: it inherited the lock, and the
+    # root stays locked after the writer has died, until the worker exits
+    root = tmp_path / "d"
+    hold_r, hold_w = os.pipe()  # the worker blocks on hold_r until hold_w closes
+    pid_r, pid_w = os.pipe()
+    writer = os.fork()
+    if writer == 0:
+        try:
+            os.close(hold_w)
+            held = storage.DatasetWriter(root, seed=1)  # bound: not closed before the kill
+            if (worker := os.fork()) == 0:
+                os.read(hold_r, 1)
+            else:
+                os.write(pid_w, str(worker).encode())
+                os.kill(os.getpid(), signal.SIGKILL)
+        finally:
+            os._exit(0)
+    os.close(hold_r)
+    os.close(pid_w)
+    try:
+        worker = int(os.read(pid_r, 32))
+        assert os.waitpid(writer, 0)[1] == signal.SIGKILL
+        worker_fd = os.pidfd_open(worker)  # the worker is blocked, so this pid is still its
+        with pytest.raises(storage.StorageError, match="locked"):
+            storage.DatasetWriter(root, seed=1)
+    finally:
+        os.close(hold_w)
+        os.close(pid_r)
+    assert select.select([worker_fd], [], [], 60)[0] == [worker_fd]  # it has exited
+    os.close(worker_fd)
+    storage.DatasetWriter(root, seed=1).close()
+
+
+def test_lock_error_names_the_root(tmp_path):
     w = storage.DatasetWriter(tmp_path / "d", seed=1)
     try:
-        assert (tmp_path / "d" / ".lock").read_text().strip() == str(os.getpid())
-        with pytest.raises(storage.StorageError, match=f"locked.*pid {os.getpid()}"):
+        with pytest.raises(storage.StorageError, match=re.escape(
+                f"dataset root is locked by another writer: {tmp_path / 'd'}")):
             storage.DatasetWriter(tmp_path / "d", seed=1)
     finally:
         w.close()
@@ -186,31 +221,12 @@ def test_lock_file_names_its_writer(tmp_path):
 
 @pytest.mark.parametrize("owner", ["", "not a pid", "0", "-1", "9" * 30, "\xff"])
 def test_lock_file_that_no_process_holds_is_taken(tmp_path, owner):
-    # only an flock blocks; what the file says does not
+    # the .lock of an earlier harlab: only an flock blocks, and it is removed
     (tmp_path / "d").mkdir()
     (tmp_path / "d" / ".lock").write_text(owner, encoding="latin-1")
     with storage.DatasetWriter(tmp_path / "d", seed=1):
-        assert (tmp_path / "d" / ".lock").read_text() == f"{os.getpid()}\n"
+        pass
     assert [p.name for p in (tmp_path / "d").iterdir()] == ["manifest.csv"]
-
-
-def test_writer_whose_flock_follows_an_unlink_and_recreate_leaves_the_new_lock(
-        tmp_path, monkeypatch):
-    root = tmp_path / "d"
-    real_flock = fcntl.flock
-
-    def flock_after_the_holder_recreated_the_lock(fd, operation):
-        # between this writer's open and its flock, the holder closes (unlinking
-        # the file this writer opened) and another writer makes a new lock
-        (root / ".lock").unlink()
-        (root / ".lock").write_text("123\n")
-        return real_flock(fd, operation)
-
-    monkeypatch.setattr(fcntl, "flock", flock_after_the_holder_recreated_the_lock)
-    with pytest.raises(storage.StorageError, match=re.escape("locked by another writer (pid 123)")):
-        storage.DatasetWriter(root, seed=1)
-    assert [p.name for p in root.iterdir()] == [".lock"]
-    assert (root / ".lock").read_text() == "123\n"
 
 
 def test_taking_a_lock_removes_only_this_roots_temp_files(tmp_path):
@@ -226,12 +242,10 @@ def test_taking_a_lock_removes_only_this_roots_temp_files(tmp_path):
     assert [path.exists() for path in [*killed, nested]] == [False, False, True]
 
 
-def test_lock_file_mode_is_that_of_any_new_file(tmp_path):
+def test_writer_adds_no_file_to_the_root_it_locks(tmp_path):
     with storage.DatasetWriter(tmp_path / "d", seed=1):
-        (tmp_path / "d" / "plain").write_text("")
-        lock_mode, plain_mode = (stat.S_IMODE(os.stat(tmp_path / "d" / name).st_mode)
-                                 for name in (".lock", "plain"))
-    assert lock_mode == plain_mode
+        assert list((tmp_path / "d").rglob("*")) == []
+    assert [p.name for p in (tmp_path / "d").iterdir()] == ["manifest.csv"]
 
 
 def test_writer_block_that_raises_leaves_no_lock_and_no_manifest(tmp_path):
