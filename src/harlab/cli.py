@@ -30,14 +30,14 @@ def _start(out_text: str | None) -> Path | None:
     """Make the command's --out directory, if it has one, and log to stderr
     and to <out>/harlab.log there; returns the directory."""
     out = None if out_text is None else Path(out_text)
-    level = os.environ.get("HARLAB_LOG", "INFO").upper()
+    level = logging.getLevelName(os.environ.get("HARLAB_LOG", "INFO").upper())  # int: a level
     handlers: list[logging.Handler] = [logging.StreamHandler(sys.stderr)]
     handlers[-1].setFormatter(logging.Formatter("%(levelname)s %(message)s"))
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         handlers.append(logging.FileHandler(out / "harlab.log"))
         handlers[-1].setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(message)s"))
-    logging.basicConfig(level=getattr(logging, level, logging.INFO),
+    logging.basicConfig(level=level if isinstance(level, int) else logging.INFO,
                         handlers=handlers, force=True)
     return out
 

@@ -136,10 +136,9 @@ def _raise_first_defect(path: Path, n_cols: int, n_rows: int):
 
 def write_sample(root: Path, sample: Sample, sample_id: str) -> dict:
     """Write samples/<class>/<sample_id>.csv under `root`, whose lock a
-    DatasetWriter holds in this process or in the writer that forked it,
-    and return its manifest row (all but the dataset seed, which
-    DatasetWriter.record fills in).  The file gets its name only once it is
-    whole; it is not synced to disk."""
+    DatasetWriter holds, and return its manifest row (all but the dataset
+    seed, which DatasetWriter.record fills in).  The file gets its name only
+    once it is whole; it is not synced to disk."""
     rel = Path("samples") / sample.label.class_name / f"{sample_id}.csv"
     path = root / rel
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -165,12 +164,11 @@ class DatasetWriter:
     an old manifest.csv durably first, so a rewrite that fails or is killed
     leaves a root that no reader loads.
 
-    The lock is an flock(2) on the root directory itself, so it adds no
-    file to the root.  The pool workers the writer forks inherit it, and
-    the kernel drops it when the writer and they have exited, however they
-    exit.  Taking it removes what a killed writer left: the temp files
-    beside the manifest and the sample files (not those of a root nested
-    inside this one), and the `.lock` file of an earlier harlab.
+    The lock is an flock(2) on the root directory itself, which adds no
+    file.  Forked pool workers inherit it; the kernel drops it when the
+    writer and they have exited, however they exit.  Taking it removes the
+    temp files a killed writer left beside the manifest and the sample files
+    (not in a root nested inside this one), and an earlier harlab's `.lock`.
 
     As a context manager it closes on a clean exit and aborts, writing no
     manifest, when the block raises.
@@ -252,12 +250,19 @@ def _check_whole(root: Path | str, raw: list[bool]) -> None:
 def save_dataset(dataset: Dataset, root: Path | str) -> None:
     """Write manifest.csv plus one CSV per sample under samples/<class>/.
     A dataset that read_manifest would reject, with no samples or with raw
-    samples beside preprocessed ones, raises before anything is written."""
+    samples beside preprocessed ones, raises before anything is written; so
+    does a sample id that is not one plain file name, unique in its class."""
     samples = dataset.samples
     _check_whole(root, [isinstance(s, CsiSample) for s in samples])
     new_ids = iter(arrival_ids(s.label.class_name for s in samples
                                if not isinstance(s, CsiSample)))
     ids = [s.sample_id if isinstance(s, CsiSample) else next(new_ids) for s in samples]
+    seen = set()
+    for class_name, sid in zip((s.label.class_name for s in samples), ids):
+        if sid in ("", ".", "..") or "/" in sid or "\0" in sid or (class_name, sid) in seen:
+            raise StorageError(f"{root}: sample id {sid!r} is not a file name of its own "
+                               f"in class {class_name}")
+        seen.add((class_name, sid))
     write_dataset(root, range(len(samples)), lambda i: (samples[i], ids[i]), dataset.seed)
 
 

@@ -5,6 +5,7 @@ import csv
 import importlib
 import io
 import json
+import logging
 import os
 import re
 import shutil
@@ -1101,6 +1102,17 @@ def test_worker_that_dies_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: a worker process died:") and err.count("\n") == 1
     assert not (out / "manifest.csv").exists()
     assert not (out / ".lock").exists()
+
+
+@pytest.mark.parametrize("value, level", [
+    ("basic_format", logging.INFO), ("_styles", logging.INFO), ("loud", logging.INFO),
+    ("warn", logging.WARNING), ("Fatal", logging.CRITICAL), ("debug", logging.DEBUG)])
+def test_harlab_log_takes_only_level_names(tmp_path, monkeypatch, value, level):
+    # basic_format and _styles name logging attributes that are no level; they
+    # ended generate in a traceback after --out and harlab.log were made
+    monkeypatch.setenv("HARLAB_LOG", value)
+    assert run_cli("generate", "--samples-per-class", 1, "--out", tmp_path / "d") == 0
+    assert logging.getLogger().level == level
 
 
 def test_out_of_memory_exits_1_with_one_line(tmp_path, tiny_dataset, monkeypatch, capsys):

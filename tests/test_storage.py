@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -160,6 +161,22 @@ def test_save_dataset_that_no_reader_loads_raises_before_any_write(tmp_path, sam
     with pytest.raises(storage.StorageError, match=re.escape(f"{root}: {error}")):
         storage.save_dataset(dataset, root)
     assert {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()} == before
+
+
+@pytest.mark.parametrize("bad_id", ["../../../outside", "a/b", "..", ".", "", "a\0b", None],
+                         ids=["escapes", "subdir", "dotdot", "dot", "empty", "nul", "repeat"])
+def test_save_dataset_refuses_a_sample_id_that_is_no_file_name_of_its_own(tmp_path, bad_id):
+    # "../../../outside" wrote outside.csv above the root, under a manifest
+    # that load_dataset then refused
+    samples = list(small_raw_dataset(per_class=2).samples)
+    assert samples[1].label == samples[0].label
+    bad_id = samples[0].sample_id if bad_id is None else bad_id
+    samples[1] = dataclasses.replace(samples[1], sample_id=bad_id)
+    root = tmp_path / "a" / "b" / "d"
+    with pytest.raises(storage.StorageError, match=re.escape(
+            f"{root}: sample id {bad_id!r} is not a file name of its own in class empty")):
+        storage.save_dataset(Dataset.from_samples(samples, seed=42), root)
+    assert list(tmp_path.rglob("*")) == []
 
 
 def test_writer_lock_excludes_second_writer(tmp_path):
