@@ -30,7 +30,7 @@ def _start(out_text: str | None) -> Path | None:
     """Make the command's --out directory, if it has one, and log to stderr
     and to <out>/harlab.log there; returns the directory."""
     out = None if out_text is None else Path(out_text)
-    level = logging.getLevelName(os.environ.get("HARLAB_LOG", "INFO").upper())  # int: a level
+    level = logging.getLevelName(os.environ.get("HARLAB_LOG", "INFO").upper())  # an int only for a level name
     handlers: list[logging.Handler] = [logging.StreamHandler(sys.stderr)]
     handlers[-1].setFormatter(logging.Formatter("%(levelname)s %(message)s"))
     if out is not None:
