@@ -225,22 +225,14 @@ def select_k_best(scores: np.ndarray, k: int) -> FeatureSelection:
 # ---------------------------------------------------------------------------
 # Pipeline stages
 
-class Stage:
-    """A named transform apply(FeatureTensor) -> FeatureTensor of a
-    sample's amplitudes or of an earlier stage's output; a stage with a
-    fit() method learns it from training tensors (see fit_stages)."""
-
-    name: str
-
-
-class ImputeMeanStage(Stage):
+class ImputeMeanStage:
     name = "impute_mean"
 
     def apply(self, x: FeatureTensor) -> FeatureTensor:
         return impute_mean(x)
 
 
-class ButterworthStage(Stage):
+class ButterworthStage:
     def __init__(self, order: int, cutoff: float):
         self.order = order
         self.cutoff = cutoff
@@ -251,7 +243,7 @@ class ButterworthStage(Stage):
         return filter_apply(self.coeffs, x)
 
 
-class PcaStage(Stage):
+class PcaStage:
     """Feature-axis PCA projection; fit on training rows only."""
 
     def __init__(self, n_components: int):
@@ -272,7 +264,7 @@ class PcaStage(Stage):
         return x.with_values(self.model.transform(x.values), self.name)
 
 
-class SelectKBestStage(Stage):
+class SelectKBestStage:
     """Keep the k feature columns with the best ANOVA-F scores."""
 
     def __init__(self, k: int):
@@ -295,7 +287,7 @@ class SelectKBestStage(Stage):
         return x.with_values(x.values[:, list(self.selection.selected)], self.name)
 
 
-def default_stages() -> list[Stage]:
+def default_stages() -> list:
     """The default deep-learning input chain after amplitude: impute, low-pass."""
     return [ImputeMeanStage(), ButterworthStage(1, 0.05)]
 
@@ -320,6 +312,9 @@ def fit_stages(stages, samples) -> None:
         tensors = map(stage.apply, tensors)
 
 
+# A stage is a named transform apply(FeatureTensor) -> FeatureTensor of a
+# sample's amplitudes or of an earlier stage's output; a stage with a fit()
+# method learns it from training tensors (see fit_stages).
 # Stage name -> (class, {key: (type, default)} in stage-string order); None: required.
 STAGE_KINDS = {
     "impute_mean": (ImputeMeanStage, {}),
@@ -340,7 +335,7 @@ def _stage_param(stage: str, params: dict, key: str, convert, default):
         raise DspError(f"stage {stage!r} parameter {key}={text!r} is not {kind}") from None
 
 
-def parse_stages(text: str) -> list[Stage]:
+def parse_stages(text: str) -> list:
     """Parse a stage list like "amplitude;impute_mean;butterworth:order=1,cutoff=0.05"
     into the stages after amplitude.
 
@@ -352,7 +347,7 @@ def parse_stages(text: str) -> list[Stage]:
     first = chunks[0] if chunks else ""
     if first != "amplitude":
         raise DspError(f"a stage list starts with amplitude, got {first!r}")
-    stages: list[Stage] = []
+    stages = []
     for chunk in chunks[1:]:
         name, _, params_text = chunk.partition(":")
         name = name.strip()

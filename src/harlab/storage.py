@@ -135,10 +135,10 @@ def _raise_first_defect(path: Path, n_cols: int, n_rows: int):
 
 
 def write_sample(root: Path, sample: Sample, sample_id: str) -> dict:
-    """Write samples/<class>/<sample_id>.csv under `root`, whose lock a
-    DatasetWriter holds, and return its manifest row (all but the dataset
-    seed, which DatasetWriter.record fills in).  The file gets its name only
-    once it is whole; it is not synced to disk."""
+    """Write samples/<class>/<sample_id>.csv under `root`, whose lock
+    write_dataset holds, and return its manifest row (all but the dataset
+    seed, which write_dataset fills in).  The file gets its name only once
+    it is whole; it is not synced to disk."""
     rel = Path("samples") / sample.label.class_name / f"{sample_id}.csv"
     path = root / rel
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -159,63 +159,48 @@ def write_sample(root: Path, sample: Sample, sample_id: str) -> dict:
 
 
 class DatasetWriter:
-    """Holds a dataset root's lock while its sample files are written, then
-    writes manifest.csv from the rows `record`ed, in that order.  It removes
-    an old manifest.csv durably first, so a rewrite that fails or is killed
-    leaves a root that no reader loads.
+    """A dataset root's lock, which write_dataset holds while it writes the
+    root.  It keeps its own name only because the benchmark's tracer reads
+    it; ROADMAP item 9 folds it into write_dataset once item 19 deletes the
+    tracer.
 
     The lock is an flock(2) on the root directory itself, which adds no
     file.  Forked pool workers inherit it; the kernel drops it when the
-    writer and they have exited, however they exit.  Taking it removes the
+    holder and they have exited, however they exit.  Taking it removes the
     temp files a killed writer left beside the manifest and the sample files
-    (not in a root nested inside this one), and an earlier harlab's `.lock`.
-
-    As a context manager it closes on a clean exit and aborts, writing no
-    manifest, when the block raises.
+    (not in a root nested inside this one), and an earlier harlab's `.lock`;
+    then it removes an old manifest.csv durably, so a rewrite that fails or
+    is killed leaves a root that no reader loads.  Leaving the `with` block
+    releases the lock.
     """
 
-    def __init__(self, root: Path | str, seed: int | None = None):
-        self.root = Path(root)
-        self.seed = seed
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._fd = os.open(self.root, os.O_RDONLY)
+    def __init__(self, root: Path | str):
+        root = Path(root)
+        root.mkdir(parents=True, exist_ok=True)
+        self._fd = os.open(root, os.O_RDONLY)
         try:
             try:
                 fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError:
                 raise StorageError(
-                    f"dataset root is locked by another writer: {self.root}") from None
+                    f"dataset root is locked by another writer: {root}") from None
             with contextlib.suppress(OSError):  # no live writer owns them now
-                for stale in [*self.root.glob(".lock"), *self.root.glob(f".{MANIFEST_NAME}.*.tmp"),
-                              *self.root.glob("samples/*/.*.tmp")]:
+                for stale in [*root.glob(".lock"), *root.glob(f".{MANIFEST_NAME}.*.tmp"),
+                              *root.glob("samples/*/.*.tmp")]:
                     stale.unlink()
-            manifest = self.root / MANIFEST_NAME
+            manifest = root / MANIFEST_NAME
             if manifest.exists():  # a fresh root has none, and no entry to sync
                 manifest.unlink()
                 os.fsync(self._fd)
         except BaseException:
             os.close(self._fd)
             raise
-        self._rows: list[dict] = []
-
-    def record(self, row: dict) -> None:
-        self._rows.append({**row, "seed": "" if self.seed is None else str(self.seed)})
 
     def __enter__(self) -> "DatasetWriter":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            os.close(self._fd)
-
-    def close(self) -> None:
-        try:
-            _write_table(self.root / MANIFEST_NAME, MANIFEST_FIELDS,
-                         ([row[f] for f in MANIFEST_FIELDS] for row in self._rows))
-        finally:
-            os.close(self._fd)
+        os.close(self._fd)
 
 
 def arrival_ids(class_names) -> list[str]:
@@ -229,12 +214,17 @@ def write_dataset(root: Path | str, items, make, seed: int | None = None) -> Non
     """Write a dataset root, one sample per job on the sample pool
     (evaluate.ordered_map): `make(item)` returns a (sample, sample_id) and
     the job writes that sample's file in its worker.  This process holds
-    the root's lock, records the manifest rows in item order and writes
-    manifest.csv only after every sample file is whole."""
+    the root's lock throughout, from the old manifest's removal to the new
+    one's rename, and writes manifest.csv, its rows in item order, only
+    after every sample file is whole.  No items write a header-only
+    manifest."""
     root = Path(root)
-    with DatasetWriter(root, seed) as writer:
-        for row in ordered_map(lambda item: write_sample(root, *make(item)), items):
-            writer.record(row)
+    seed_cell = "" if seed is None else str(seed)
+    with DatasetWriter(root):
+        rows = ordered_map(lambda item: write_sample(root, *make(item)), items)
+        _write_table(root / MANIFEST_NAME, MANIFEST_FIELDS,
+                     ([seed_cell if f == "seed" else row[f] for f in MANIFEST_FIELDS]
+                      for row in rows))
 
 
 def _check_whole(root: Path | str, raw: list[bool]) -> None:

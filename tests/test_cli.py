@@ -420,7 +420,7 @@ def test_evaluate_malformed_model_file_exits_1(tmp_path, tiny_dataset, capsys):
 def test_empty_root_exits_1_before_any_write(tmp_path, tiny_model, capsys, command):
     # preprocess used to exit 0 and write an empty root
     empty = tmp_path / "empty"
-    storage.DatasetWriter(empty, seed=1).close()  # header-only manifest
+    storage.write_dataset(empty, [], None)  # header-only manifest
     flags = {"train": ["--model", "lstm"], "evaluate": ["--model-file", tiny_model]}
     code = run_cli(command, *flags.get(command, []), "--dataset", empty,
                    "--out", tmp_path / "out")
@@ -1386,7 +1386,7 @@ def pairing_root(root, raw, n_packets, n_features, counts):
     if samples:
         storage.save_dataset(Dataset.from_samples(samples, seed=0), root)
     else:
-        storage.DatasetWriter(root, seed=0).close()
+        storage.write_dataset(root, [], None)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

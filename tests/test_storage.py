@@ -180,14 +180,11 @@ def test_save_dataset_refuses_a_sample_id_that_is_no_file_name_of_its_own(tmp_pa
 
 
 def test_writer_lock_excludes_second_writer(tmp_path):
-    w = storage.DatasetWriter(tmp_path / "d", seed=1)
-    try:
+    with storage.DatasetWriter(tmp_path / "d"):
         with pytest.raises(storage.StorageError, match="locked"):
-            storage.DatasetWriter(tmp_path / "d", seed=1)
-    finally:
-        w.close()
-    # lock released after close
-    storage.DatasetWriter(tmp_path / "d", seed=1).close()
+            storage.write_dataset(tmp_path / "d", [], None)
+    # lock released after the block
+    storage.write_dataset(tmp_path / "d", [], None)
 
 
 @pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="needs pidfd_open to await a non-child")
@@ -201,7 +198,7 @@ def test_killed_writers_forked_child_holds_the_root_until_it_exits(tmp_path):
     if writer == 0:
         try:
             os.close(hold_w)
-            held = storage.DatasetWriter(root, seed=1)  # bound: not closed before the kill
+            held = storage.DatasetWriter(root)  # bound: not released before the kill
             if (worker := os.fork()) == 0:
                 os.read(hold_r, 1)
             else:
@@ -216,23 +213,20 @@ def test_killed_writers_forked_child_holds_the_root_until_it_exits(tmp_path):
         assert os.waitpid(writer, 0)[1] == signal.SIGKILL
         worker_fd = os.pidfd_open(worker)  # the worker is blocked, so this pid is still its
         with pytest.raises(storage.StorageError, match="locked"):
-            storage.DatasetWriter(root, seed=1)
+            storage.write_dataset(root, [], None)
     finally:
         os.close(hold_w)
         os.close(pid_r)
     assert select.select([worker_fd], [], [], 60)[0] == [worker_fd]  # it has exited
     os.close(worker_fd)
-    storage.DatasetWriter(root, seed=1).close()
+    storage.write_dataset(root, [], None)
 
 
 def test_lock_error_names_the_root(tmp_path):
-    w = storage.DatasetWriter(tmp_path / "d", seed=1)
-    try:
+    with storage.DatasetWriter(tmp_path / "d"):
         with pytest.raises(storage.StorageError, match=re.escape(
                 f"dataset root is locked by another writer: {tmp_path / 'd'}")):
-            storage.DatasetWriter(tmp_path / "d", seed=1)
-    finally:
-        w.close()
+            storage.write_dataset(tmp_path / "d", [], None)
     assert not (tmp_path / "d" / ".lock").exists()
 
 
@@ -241,8 +235,7 @@ def test_lock_file_that_no_process_holds_is_taken(tmp_path, owner):
     # the .lock of an earlier harlab: only an flock blocks, and it is removed
     (tmp_path / "d").mkdir()
     (tmp_path / "d" / ".lock").write_text(owner, encoding="latin-1")
-    with storage.DatasetWriter(tmp_path / "d", seed=1):
-        pass
+    storage.write_dataset(tmp_path / "d", [], None)
     assert [p.name for p in (tmp_path / "d").iterdir()] == ["manifest.csv"]
 
 
@@ -255,27 +248,57 @@ def test_taking_a_lock_removes_only_this_roots_temp_files(tmp_path):
     for path in [*killed, nested]:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("0.5,")
-    storage.DatasetWriter(root, seed=1).close()
+    storage.write_dataset(root, [], None)
     assert [path.exists() for path in [*killed, nested]] == [False, False, True]
 
 
 def test_writer_adds_no_file_to_the_root_it_locks(tmp_path):
-    with storage.DatasetWriter(tmp_path / "d", seed=1):
+    with storage.DatasetWriter(tmp_path / "d"):
         assert list((tmp_path / "d").rglob("*")) == []
+    storage.write_dataset(tmp_path / "d", [], None)
     assert [p.name for p in (tmp_path / "d").iterdir()] == ["manifest.csv"]
 
 
 def test_writer_block_that_raises_leaves_no_lock_and_no_manifest(tmp_path):
     sample = small_feature_dataset(per_class=1).samples[0]
-    with pytest.raises(RuntimeError, match="boom"):
-        with storage.DatasetWriter(tmp_path / "d", seed=1) as writer:
-            writer.record(storage.write_sample(writer.root, sample, "empty-0000"))
+
+    def make(item):
+        if item:
             raise RuntimeError("boom")
+        return sample, "empty-0000"
+
+    with pytest.raises(RuntimeError, match="boom"):
+        storage.write_dataset(tmp_path / "d", [0, 1], make, seed=1)
     assert not (tmp_path / "d" / ".lock").exists()
     assert not (tmp_path / "d" / "manifest.csv").exists()
-    with storage.DatasetWriter(tmp_path / "d", seed=1) as writer:
-        writer.record(storage.write_sample(writer.root, sample, "empty-0000"))
+    storage.write_dataset(tmp_path / "d", [0], make, seed=1)
     assert len(storage.read_manifest(tmp_path / "d")) == 1
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_write_dataset_leaves_the_open_descriptors_as_it_found_them(tmp_path):
+    # the lock's descriptor is closed, once, on every way out of write_dataset
+    sample = small_feature_dataset(per_class=1).samples[0]
+
+    def make(item):
+        if item:
+            raise RuntimeError("boom")
+        return sample, "empty-0000"
+
+    def open_fds():
+        return sorted(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    storage.write_dataset(tmp_path / "d", [0], make)
+    assert open_fds() == before
+    with pytest.raises(RuntimeError, match="boom"):
+        storage.write_dataset(tmp_path / "d", [0, 1], make)
+    assert open_fds() == before
+    with storage.DatasetWriter(tmp_path / "d"):
+        held = open_fds()
+        with pytest.raises(storage.StorageError, match="locked by another writer"):
+            storage.write_dataset(tmp_path / "d", [0], make)
+        assert open_fds() == held
 
 
 def test_small_files_replace_atomically(tmp_path, monkeypatch):
@@ -507,13 +530,31 @@ def test_mutated_sample_file_fails_only_with_storage_error(fuzz_dataset, data):
         victim.write_bytes(original[:start] + data.draw(st.binary(max_size=6), label="insert")
                            + original[end:])
         try:
-            storage.load_dataset(root)
-            rejected = False
+            loaded = storage.load_dataset(root)
         except storage.StorageError:
-            rejected = True
+            expected = 1
+        else:  # "1e9904..." loads as inf, a value evaluate refuses with exit 2
+            expected = 0 if np.isfinite(loaded.samples[test_idx[0]].values).all() else 2
         code = cli.main(["evaluate", "--model-file", str(fuzz_dataset / "model.json"),
                          "--dataset", str(root), "--out", str(Path(tmp) / "eval")])
-        assert code == (1 if rejected else 0)
+        assert code == expected
+
+
+def test_sample_value_that_loads_as_inf_fails_evaluate_with_exit_2(fuzz_dataset, tmp_path,
+                                                                   capsys):
+    # a draw of the fuzz above: byte 82 of the first test-split sample file,
+    # '.' -> 'e', turns 1.990496318988147 into 1e990496318988147
+    root = tmp_path / "d"
+    shutil.copytree(fuzz_dataset / "d", root)
+    victim = root / "samples" / "empty" / "empty-0000.csv"
+    original = victim.read_bytes()
+    assert original[81:98] == b"1.990496318988147"
+    victim.write_bytes(original[:82] + b"e" + original[83:])
+    assert np.isinf(storage.load_dataset(root).samples[0].values).any()
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--model-file", str(fuzz_dataset / "model.json"),
+                     "--dataset", str(root), "--out", str(tmp_path / "eval")]) == 2
+    assert "error: test split: non-finite value inf" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
