@@ -259,45 +259,38 @@ def test_writer_adds_no_file_to_the_root_it_locks(tmp_path):
     assert [p.name for p in (tmp_path / "d").iterdir()] == ["manifest.csv"]
 
 
+def _one_sample_then_boom(item):
+    """A write_dataset `make`: item 0 is one small sample, any other raises."""
+    if item:
+        raise RuntimeError("boom")
+    return small_feature_dataset(per_class=1).samples[0], "empty-0000"
+
+
 def test_writer_block_that_raises_leaves_no_lock_and_no_manifest(tmp_path):
-    sample = small_feature_dataset(per_class=1).samples[0]
-
-    def make(item):
-        if item:
-            raise RuntimeError("boom")
-        return sample, "empty-0000"
-
     with pytest.raises(RuntimeError, match="boom"):
-        storage.write_dataset(tmp_path / "d", [0, 1], make, seed=1)
+        storage.write_dataset(tmp_path / "d", [0, 1], _one_sample_then_boom, seed=1)
     assert not (tmp_path / "d" / ".lock").exists()
     assert not (tmp_path / "d" / "manifest.csv").exists()
-    storage.write_dataset(tmp_path / "d", [0], make, seed=1)
+    storage.write_dataset(tmp_path / "d", [0], _one_sample_then_boom, seed=1)
     assert len(storage.read_manifest(tmp_path / "d")) == 1
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_write_dataset_leaves_the_open_descriptors_as_it_found_them(tmp_path):
     # the lock's descriptor is closed, once, on every way out of write_dataset
-    sample = small_feature_dataset(per_class=1).samples[0]
-
-    def make(item):
-        if item:
-            raise RuntimeError("boom")
-        return sample, "empty-0000"
-
     def open_fds():
         return sorted(os.listdir("/proc/self/fd"))
 
     before = open_fds()
-    storage.write_dataset(tmp_path / "d", [0], make)
+    storage.write_dataset(tmp_path / "d", [0], _one_sample_then_boom)
     assert open_fds() == before
     with pytest.raises(RuntimeError, match="boom"):
-        storage.write_dataset(tmp_path / "d", [0, 1], make)
+        storage.write_dataset(tmp_path / "d", [0, 1], _one_sample_then_boom)
     assert open_fds() == before
     with storage.DatasetWriter(tmp_path / "d"):
         held = open_fds()
         with pytest.raises(storage.StorageError, match="locked by another writer"):
-            storage.write_dataset(tmp_path / "d", [0], make)
+            storage.write_dataset(tmp_path / "d", [0], _one_sample_then_boom)
         assert open_fds() == held
 
 
