@@ -66,12 +66,8 @@ def cmd_generate(args) -> int:
                                 snr_db=args.snr_db)
     out = _start(args.out)
     keys = [(cls, i) for cls in ActivityClass for i in range(cfg.samples_per_class)]
-
-    def make(key):
-        sample = synth.generate_sample(cfg, *key)
-        return sample, sample.sample_id
-
-    storage.write_dataset(out, keys, make, cfg.seed)
+    storage.write_dataset(out, [cls.class_name for cls, _ in keys],
+                          lambda i: synth.generate_sample(cfg, *keys[i]), cfg.seed)
     storage.save_experiment_config(out / "config", generator=cfg)
     for cls in ActivityClass:
         print(f"{cls.class_name}: {cfg.samples_per_class}")
@@ -96,13 +92,13 @@ def cmd_preprocess(args) -> int:
         raw = storage.read_dataset(root, rows)
         train_ds, _ = evaluate.split(raw, evaluate.SplitSpec(seed=args.fit_split_seed))
         dsp.fit_stages(stages, train_ds.samples)
-    ids = storage.arrival_ids(r["class_name"] for r in rows)
 
     def make(i):
         sample = storage.read_sample(root, rows[i]) if raw is None else raw.samples[i]
-        return dsp.run_pipeline(sample, stages), ids[i]
+        return dsp.run_pipeline(sample, stages)
 
-    storage.write_dataset(out, range(len(rows)), make, storage.load_dataset_seed(rows))
+    storage.write_dataset(out, [r["class_name"] for r in rows], make,
+                          storage.load_dataset_seed(rows))
     storage.save_experiment_config(out / "config", stages=stages)
     print(f"preprocessed {len(rows)} samples -> {out}")
     return EXIT_OK

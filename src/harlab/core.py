@@ -45,14 +45,18 @@ def class_from_name(name: str) -> ActivityClass:
 
 def _init_sample(sample, matrix: str, dtype) -> None:
     """Coerce a sample's `matrix` field to a read-only, non-empty 2-D array
-    of `dtype`, its label to an ActivityClass and its lineage to a tuple."""
+    of `dtype`, its label to an ActivityClass and its lineage to a tuple of
+    non-empty stage names without '|', the manifest's lineage separator."""
     arr = np.asarray(getattr(sample, matrix), dtype=dtype)
     if arr.ndim != 2 or 0 in arr.shape:
         raise ValueError(f"{matrix} must be a non-empty 2-D matrix, got shape {arr.shape}")
     arr.setflags(write=False)
     object.__setattr__(sample, matrix, arr)
     object.__setattr__(sample, "label", ActivityClass(sample.label))
-    object.__setattr__(sample, "lineage", tuple(sample.lineage))
+    lineage = sample.lineage if isinstance(sample.lineage, str) else tuple(sample.lineage)
+    if isinstance(lineage, str) or not all(type(s) is str and s and "|" not in s for s in lineage):
+        raise ValueError(f"lineage must be non-empty stage names without '|', got {lineage!r}")
+    object.__setattr__(sample, "lineage", lineage)
 
 
 def _equal(a, b, matrix: str):
@@ -72,7 +76,6 @@ class CsiSample:
 
     frames: np.ndarray
     label: ActivityClass
-    sample_id: str
     lineage: tuple[str, ...] = ()
 
     def __post_init__(self):

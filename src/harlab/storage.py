@@ -135,10 +135,10 @@ def _raise_first_defect(path: Path, n_cols: int, n_rows: int):
 
 
 def write_sample(root: Path, sample: Sample, sample_id: str) -> dict:
-    """Write samples/<class>/<sample_id>.csv under `root`, whose lock
-    write_dataset holds, and return its manifest row (all but the dataset
-    seed, which write_dataset fills in).  The file gets its name only once
-    it is whole; it is not synced to disk."""
+    """Write samples/<class>/<sample_id>.csv under `root`, with the id and
+    the lock that write_dataset gives it, and return its manifest row (all
+    but the dataset seed, which write_dataset fills in).  The file gets its
+    name only once it is whole; it is not synced to disk."""
     rel = Path("samples") / sample.label.class_name / f"{sample_id}.csv"
     path = root / rel
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -203,25 +203,20 @@ class DatasetWriter:
         os.close(self._fd)
 
 
-def arrival_ids(class_names) -> list[str]:
-    """Ids for samples that carry none of their own (FeatureTensors):
-    `<class>-NNNN`, numbered within each class in arrival order."""
-    counters = collections.defaultdict(itertools.count)
-    return [f"{name}-{next(counters[name]):04d}" for name in class_names]
-
-
-def write_dataset(root: Path | str, items, make, seed: int | None = None) -> None:
+def write_dataset(root: Path | str, classes, make, seed: int | None = None) -> None:
     """Write a dataset root, one sample per job on the sample pool
-    (evaluate.ordered_map): `make(item)` returns a (sample, sample_id) and
-    the job writes that sample's file in its worker.  This process holds
-    the root's lock throughout, from the old manifest's removal to the new
-    one's rename, and writes manifest.csv, its rows in item order, only
-    after every sample file is whole.  No items write a header-only
-    manifest."""
+    (evaluate.ordered_map): the i-th job writes `make(i)`, of class
+    `classes[i]`, in its worker as `<class>-NNNN`, numbered from 0000 in
+    order within its class.  This process holds the root's lock throughout,
+    from the old manifest's removal to the new one's rename, and writes
+    manifest.csv, rows in sample order, only after every file is whole.  No
+    classes write a header-only manifest."""
     root = Path(root)
+    counters = collections.defaultdict(itertools.count)
+    ids = [f"{name}-{next(counters[name]):04d}" for name in classes]
     seed_cell = "" if seed is None else str(seed)
     with DatasetWriter(root):
-        rows = ordered_map(lambda item: write_sample(root, *make(item)), items)
+        rows = ordered_map(lambda i: write_sample(root, make(i), ids[i]), range(len(ids)))
         _write_table(root / MANIFEST_NAME, MANIFEST_FIELDS,
                      ([seed_cell if f == "seed" else row[f] for f in MANIFEST_FIELDS]
                       for row in rows))
@@ -238,22 +233,13 @@ def _check_whole(root: Path | str, raw: list[bool]) -> None:
 
 
 def save_dataset(dataset: Dataset, root: Path | str) -> None:
-    """Write manifest.csv plus one CSV per sample under samples/<class>/.
-    A dataset that read_manifest would reject, with no samples or with raw
-    samples beside preprocessed ones, raises before anything is written; so
-    does a sample id that is not one plain file name, unique in its class."""
+    """Write `dataset` as a dataset root (write_dataset), which names its
+    samples in dataset order.  A dataset that read_manifest would reject,
+    with no samples or with raw samples beside preprocessed ones, raises
+    before anything is written."""
     samples = dataset.samples
     _check_whole(root, [isinstance(s, CsiSample) for s in samples])
-    new_ids = iter(arrival_ids(s.label.class_name for s in samples
-                               if not isinstance(s, CsiSample)))
-    ids = [s.sample_id if isinstance(s, CsiSample) else next(new_ids) for s in samples]
-    seen = set()
-    for class_name, sid in zip((s.label.class_name for s in samples), ids):
-        if sid in ("", ".", "..") or "/" in sid or "\0" in sid or (class_name, sid) in seen:
-            raise StorageError(f"{root}: sample id {sid!r} is not a file name of its own "
-                               f"in class {class_name}")
-        seen.add((class_name, sid))
-    write_dataset(root, range(len(samples)), lambda i: (samples[i], ids[i]), dataset.seed)
+    write_dataset(root, [s.label.class_name for s in samples], samples.__getitem__, dataset.seed)
 
 
 def read_manifest(root: Path | str) -> list[dict]:
@@ -306,7 +292,7 @@ def read_sample(root: Path, row: dict) -> Sample:
     lineage = tuple(s for s in row["lineage"].split("|") if s)
     if row["is_complex"] == "1":
         frames = _read_rows(path, 2 * n_sub, n_packets).view(np.complex128)
-        return CsiSample(frames, label, row["sample_id"], lineage)
+        return CsiSample(frames, label, lineage)
     return FeatureTensor(_read_rows(path, n_sub, n_packets), label, lineage)
 
 

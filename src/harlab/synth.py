@@ -206,7 +206,7 @@ def generate_sample(cfg: GeneratorConfig, cls: ActivityClass, index: int) -> Csi
     rng = make_rng(cfg.seed, "sample", int(cls), index)
     channel = realize_channel(cfg, cls, rng)
     frames = synthesize_frames(cfg, channel, rng)
-    return CsiSample(frames, cls, f"{cls.class_name}-{index:04d}")
+    return CsiSample(frames, cls)
 
 
 def generate_dataset(cfg: GeneratorConfig) -> Dataset:

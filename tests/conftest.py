@@ -15,3 +15,8 @@ os.environ.update(dict.fromkeys(
 
 settings.register_profile("harlab", print_blob=True)
 settings.load_profile("harlab")
+
+
+def use_cores(monkeypatch, n):
+    """Make the sample pool, and so the grid's, see an affinity set of `n` cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))

@@ -25,6 +25,8 @@ from harlab import cli, dsp, evaluate, models, nn, storage, synth
 from harlab.core import ActivityClass, CsiSample, Dataset, FeatureTensor, class_from_name
 from harlab.rng import make_rng
 
+from conftest import use_cores
+
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
@@ -852,11 +854,6 @@ def test_train_whose_validation_loss_diverges_exits_2(tmp_path, tiny_dataset, ca
 # ---------------------------------------------------------------------------
 # per-sample work in the worker pool
 
-def use_cores(monkeypatch, n):
-    """Make the sample pool see an affinity set of `n` cores."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 def worker_pid(_):
     return os.getpid()
 
@@ -1376,11 +1373,10 @@ def pairing_root(root, raw, n_packets, n_features, counts):
     rng = make_rng(0, "pairing-root")
     samples = []
     for cls, count in zip(ActivityClass, counts):
-        for i in range(count):
+        for _ in range(count):
             values = rng.standard_normal((n_packets, n_features, 2)) + 1.0
             if raw:
-                samples.append(CsiSample(values[..., 0] + 1j * values[..., 1], cls,
-                                         f"{cls.class_name}-{i:04d}"))
+                samples.append(CsiSample(values[..., 0] + 1j * values[..., 1], cls))
             else:
                 samples.append(FeatureTensor(values[..., 0], cls, ("amplitude",)))
     if samples:

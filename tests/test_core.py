@@ -1,5 +1,6 @@
 import copy
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,12 +27,12 @@ def test_class_from_name_roundtrip():
 def _sample(frames=None):
     if frames is None:
         frames = np.ones((5, 64), dtype=np.complex128)
-    return CsiSample(frames, ActivityClass.SITTING, "sitting-0000")
+    return CsiSample(frames, ActivityClass.SITTING)
 
 
 @pytest.mark.parametrize("width", [1, 32, 64, 114])
 def test_samples_of_any_width_need_no_lineage(width):
-    raw = CsiSample(np.ones((5, width), dtype=np.complex128), ActivityClass.EMPTY, "x")
+    raw = CsiSample(np.ones((5, width), dtype=np.complex128), ActivityClass.EMPTY)
     tensor = FeatureTensor(np.zeros((3, width)), 0)
     assert (raw.frames.shape, tensor.values.shape) == ((5, width), (3, width))
 
@@ -39,7 +40,7 @@ def test_samples_of_any_width_need_no_lineage(width):
 @pytest.mark.parametrize("shape", [(0, 64), (5, 0), (64,), (2, 3, 4)])
 def test_samples_are_non_empty_2d_matrices(shape):
     with pytest.raises(ValueError, match="non-empty 2-D matrix"):
-        CsiSample(np.ones(shape, dtype=np.complex128), ActivityClass.EMPTY, "x")
+        CsiSample(np.ones(shape, dtype=np.complex128), ActivityClass.EMPTY)
     with pytest.raises(ValueError, match="non-empty 2-D matrix"):
         FeatureTensor(np.zeros(shape), 0, ("amplitude",))
 
@@ -82,7 +83,20 @@ def test_public_names_resolve_and_are_listed_once_in_order():
 
 
 def test_both_sample_types_carry_label_and_lineage():
-    raw = CsiSample(np.ones((2, 64)), ActivityClass.LEANING, "leaning-0000", ["toy"])
+    raw = CsiSample(np.ones((2, 64)), ActivityClass.LEANING, ["toy"])
     tensor = FeatureTensor(np.zeros((2, 64)), 4, ["amplitude"])
     assert raw.label is tensor.label is ActivityClass.LEANING
     assert (raw.lineage, tensor.lineage) == (("toy",), ("amplitude",))
+
+
+@pytest.mark.parametrize("lineage", ["amplitude", "sitting-0000", ("amplitude", "x|y"),
+                                     ("amplitude", ""), ("amplitude", None)],
+                         ids=["a-string", "an-old-sample-id", "separator", "empty-entry",
+                              "not-a-string"])
+def test_a_lineage_that_the_manifest_cannot_carry_raises_naming_it(lineage):
+    # a string lineage became one entry per character, "x|y" or "" came back
+    # from a saved root as other entries, and CsiSample's third argument was
+    # its sample id
+    for make in (FeatureTensor, CsiSample):
+        with pytest.raises(ValueError, match=re.escape(repr(lineage))):
+            make(np.ones((2, 3)), ActivityClass.SITTING, lineage)

@@ -12,8 +12,7 @@ from harlab.rng import make_rng
 
 
 def _csi(frames):
-    return CsiSample(np.asarray(frames, dtype=np.complex128),
-                     ActivityClass.SITTING, "sitting-0000")
+    return CsiSample(np.asarray(frames, dtype=np.complex128), ActivityClass.SITTING)
 
 
 def _ft(values, lineage=("amplitude",)):
@@ -489,7 +488,7 @@ def test_select_every_selected_beats_every_unselected():
 
 def _raw_sample(rng):
     frames = rng.standard_normal((30, 64)) + 1j * rng.standard_normal((30, 64))
-    return CsiSample(frames, ActivityClass.LEANING, "leaning-0000")
+    return CsiSample(frames, ActivityClass.LEANING)
 
 
 def test_default_pipeline_shape_and_finiteness():
@@ -513,9 +512,9 @@ def test_pipeline_with_pca_reduces_features():
 
 def test_fit_stages_fits_mid_chain_stages_on_the_training_split_only():
     rng = make_rng(19, "fit-stages")
-    train = [CsiSample(_raw_sample(rng).frames * (1 + i % 2), ActivityClass(i % 2),
-                       f"train-{i}") for i in range(4)]
-    held_out = [CsiSample(_raw_sample(rng).frames * 10, ActivityClass.LEANING, "held-out")]
+    train = [CsiSample(_raw_sample(rng).frames * (1 + i % 2), ActivityClass(i % 2))
+             for i in range(4)]
+    held_out = [CsiSample(_raw_sample(rng).frames * 10, ActivityClass.LEANING)]
     stages = dsp.parse_stages(
         "amplitude;impute_mean;pca:n_components=6;butterworth;select_k_best:k=2")
     dsp.fit_stages(stages, train)

@@ -1,4 +1,3 @@
-import os
 from collections import Counter
 
 import numpy as np
@@ -9,6 +8,8 @@ from hypothesis import strategies as st
 from harlab import evaluate, models, nn
 from harlab.core import ActivityClass, Dataset, FeatureTensor
 from harlab.rng import make_rng
+
+from conftest import use_cores
 
 
 def balanced_dataset(per_class=10, T=6, F=4, rng=None):
@@ -242,11 +243,6 @@ def test_metrics_length_mismatch():
 
 # ---------------------------------------------------------------------------
 # grid
-
-def use_cores(monkeypatch, n):
-    """Make the grid's pool see an affinity set of `n` cores."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
 
 def _tiny_grid_dataset():
     rng = make_rng(5, "grid-data")

@@ -79,7 +79,6 @@ def test_sample_shape_and_dtype():
     assert s.frames.shape == (1200, 64)
     assert s.frames.dtype == np.complex128
     assert s.label is ActivityClass.SITTING
-    assert s.sample_id == "sitting-0000"
 
 
 def test_sample_determinism_bitwise():
@@ -212,7 +211,7 @@ def test_dataset_counts_and_order():
     assert Counter(s.label for s in ds.samples) == dict.fromkeys(ActivityClass, 2)
     labels = [s.label for s in ds.samples]
     assert labels == sorted(labels)  # class-major order
-    assert ds.samples[0].sample_id == "empty-0000"
+    assert ds.samples[0] == synth.generate_sample(cfg, ActivityClass.EMPTY, 0)
 
 
 def test_dataset_single_sample_per_class():
