@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 _SUBMODULE = {name: module for module, names in {
     "core": "ActivityClass CsiSample Dataset FeatureTensor",
     "dsp": "amplitude anova_f_scores butter_design filter_apply impute_mean "
-           "pca_fit_transform run_pipeline select_k_best",
+           "pca_fit run_pipeline select_k_best",
     "evaluate": "MetricsReport SplitSpec compute_metrics run_grid split",
     "models": "ModelSpec TrainedModel build decimate train",
     "storage": "load_dataset load_model save_dataset save_model",

@@ -45,22 +45,14 @@ class FilterCoeffs:
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Fitted PCA: feature means, orthonormal components, eigenvalues."""
+    """Fitted PCA: the training rows' feature means and orthonormal components
+    [n_components, d], leading first; transform(x) = (x - mean) @ components.T."""
 
     mean: np.ndarray
-    components: np.ndarray           # [n_components, d]
-    explained_variance: np.ndarray   # descending, >= 0
+    components: np.ndarray
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.mean) @ self.components.T
-
-
-@dataclass(frozen=True)
-class FeatureSelection:
-    """ANOVA-F scores plus the sorted indices of the k best features."""
-
-    scores: np.ndarray
-    selected: tuple[int, ...]
 
 
 def not_raw_error(lineage: str) -> DspError:
@@ -154,8 +146,8 @@ def filter_apply(coeffs: FilterCoeffs, x: FeatureTensor) -> FeatureTensor:
     return x.with_values(filter_coefficients_apply(coeffs, x.values), coeffs.label)
 
 
-def pca_fit_transform(x: np.ndarray, n_components: int) -> tuple[PcaModel, np.ndarray]:
-    """Fit PCA on rows of x and return (model, scores).
+def pca_fit(x: np.ndarray, n_components: int) -> PcaModel:
+    """Fit PCA on rows of x; model.transform(x) gives their scores.
 
     Components are the leading eigenvectors of the sample covariance
     (divisor n-1), eigenvalues descending; each component is signed so
@@ -173,11 +165,9 @@ def pca_fit_transform(x: np.ndarray, n_components: int) -> tuple[PcaModel, np.nd
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:n_components]
     components = eigvecs[:, order].T
-    explained = np.maximum(eigvals[order], 0.0)
     flip = components[np.arange(n_components), np.argmax(np.abs(components), axis=1)] < 0
     components[flip] *= -1.0
-    model = PcaModel(mean, components, explained)
-    return model, centered @ components.T
+    return PcaModel(mean, components)
 
 
 def anova_f_scores(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -212,22 +202,21 @@ def anova_f_scores(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return f
 
 
-def select_k_best(scores: np.ndarray, k: int) -> FeatureSelection:
-    """Indices of the k largest scores; ties break toward the lower index."""
+def select_k_best(scores: np.ndarray, k: int) -> tuple[int, ...]:
+    """The indices of the k largest scores, sorted ascending; ties break
+    toward the lower index."""
     scores = np.asarray(scores, dtype=np.float64)
     d = scores.size
     if not 1 <= k <= d:
         raise DspError(f"k={k} outside 1..{d}")
     ranked = np.argsort(-scores, kind="stable")[:k]
-    return FeatureSelection(scores, tuple(sorted(int(i) for i in ranked)))
+    return tuple(sorted(int(i) for i in ranked))
 
 
 # ---------------------------------------------------------------------------
 # Pipeline stages
 
 class ImputeMeanStage:
-    name = "impute_mean"
-
     def apply(self, x: FeatureTensor) -> FeatureTensor:
         return impute_mean(x)
 
@@ -237,7 +226,6 @@ class ButterworthStage:
         self.order = order
         self.cutoff = cutoff
         self.coeffs = butter_design(order, cutoff)
-        self.name = self.coeffs.label
 
     def apply(self, x: FeatureTensor) -> FeatureTensor:
         return filter_apply(self.coeffs, x)
@@ -255,7 +243,7 @@ class PcaStage:
 
     def fit(self, tensors) -> "PcaStage":
         rows = np.vstack([t.values for t in tensors])
-        self.model, _ = pca_fit_transform(rows, self.n_components)
+        self.model = pca_fit(rows, self.n_components)
         return self
 
     def apply(self, x: FeatureTensor) -> FeatureTensor:
@@ -272,19 +260,19 @@ class SelectKBestStage:
             raise DspError(f"select_k_best k must be >= 1, got {k}")
         self.k = k
         self.name = f"select_k_best(k={self.k})"
-        self.selection: FeatureSelection | None = None
+        self.selected: tuple[int, ...] | None = None
 
     def fit(self, tensors) -> "SelectKBestStage":
         rows = np.vstack([t.values for t in tensors])
         row_labels = np.repeat([int(t.label) for t in tensors],
                                [t.values.shape[0] for t in tensors])
-        self.selection = select_k_best(anova_f_scores(rows, row_labels), self.k)
+        self.selected = select_k_best(anova_f_scores(rows, row_labels), self.k)
         return self
 
     def apply(self, x: FeatureTensor) -> FeatureTensor:
-        if self.selection is None:
+        if self.selected is None:
             raise DspError(f"stage {self.name} has not been fit")
-        return x.with_values(x.values[:, list(self.selection.selected)], self.name)
+        return x.with_values(x.values[:, list(self.selected)], self.name)
 
 
 def default_stages() -> list:

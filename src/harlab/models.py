@@ -172,6 +172,7 @@ class TrainedModel:
     input_mean and input_scale are per-feature vectors of length
     n_features, fitted on the training split; the network sees
     (x - input_mean) / input_scale, in training and in every prediction.
+    The mean must be finite and the scale positive.
     """
 
     spec: ModelSpec
@@ -187,6 +188,9 @@ class TrainedModel:
                 raise ModelError(
                     f"{name} has shape {vec.shape}, expected ({self.spec.n_features},)")
             setattr(self, name, vec)
+        if not (np.isfinite(self.input_mean).all() and np.isfinite(self.input_scale).all()
+                and (self.input_scale > 0).all()):
+            raise ModelError("input mean must be finite and input scale positive")
 
     @property
     def weights(self) -> dict[str, np.ndarray]:

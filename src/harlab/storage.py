@@ -207,16 +207,25 @@ def write_dataset(root: Path | str, classes, make, seed: int | None = None) -> N
     """Write a dataset root, one sample per job on the sample pool
     (evaluate.ordered_map): the i-th job writes `make(i)`, of class
     `classes[i]`, in its worker as `<class>-NNNN`, numbered from 0000 in
-    order within its class.  This process holds the root's lock throughout,
-    from the old manifest's removal to the new one's rename, and writes
-    manifest.csv, rows in sample order, only after every file is whole.  No
-    classes write a header-only manifest."""
+    order within its class; a sample of another class raises ValueError
+    before its file is written.  This process holds the root's lock
+    throughout, from the old manifest's removal to the new one's rename, and
+    writes manifest.csv, rows in sample order, only after every file is
+    whole.  No classes write a header-only manifest."""
     root = Path(root)
     counters = collections.defaultdict(itertools.count)
     ids = [f"{name}-{next(counters[name]):04d}" for name in classes]
     seed_cell = "" if seed is None else str(seed)
+
+    def job(i):
+        sample = make(i)
+        if sample.label.class_name != classes[i]:
+            raise ValueError(f"sample {i} is of class {sample.label.class_name!r}, "
+                             f"not {classes[i]!r}")
+        return write_sample(root, sample, ids[i])
+
     with DatasetWriter(root):
-        rows = ordered_map(lambda i: write_sample(root, make(i), ids[i]), range(len(ids)))
+        rows = ordered_map(job, range(len(ids)))
         _write_table(root / MANIFEST_NAME, MANIFEST_FIELDS,
                      ([seed_cell if f == "seed" else row[f] for f in MANIFEST_FIELDS]
                       for row in rows))
@@ -377,11 +386,7 @@ def load_model(path: Path | str) -> models.TrainedModel:
         for name, param in net.params().items():
             param[...] = data[name].reshape(param.shape)
         history = [models.EpochStats(**h) for h in doc.get("history", [])]
-        mean = np.array(doc["input"]["mean"], dtype=np.float64)
-        scale = np.array(doc["input"]["scale"], dtype=np.float64)
-        if not (np.isfinite(mean).all() and np.isfinite(scale).all() and (scale > 0).all()):
-            raise models.ModelError("input mean must be finite and input scale positive")
-        return models.TrainedModel(spec, net, mean, scale, history)
+        return models.TrainedModel(spec, net, doc["input"]["mean"], doc["input"]["scale"], history)
     except KeyError as exc:
         raise StorageError(f"{path}: malformed model file (missing key {exc})") from None
     except (TypeError, AttributeError, ValueError, OverflowError) as exc:

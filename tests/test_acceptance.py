@@ -14,6 +14,7 @@ from collections import Counter
 
 import numpy as np
 
+from conftest import anova_brute
 from harlab import cli, dsp, evaluate, gradcheck, models, storage, synth
 from harlab.core import ActivityClass, Dataset
 from harlab.rng import make_rng
@@ -65,24 +66,6 @@ def test_criterion_2_butterworth_oracle():
 # ---------------------------------------------------------------------------
 # 3. DSP oracles
 
-def _anova_brute(x, labels):
-    classes = sorted(set(labels.tolist()))
-    g, n = len(classes), x.shape[0]
-    out = []
-    for col in range(x.shape[1]):
-        v = x[:, col]
-        grand = v.mean()
-        ssb = ssw = 0.0
-        for c in classes:
-            grp = v[labels == c]
-            ssb += grp.size * (grp.mean() - grand) ** 2
-            ssw += ((grp - grp.mean()) ** 2).sum()
-        out.append(0.0 if ssw == 0.0 and ssb == 0.0
-                   else np.inf if ssw == 0.0
-                   else (ssb / (g - 1)) / (ssw / (n - g)))
-    return np.array(out)
-
-
 def test_criterion_3_dsp_oracles():
     rng = make_rng(3, "acceptance-dsp")
     for _ in range(120):
@@ -92,13 +75,14 @@ def test_criterion_3_dsp_oracles():
         labels = np.concatenate([np.arange(g), rng.integers(0, g, n - g)])
         x = rng.standard_normal((n, d)) + labels[:, None] * rng.standard_normal(d)
         np.testing.assert_allclose(dsp.anova_f_scores(x, labels),
-                                   _anova_brute(x, labels), rtol=1e-9, atol=1e-9)
+                                   anova_brute(x, labels), rtol=1e-9, atol=1e-9)
 
     x = rng.standard_normal((25, 8))
-    model, scores = dsp.pca_fit_transform(x, 8)
+    model = dsp.pca_fit(x, 8)
     np.testing.assert_allclose(model.components @ model.components.T,
                                np.eye(8), atol=1e-8)
-    np.testing.assert_allclose(scores @ model.components + model.mean, x, atol=1e-8)
+    np.testing.assert_allclose(model.transform(x) @ model.components + model.mean, x,
+                               atol=1e-8)
 
     values = rng.standard_normal((40, 6))
     values[rng.random((40, 6)) < 0.3] = np.nan

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import anova_brute
 from harlab import dsp
 from harlab.core import ActivityClass, CsiSample, FeatureTensor
 from harlab.rng import make_rng
@@ -305,34 +306,42 @@ def test_filter_peak_memory_is_at_most_about_three_inputs(order, cutoff):
 # ---------------------------------------------------------------------------
 # PCA
 
+def _covariance_eigenvalues(x):
+    """Independent oracle: the sample covariance's eigenvalues, descending."""
+    return np.linalg.eigvalsh(np.cov(x, rowvar=False))[::-1]
+
+
 def test_pca_collinear_points():
     x = np.array([[1, 1], [-1, -1], [2, 2], [-2, -2]], dtype=float)
-    model, scores = dsp.pca_fit_transform(x, 1)
+    model = dsp.pca_fit(x, 1)
     np.testing.assert_allclose(model.components[0], [1 / math.sqrt(2)] * 2, atol=1e-12)
     # all variance on the first axis
-    full_model, _ = dsp.pca_fit_transform(x, 2)
-    assert full_model.explained_variance[1] < 1e-12
+    scores = dsp.pca_fit(x, 2).transform(x)
+    np.testing.assert_allclose(scores.var(axis=0, ddof=1), _covariance_eigenvalues(x),
+                               atol=1e-12)
+    assert scores[:, 1].var() < 1e-12
 
 
 def test_pca_full_rank_reconstruction():
     rng = make_rng(2, "pca")
     x = rng.standard_normal((12, 5))
-    model, scores = dsp.pca_fit_transform(x, 5)
-    np.testing.assert_allclose(scores @ model.components + model.mean, x, atol=1e-8)
+    model = dsp.pca_fit(x, 5)
+    np.testing.assert_allclose(model.transform(x) @ model.components + model.mean, x,
+                               atol=1e-8)
 
 
 def test_pca_score_covariance_matches_explained_variance():
     rng = make_rng(3, "pca-cov")
     x = rng.standard_normal((10, 4))
-    model, scores = dsp.pca_fit_transform(x, 4)
+    scores = dsp.pca_fit(x, 4).transform(x)
     cov = scores.T @ scores / (x.shape[0] - 1)
-    np.testing.assert_allclose(cov, np.diag(model.explained_variance), atol=1e-8)
+    np.testing.assert_allclose(cov, np.diag(_covariance_eigenvalues(x)), atol=1e-8)
 
 
 def test_pca_components_orthonormal():
     rng = make_rng(4, "pca-ortho")
     x = rng.standard_normal((20, 6))
-    model, _ = dsp.pca_fit_transform(x, 4)
+    model = dsp.pca_fit(x, 4)
     gram = model.components @ model.components.T
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-8)
 
@@ -340,14 +349,14 @@ def test_pca_components_orthonormal():
 def test_pca_scores_zero_mean():
     rng = make_rng(5, "pca-mean")
     x = rng.standard_normal((15, 4)) + 3.0
-    _, scores = dsp.pca_fit_transform(x, 3)
+    scores = dsp.pca_fit(x, 3).transform(x)
     assert np.all(np.abs(scores.mean(axis=0)) < 1e-9)
 
 
 def test_pca_transform_is_stateless():
     rng = make_rng(6, "pca-pure")
     x = rng.standard_normal((9, 4))
-    model, _ = dsp.pca_fit_transform(x, 2)
+    model = dsp.pca_fit(x, 2)
     once = model.transform(x[:3])
     twice = model.transform(x[:3])
     assert np.array_equal(once, twice)
@@ -356,35 +365,28 @@ def test_pca_transform_is_stateless():
 def test_pca_rejects_bad_component_counts():
     x = np.zeros((4, 3))
     with pytest.raises(dsp.DspError):
-        dsp.pca_fit_transform(x, 0)
+        dsp.pca_fit(x, 0)
     with pytest.raises(dsp.DspError):
-        dsp.pca_fit_transform(x, 4)
+        dsp.pca_fit(x, 4)
+
+
+def test_pca_stage_fit_peak_memory_is_below_two_and_a_half_row_stacks():
+    # the stacked rows and their centred copy; projecting every training
+    # row as well, as a fit that forms the scores does, makes three
+    rng = make_rng(37, "pca-memory")
+    tensors = [_ft(rng.standard_normal((100, 16))) for _ in range(30)]
+    rows_nbytes = 30 * 100 * 16 * 8
+    tracemalloc.start()
+    try:
+        dsp.PcaStage(16).fit(tensors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * rows_nbytes
 
 
 # ---------------------------------------------------------------------------
 # ANOVA F
-
-def _anova_brute(x, labels):
-    # Independent oracle: direct loops over groups and features.
-    x = np.asarray(x, dtype=float)
-    labels = np.asarray(labels)
-    classes = sorted(set(labels.tolist()))
-    g, n = len(classes), x.shape[0]
-    out = []
-    for col in range(x.shape[1]):
-        v = x[:, col]
-        grand = v.mean()
-        ssb = ssw = 0.0
-        for c in classes:
-            grp = v[labels == c]
-            ssb += grp.size * (grp.mean() - grand) ** 2
-            ssw += ((grp - grp.mean()) ** 2).sum()
-        if ssw == 0.0:
-            out.append(0.0 if ssb == 0.0 else np.inf)
-        else:
-            out.append((ssb / (g - 1)) / (ssw / (n - g)))
-    return np.array(out)
-
 
 def test_anova_hand_example_f_13_5():
     x = np.array([[1.0], [2.0], [3.0], [4.0], [5.0], [6.0]])
@@ -435,7 +437,7 @@ def test_anova_matches_brute_force_on_100_random_instances():
         labels = np.concatenate([np.arange(g), rng.integers(0, g, n - g)])
         x = rng.standard_normal((n, d)) + labels[:, None] * rng.standard_normal(d)
         got = dsp.anova_f_scores(x, labels)
-        expect = _anova_brute(x, labels)
+        expect = anova_brute(x, labels)
         np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-9)
 
 
@@ -450,18 +452,15 @@ def test_anova_rejects_degenerate_inputs():
 # select_k_best
 
 def test_select_top2():
-    sel = dsp.select_k_best(np.array([0.1, 5.0, 3.0]), 2)
-    assert sel.selected == (1, 2)
+    assert dsp.select_k_best(np.array([0.1, 5.0, 3.0]), 2) == (1, 2)
 
 
 def test_select_all_is_identity():
-    sel = dsp.select_k_best(np.array([3.0, 1.0, 2.0]), 3)
-    assert sel.selected == (0, 1, 2)
+    assert dsp.select_k_best(np.array([3.0, 1.0, 2.0]), 3) == (0, 1, 2)
 
 
 def test_select_tie_breaks_to_lower_index():
-    sel = dsp.select_k_best(np.array([2.0, 2.0, 1.0]), 1)
-    assert sel.selected == (0,)
+    assert dsp.select_k_best(np.array([2.0, 2.0, 1.0]), 1) == (0,)
 
 
 def test_select_rejects_bad_k():
@@ -476,8 +475,7 @@ def test_select_every_selected_beats_every_unselected():
     for _ in range(20):
         scores = rng.random(10)
         k = int(rng.integers(1, 11))
-        sel = dsp.select_k_best(scores, k)
-        chosen = set(sel.selected)
+        chosen = set(dsp.select_k_best(scores, k))
         rest = [scores[i] for i in range(10) if i not in chosen]
         if rest:
             assert min(scores[i] for i in chosen) >= max(rest)
@@ -524,8 +522,7 @@ def test_fit_stages_fits_mid_chain_stages_on_the_training_split_only():
     every = dsp.PcaStage(6).fit([dsp.run_pipeline(s, stages[:1]) for s in train + held_out])
     assert not np.array_equal(stages[1].model.mean, every.model.mean)
     selected = dsp.SelectKBestStage(2).fit([dsp.run_pipeline(s, stages[:3]) for s in train])
-    assert np.array_equal(stages[3].selection.scores, selected.selection.scores)
-    assert stages[3].selection.selected == selected.selection.selected
+    assert stages[3].selected == selected.selected
     assert dsp.run_pipeline(held_out[0], stages).values.shape == (30, 2)
 
 
@@ -561,7 +558,7 @@ def test_select_stage_keeps_best_columns():
         base[:, 7] += code * 10.0  # feature 7 carries the class signal
         tensors.append(FeatureTensor(base, code, ("amplitude",)))
     stage = dsp.SelectKBestStage(1).fit(tensors)
-    assert stage.selection.selected == (7,)
+    assert stage.selected == (7,)
     out = stage.apply(tensors[0])
     assert out.values.shape == (20, 1)
 

@@ -243,6 +243,17 @@ def test_input_standardisation_is_fitted_on_the_training_split_only():
     assert np.array_equal(shifted.input_scale, trained.input_scale)
 
 
+def test_trained_model_rejects_a_mean_that_is_not_finite_or_a_scale_not_positive():
+    # a zero scale would make predict_probs return NaN probabilities
+    spec = toy_spec()
+    net = models.build(spec)
+    for mean, scale in [(np.zeros(6), np.zeros(6)), (np.zeros(6), np.full(6, -1.0)),
+                        (np.full(6, np.nan), np.ones(6)), (np.zeros(6), np.full(6, np.inf))]:
+        with pytest.raises(models.ModelError, match="^input mean must be finite and "
+                                                    "input scale positive$"):
+            models.TrainedModel(spec, net, mean, scale)
+
+
 # ---------------------------------------------------------------------------
 # the data train holds: the caller's sample arrays, one stacked batch at a time
 

@@ -290,6 +290,13 @@ def test_writer_block_that_raises_leaves_no_lock_and_no_manifest(tmp_path):
     assert len(storage.read_manifest(tmp_path / "d")) == 1
 
 
+def test_write_dataset_rejects_a_sample_of_another_class_before_writing_it(tmp_path):
+    with pytest.raises(ValueError, match="^sample 0 is of class 'sitting', not 'empty'$"):
+        storage.write_dataset(tmp_path / "d", ["empty"],
+                              lambda i: FeatureTensor(np.ones((2, 3)), ActivityClass.SITTING))
+    assert [p for p in (tmp_path / "d").rglob("*") if p.is_file()] == []
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_write_dataset_leaves_the_open_descriptors_as_it_found_them(tmp_path):
     # the lock's descriptor is closed, once, on every way out of write_dataset
